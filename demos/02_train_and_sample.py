@@ -35,7 +35,8 @@ rollout_cfg = RolloutConfig(window=0.2, history=1.0, horizon=1.0, samples=4,
 sample_set = rollout(hist, rollout_cfg, model, config.schedule(),
                      Rng(7, ("demo",)))
 print(f"\nrollout: {rollout_cfg.n_windows} windows x {config.diffusion_steps} "
-      f"reverse steps, {sample_set.network_evals} network evaluations")
+      f"reverse steps, {sample_set.network_evals} network evaluations, "
+      f"{sample_set.clamped_coords} target coordinates clamped")
 
 truth_m = denormalize_xy(fut.coords, pitch)
 samples_m = [denormalize_xy(s.coords, pitch) for s in sample_set.samples]

@@ -6,11 +6,21 @@ graph is rebuilt on every forward pass; `backward()` toposorts and walks it
 once. Parameters are long-lived leaves that accumulate gradients until
 `zero_grad()`.
 
-Every op output is checked for NaN/Inf and raises `NonFiniteError` naming
-the op, so numerical blow-ups surface at the op that produced them.
+With gradients enabled (the default) every op output is checked for NaN/Inf
+and raises `NonFiniteError` naming the op, so numerical blow-ups surface at
+the op that produced them.
+
+Inference mode: inside `with no_grad():` the same ops run the same
+arithmetic but keep no tape (no parents, no backward closure) and skip the
+per-op finiteness check. A forward-only caller checks its final output once
+with `check_finite`, naming itself; calling `backward` on a tensor built
+there raises `GraphError`.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -23,7 +33,21 @@ class GraphError(RuntimeError):
     """backward() called on something that is not a live scalar graph node."""
 
 
-def _check_finite(data, op):
+_grad_enabled = contextvars.ContextVar("gentac_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inference mode for the enclosed block: no tape, no per-op checks."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
+def check_finite(data, op):
+    """Raise `NonFiniteError` naming `op` unless every value is finite."""
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"op '{op}' produced a non-finite value")
 
@@ -46,11 +70,15 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward_fn=None, op="const"):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data, op)
         self.grad = None
-        self.parents = parents
-        self.backward_fn = backward_fn
         self.op = op
+        if _grad_enabled.get():
+            check_finite(self.data, op)
+            self.parents = parents
+            self.backward_fn = backward_fn
+        else:
+            self.parents = ()
+            self.backward_fn = None
 
     @property
     def shape(self):
@@ -272,11 +300,18 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(out, (a,), bwd, "relu")
 
 
+def softmax_array(x: np.ndarray, axis=-1) -> np.ndarray:
+    """Stable numpy softmax along `axis`: exp(x - max) / sum, computed in
+    place on the one fresh array that the max subtraction allocates."""
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(a: Tensor, axis=-1) -> Tensor:
     """Stable softmax along `axis` (max-subtracted before exponentiation)."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = softmax_array(a.data, axis=axis)
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
@@ -296,10 +331,13 @@ def log_softmax(a: Tensor, axis=-1) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps=1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    # np.var's arithmetic, reusing x - mu instead of recomputing it
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.data.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = gain.data * xhat + bias.data
+    xhat *= inv
+    out = gain.data * xhat
+    out += bias.data
     def bwd(g):
         dgain = _unbroadcast(g * xhat, gain.shape)
         dbias = _unbroadcast(g, bias.shape)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,8 +82,17 @@ class TokenGrid:
 
 @dataclass
 class LatentGrid:
-    h: ad.Tensor            # [batch x L x entities x d]
-    visibility: np.ndarray  # [batch x L x entities], carried through
+    h: ad.Tensor              # [batch x L x entities x d]
+    visibility: np.ndarray    # [batch x L x entities], carried through
+    # additive key-mask scores (0 on visible keys, MASK_SCORE elsewhere),
+    # built once per encode and shared by every layer
+    spatial_bias: ad.Tensor   # [batch x L x 1 x 1 x entities]
+    temporal_bias: ad.Tensor  # [batch x entities x 1 x 1 x L]
+
+
+def _key_mask_bias(key_visibility):
+    """[B x G x T] key visibility -> [B x G x 1 x 1 x T] additive scores."""
+    return ad.Tensor(np.where(key_visibility, 0.0, MASK_SCORE)[:, :, None, None, :])
 
 
 def stack_grids(grids):
@@ -279,7 +288,8 @@ class Backbone:
                 emb = np.stack([sinusoidal_embedding(int(s), cfg.d)
                                 for s in steps])[:, None, None, :]
             h = h + ad.Tensor(emb)
-        return LatentGrid(h, vis)
+        return LatentGrid(h, vis, _key_mask_bias(vis),
+                          _key_mask_bias(np.swapaxes(vis, 1, 2)))
 
     def _attend(self, latent: LatentGrid, base: str, axis: str) -> LatentGrid:
         """One pre-norm residual attention block along entities or time."""
@@ -292,10 +302,10 @@ class Backbone:
         x = ad.layer_norm(h, p[f"{base}.ln_g"], p[f"{base}.ln_b"])
         if axis == "time":
             x = ad.swapaxes(x, 1, 2)                       # [B x E x L x d]
-            key_mask = np.swapaxes(latent.visibility, 1, 2)  # keys indexed by time
+            bias = latent.temporal_bias                    # keys indexed by time
             G, T = E, L
         else:
-            key_mask = latent.visibility                   # keys indexed by entity
+            bias = latent.spatial_bias                     # keys indexed by entity
             G, T = L, E
 
         def project(w):
@@ -307,14 +317,13 @@ class Backbone:
 
         q, k, v = project("wq"), project("wk"), project("wv")
         scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
-        bias = np.where(key_mask, 0.0, MASK_SCORE)[:, :, None, None, :]
-        attn = ad.softmax(scores + ad.Tensor(bias), axis=-1)
+        attn = ad.softmax(scores + bias, axis=-1)
         out = ad.matmul(attn, v)
         out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T, d))
         out = ad.matmul(out, p[f"{base}.wo"]) + p[f"{base}.wo_b"]
         if axis == "time":
             out = ad.swapaxes(out, 1, 2)
-        return LatentGrid(h + out, latent.visibility)
+        return replace(latent, h=h + out)
 
     def spatial_attention(self, latent: LatentGrid, layer: int) -> LatentGrid:
         return self._attend(latent, f"layer{layer}.spatial", "entity")
@@ -328,7 +337,7 @@ class Backbone:
         x = ad.layer_norm(latent.h, p[f"{base}.ln_g"], p[f"{base}.ln_b"])
         x = ad.relu(ad.matmul(x, p[f"{base}.w1"]) + p[f"{base}.b1"])
         x = ad.matmul(x, p[f"{base}.w2"]) + p[f"{base}.b2"]
-        return LatentGrid(latent.h + x, latent.visibility)
+        return replace(latent, h=latent.h + x)
 
     def encode(self, grids, diffusion_step=None) -> LatentGrid:
         latent = self.embed(grids, diffusion_step)
@@ -370,14 +379,17 @@ class TrajectoryModel:
         """Predicted noise for every token, [B x L x entities x 2].
 
         `step` is shared or per batch element; each grid in the batch counts
-        as one network evaluation.
+        as one network evaluation. The output is checked for NaN/Inf here,
+        which is the only check a forward under `ad.no_grad()` gets.
         """
         n = 1 if isinstance(grids, TokenGrid) else len(grids)
         self.calls += n
         latent = self.backbone.encode(grids, diffusion_step=step)
         p = self.params
         x = ad.layer_norm(latent.h, p["head.ln_g"], p["head.ln_b"])
-        return ad.matmul(x, p["head.w"]) + p["head.b"]
+        out = ad.matmul(x, p["head.w"]) + p["head.b"]
+        ad.check_finite(out.data, "predict_noise")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +418,37 @@ def save_checkpoint(path, params: dict, config: dict, extra: dict | None = None)
 
 
 def load_checkpoint(path):
-    """Returns (config dict, extra dict, name -> float64 array)."""
+    """Returns (config dict, extra dict, name -> float64 array).
+
+    A file cut short, or one with bytes left over after the last parameter,
+    raises a one-line ValueError naming the file and the parameter.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
+        raw_len = f.read(8)
+        if len(raw_len) != 8:
+            raise ValueError(f"{path}: checkpoint header is truncated")
+        (hlen,) = struct.unpack("<Q", raw_len)
         header = json.loads(f.read(hlen).decode("utf-8"))
         arrays = {}
+        name = None
         for entry in header["params"]:
+            name = entry["name"]
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(8 * count)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+            if len(buf) != 8 * count:
+                raise ValueError(
+                    f"{path}: parameter '{name}' is truncated "
+                    f"({len(buf)} of {8 * count} bytes)")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        extra_bytes = len(f.read())
+        if extra_bytes:
+            raise ValueError(
+                f"{path}: {extra_bytes} trailing bytes after the last "
+                f"parameter '{name}'")
     return header["config"], header.get("extra", {}), arrays
 
 

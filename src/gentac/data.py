@@ -280,15 +280,15 @@ def load_clip(path, fps=None, sport="soccer", on_duplicate="error") -> Trajector
 
 
 def with_players_per_team(clip: TrajectoryClip, n: int) -> TrajectoryClip:
-    """Adopt a roster capacity of `n` slots per team (desk-scale models use
-    fewer than the sport's regulation count)."""
+    """A copy of `clip` with a roster capacity of `n` slots per team
+    (desk-scale models use fewer than the sport's regulation count). The
+    frames are shared, not copied; `clip` itself is left unchanged."""
     for team in (0, 1):
         ids = len(clip.roster(team))
         if ids > n:
             raise ValueError(
                 f"team{team} roster of {ids} exceeds {n} players per team")
-    clip.players_per_team = int(n)
-    return clip
+    return replace(clip, players_per_team=int(n))
 
 
 def save_clip(clip: TrajectoryClip, path):

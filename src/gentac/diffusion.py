@@ -201,12 +201,18 @@ class RolloutConfig:
 
 @dataclass
 class FutureSampleSet:
-    """K generated futures sharing one history, with their RNG records."""
+    """K generated futures sharing one history, with their RNG records.
+
+    `clamped_coords` counts the target coordinates, over every chain, window
+    and reverse step, whose implied clean signal the x0 clamp moved back
+    into the normalized pitch square (0 with `clamp_signal=False`).
+    """
 
     history: Segment
     samples: list            # Segments of identical length and roster
     seeds: list              # rng.describe() per sample
     network_evals: int
+    clamped_coords: int
 
     @property
     def k(self):
@@ -230,10 +236,11 @@ def sample_window(history: Segment, conditioning_future: Segment | None,
     ball futures) are frozen at every step. Pass a PitchSpec to get the
     output denormalized to meters; otherwise it stays in model coordinates.
     """
-    out = sample_windows_batch([history],
-                               conditioning_future and [conditioning_future],
-                               model, schedule, [rng], task, target_side,
-                               window_frames, clamp_signal=clamp_signal)[0]
+    outputs, _ = sample_windows_batch([history],
+                                      conditioning_future and [conditioning_future],
+                                      model, schedule, [rng], task, target_side,
+                                      window_frames, clamp_signal=clamp_signal)
+    out = outputs[0]
     if pitch is not None:
         out = _denormalize_segment(out, pitch)
     return out
@@ -249,13 +256,15 @@ def _denormalize_segment(seg: Segment, pitch) -> Segment:
 
 def _clamp_implied_signal(x_s, eps_hat, s, schedule):
     """Rewrite eps_hat so that the clean signal it implies lies in the
-    normalized coordinate square [-1, 1]^2."""
+    normalized coordinate square [-1, 1]^2; returns (eps_hat, number of
+    coordinates clipped)."""
     ab = schedule.alpha_bar(s)
     root_ab = math.sqrt(ab)
     root_1mab = math.sqrt(1.0 - ab)
     x0_hat = (x_s - root_1mab * eps_hat) / root_ab
-    x0_hat = np.clip(x0_hat, -1.0, 1.0)
-    return (x_s - root_ab * x0_hat) / root_1mab
+    clipped = np.clip(x0_hat, -1.0, 1.0)
+    n_clipped = int(np.count_nonzero(clipped != x0_hat))
+    return (x_s - root_ab * clipped) / root_1mab, n_clipped
 
 
 def sample_windows_batch(histories, conditioning_futures, model, schedule,
@@ -269,6 +278,11 @@ def sample_windows_batch(histories, conditioning_futures, model, schedule,
     stays inside the normalized pitch square; this keeps early-training
     chains from drifting off the data manifold. The reverse update formula
     itself is untouched.
+
+    Returns (one future Segment per chain, number of target coordinates the
+    clamp clipped over all chains and steps). The network runs under
+    `ad.no_grad()`: sampling never calls backward, so no tape is kept and
+    only the network output is checked for finiteness.
     """
     B = len(histories)
     E = histories[0].n_entities
@@ -297,15 +311,18 @@ def sample_windows_batch(histories, conditioning_futures, model, schedule,
         grids.append(replace_coords(grid, coords))
 
     S = schedule.steps
+    clamped = 0
     for s in range(S, 0, -1):
-        eps_hat = model.predict_noise(grids, step=s).data
+        with ad.no_grad():
+            eps_hat = model.predict_noise(grids, step=s).data
         for i, grid in enumerate(grids):
             H = grid.history_len
             mask = grid.noise_target[H:]
             x_s = grid.coords[H:][mask]
             e_hat = eps_hat[i, H:][mask]
             if clamp_signal:
-                e_hat = _clamp_implied_signal(x_s, e_hat, s, schedule)
+                e_hat, n_clipped = _clamp_implied_signal(x_s, e_hat, s, schedule)
+                clamped += n_clipped
             step_rng = rngs[i].child("noise", s)
             x_prev = denoise_step(x_s, e_hat, s, schedule, step_rng)
             coords = grid.coords.copy()
@@ -318,7 +335,7 @@ def sample_windows_batch(histories, conditioning_futures, model, schedule,
         fut_vis = grid.visibility[H:].copy()
         outputs.append(replace(histories[i], coords=grid.coords[H:].copy(),
                                visibility=fut_vis))
-    return outputs
+    return outputs, clamped
 
 
 def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
@@ -348,6 +365,7 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
     evals_before = model.calls
     sample_rngs = [rng.child("sample", k) for k in range(K)]
     chains = [history.copy() for _ in range(K)]
+    clamped = 0
 
     for step in range(q):
         cond = None
@@ -358,11 +376,12 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
                             history.fps, history.players_per_team,
                             history.roster0, history.roster1,
                             history.normalized)] * K
-        windows = sample_windows_batch(
+        windows, n_clipped = sample_windows_batch(
             chains, cond, model, schedule,
             [r.child("window", step) for r in sample_rngs],
             task=config.task, target_side=config.target_side,
             window_frames=w, clamp_signal=clamp_signal)
+        clamped += n_clipped
         chains = [
             replace(c, coords=np.concatenate([c.coords, win.coords]),
                     visibility=np.concatenate([c.visibility, win.visibility]))
@@ -376,7 +395,8 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
         futures = [_denormalize_segment(f, pitch) for f in futures]
     return FutureSampleSet(history, futures,
                            [r.describe() for r in sample_rngs],
-                           network_evals=model.calls - evals_before)
+                           network_evals=model.calls - evals_before,
+                           clamped_coords=clamped)
 
 
 # ---------------------------------------------------------------------------

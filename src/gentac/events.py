@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import Backbone, ModelConfig, build_token_grid
+from .backbone import MASK_SCORE, Backbone, ModelConfig, build_token_grid
 from .data import PitchSpec, Segment, TrajectoryClip, clip_to_segment, normalize
 from .diffusion import DiffusionSchedule, RolloutConfig, rollout
 from .rng import Rng
-
-MASK_SCORE = -1e9
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,6 @@ class EventPrediction:
     predicted_subtype: str
 
 
-def _np_softmax(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 class EventModel:
     """Backbone plus pooling scorer and the routed classification heads."""
 
@@ -131,7 +124,10 @@ class EventModel:
         return ad.reshape(ad.matmul(weights, h_flat), (B, d))
 
     def logits(self, grids):
-        """Type and per-type subtype logits for a batch of event grids."""
+        """Type and per-type subtype logits for a batch of event grids.
+
+        The logits are checked for NaN/Inf here, which is the only check a
+        forward under `ad.no_grad()` gets."""
         latent = self.backbone.encode(grids)
         z = self.attention_pool(latent.h, latent.visibility)
         p = self.params
@@ -140,14 +136,16 @@ class EventModel:
             t: ad.matmul(z, p[f"heads.sub_{t}_w"]) + p[f"heads.sub_{t}_b"]
             for t in self.taxonomy.types
         }
+        for out in (type_logits, *sub_logits.values()):
+            ad.check_finite(out.data, "logits")
         return type_logits, sub_logits
 
 
 def classify(type_logits: np.ndarray, sub_logits: dict,
              taxonomy: EventTaxonomy = TAXONOMY) -> EventPrediction:
     """Routed prediction plus the combined 15-way distribution."""
-    type_probs = _np_softmax(np.asarray(type_logits, dtype=np.float64))
-    subtype_probs = {t: _np_softmax(np.asarray(sub_logits[t], dtype=np.float64))
+    type_probs = ad.softmax_array(np.asarray(type_logits, dtype=np.float64))
+    subtype_probs = {t: ad.softmax_array(np.asarray(sub_logits[t], dtype=np.float64))
                      for t in taxonomy.types}
     combined = np.concatenate([type_probs[i] * subtype_probs[t]
                                for i, t in enumerate(taxonomy.types)])
@@ -210,7 +208,8 @@ def ground_event(clip, model: EventModel, pitch: PitchSpec | None = None) -> Eve
         if len(seg) == 0:
             raise ValueError("cannot ground an empty segment")
     grid = event_grid(seg, model.config.l_max)
-    type_logits, sub_logits = model.logits(grid)
+    with ad.no_grad():
+        type_logits, sub_logits = model.logits(grid)
     return classify(type_logits.data[0],
                     {t: v.data[0] for t, v in sub_logits.items()},
                     model.taxonomy)

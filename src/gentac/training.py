@@ -322,8 +322,9 @@ def _train_forecast(split: TrainSplit, config: TrainConfig, model=None):
             optimizer_step(list(params.values()), True, config, state, lr)
             epoch_losses.append(float(loss.data))
             step += 1
-        vloss = _forecast_valid_loss(model, valid_segs, config, schedule,
-                                     rng.child("valid"))
+        with ad.no_grad():  # validation never calls backward
+            vloss = _forecast_valid_loss(model, valid_segs, config, schedule,
+                                         rng.child("valid"))
         log.append((epoch, float(np.mean(epoch_losses)), vloss, lr))
         if vloss < best[0]:
             best = (vloss, epoch, _snapshot(params))
@@ -421,7 +422,8 @@ def _train_event(split: TrainSplit, config: TrainConfig, model=None):
             optimizer_step(list(params.values()), True, config, state, lr)
             epoch_losses.append(float(loss.data))
             step += 1
-        acc, vloss = _event_valid(model, valid_items, config)
+        with ad.no_grad():  # validation never calls backward
+            acc, vloss = _event_valid(model, valid_items, config)
         log.append((epoch, float(np.mean(epoch_losses)), acc, lr))
         key = (acc, -vloss)
         if key > best_key:

@@ -274,3 +274,52 @@ def test_determinism_same_inputs_bitwise():
     l2, g2 = run()
     assert l1.tobytes() == l2.tobytes()
     assert g1.tobytes() == g2.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# inference mode
+# ---------------------------------------------------------------------------
+
+def test_no_grad_keeps_no_tape_so_backward_raises():
+    w = ad.Parameter(np.random.default_rng(3).normal(size=(4, 4)), "w")
+    x = ad.Tensor(np.random.default_rng(4).normal(size=(2, 4)))
+    with ad.no_grad():
+        out = ad.softmax(ad.matmul(x, w), axis=-1)
+        loss = ad.sum_(ad.mul(out, out))
+    assert out.parents == () and out.backward_fn is None
+    with pytest.raises(ad.GraphError):
+        ad.backward(loss)
+
+
+def test_no_grad_skips_per_op_checks():
+    with ad.no_grad():
+        out = ad.log(ad.Tensor([-1.0]))
+    assert np.isnan(out.data).all()
+    with pytest.raises(ad.NonFiniteError, match="predict_noise"):
+        ad.check_finite(out.data, "predict_noise")
+
+
+def _taped():
+    return ad.add(ad.Tensor([1.0]), ad.Tensor([2.0])).parents != ()
+
+
+def test_no_grad_is_restored_after_an_exception():
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not _taped()
+            assert not _taped()
+            raise RuntimeError("boom")
+    assert _taped()
+    with pytest.raises(ad.NonFiniteError, match="log"):
+        ad.log(ad.Tensor([-1.0]))
+
+
+def test_softmax_array_is_the_textbook_formula_bitwise():
+    x = np.random.default_rng(6).normal(size=(3, 7)) * 20.0
+    before = x.copy()
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    expected = e / e.sum(axis=-1, keepdims=True)
+    assert ad.softmax_array(x).tobytes() == expected.tobytes()
+    assert ad.softmax(ad.Tensor(x)).data.tobytes() == expected.tobytes()
+    assert x.tobytes() == before.tobytes()

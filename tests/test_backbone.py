@@ -1,12 +1,14 @@
 """Backbone: token grid construction, embeddings, attention masking, and
 checkpoint round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gentac import autodiff as ad
-from gentac.backbone import (Backbone, ModelConfig, TokenGrid, TrajectoryModel,
-                             assign_parameters, build_token_grid,
+from gentac.backbone import (MASK_SCORE, Backbone, ModelConfig, TokenGrid,
+                             TrajectoryModel, assign_parameters, build_token_grid,
                              load_checkpoint, save_checkpoint,
                              sinusoidal_embedding)
 from gentac.data import Segment
@@ -329,3 +331,85 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_truncated_payload_names_file_and_parameter(tmp_path):
+    model = TrajectoryModel(CFG, Rng(27))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, CFG.to_dict())
+    path.write_bytes(path.read_bytes()[:-12])
+    last = sorted(model.params)[-1]
+    expected = f"{re.escape(str(path))}: parameter '{last}' is truncated"
+    with pytest.raises(ValueError, match=expected) as err:
+        load_checkpoint(path)
+    assert "\n" not in str(err.value)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    model = TrajectoryModel(CFG, Rng(28))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, CFG.to_dict())
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    last = sorted(model.params)[-1]
+    expected = f"{re.escape(str(path))}: 8 trailing bytes .* '{last}'"
+    with pytest.raises(ValueError, match=expected) as err:
+        load_checkpoint(path)
+    assert "\n" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# inference mode
+# ---------------------------------------------------------------------------
+
+def _model_with_live_head(seed):
+    model = TrajectoryModel(CFG, Rng(seed))
+    model.params["head.w"].data = Rng(seed, ("head",)).normal((CFG.d, 2))
+    return model
+
+
+def _forecast_grids(seed):
+    hist = make_segment(5, n_players=3, rng=Rng(seed))
+    fut = make_segment(2, n_players=3, rng=Rng(seed + 1))
+    return [build_token_grid(hist, fut, "forecast_joint"),
+            build_token_grid(hist, fut, "forecast_single", target_side=1)]
+
+
+def test_predict_noise_is_bit_identical_under_no_grad():
+    model = _model_with_live_head(29)
+    grids = _forecast_grids(30)
+    taped = model.predict_noise(grids, step=[4, 9])
+    with ad.no_grad():
+        untaped = model.predict_noise(grids, step=[4, 9])
+    assert np.abs(taped.data).max() > 0
+    assert isinstance(untaped, ad.Tensor)
+    assert taped.data.tobytes() == untaped.data.tobytes()
+    assert untaped.parents == ()
+
+
+def test_non_finite_under_no_grad_names_predict_noise():
+    model = _model_with_live_head(33)
+    model.params["embed.proj_b"].data[0] = np.nan
+    grids = _forecast_grids(34)
+    with pytest.raises(ad.NonFiniteError, match="'add'"):
+        model.predict_noise(grids, step=3)          # taped: the op is named
+    with ad.no_grad():
+        with pytest.raises(ad.NonFiniteError, match="predict_noise"):
+            model.predict_noise(grids, step=3)
+
+
+def test_latent_grid_carries_key_mask_biases_through_encode():
+    backbone = Backbone(CFG, Rng(35))
+    hist = make_segment(4, n_players=3, rng=Rng(36))
+    hist.visibility[1, 2] = False
+    grid = build_token_grid(hist, None, "event", l_max=6)
+    embedded = backbone.embed(grid)
+    encoded = backbone.encode(grid)
+    vis = embedded.visibility
+    np.testing.assert_array_equal(embedded.spatial_bias.data[:, :, 0, 0, :],
+                                  np.where(vis, 0.0, MASK_SCORE))
+    np.testing.assert_array_equal(embedded.temporal_bias.data[:, :, 0, 0, :],
+                                  np.where(np.swapaxes(vis, 1, 2), 0.0, MASK_SCORE))
+    np.testing.assert_array_equal(encoded.spatial_bias.data,
+                                  embedded.spatial_bias.data)
+    np.testing.assert_array_equal(encoded.temporal_bias.data,
+                                  embedded.temporal_bias.data)

@@ -13,7 +13,7 @@ from gentac import data
 from gentac.data import (Frame, PitchSpec, RefineParams, TrajectoryClip,
                          clip_to_segment, count_windows, flip_augment,
                          normalize, parse_clip, refine, resample,
-                         serialize_clip, window)
+                         serialize_clip, window, with_players_per_team)
 from gentac.rng import Rng
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "tracking_sample.json"
@@ -443,3 +443,15 @@ def test_epv_grid_rejects_negative(tmp_path):
     path.write_text("1 2\n-1 2\n")
     with pytest.raises(ValueError):
         data.load_epv_grid(path)
+
+
+def test_with_players_per_team_leaves_the_input_clip_unchanged():
+    clip = TrajectoryClip(
+        [Frame(0, (0.0, 0.0), {"A": (1.0, 2.0)}, {"B": (3.0, 4.0)})],
+        25.0, 11)
+    narrowed = with_players_per_team(clip, 3)
+    assert narrowed.players_per_team == 3
+    assert clip.players_per_team == 11
+    assert narrowed.frames == clip.frames
+    with pytest.raises(ValueError):
+        with_players_per_team(clip, 0)

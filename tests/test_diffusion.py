@@ -390,3 +390,29 @@ def test_condition_tagging_unknown_team_errors():
     clips = constant_velocity_clips(3, seed=3)
     with pytest.raises(ValueError, match="no clips match"):
         condition_tagging(clips, "team", "nonexistent")
+
+
+def test_rollout_reports_how_often_the_clamp_fires():
+    # the untrained head predicts zero noise, so at high noise levels the
+    # implied clean signal x_s / sqrt(alpha_bar) leaves the pitch square
+    schedule = make_schedule(8)
+    hist = make_segment(10, rng=Rng(12))
+    config = RolloutConfig(window=0.2, history=0.4, horizon=0.4, samples=2,
+                           fps=25.0)
+    clamped = rollout(hist, config, TrajectoryModel(CFG, Rng(0)), schedule,
+                      Rng(13, ("clamp",)))
+    free = rollout(hist, config, TrajectoryModel(CFG, Rng(0)), schedule,
+                   Rng(13, ("clamp",)), clamp_signal=False)
+    assert clamped.clamped_coords > 0
+    assert free.clamped_coords == 0
+
+
+def test_sampler_non_finite_network_output_names_predict_noise():
+    model = TrajectoryModel(CFG, Rng(0))
+    model.params["head.b"].data[:] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="predict_noise"):
+        sample_window(make_segment(6, rng=Rng(14)), None, model,
+                      make_schedule(3), Rng(15, ("w",)),
+                      task="forecast_joint", window_frames=2)
+    # the sampler's inference context is closed again after the error
+    assert ad.add(ad.Tensor([1.0]), ad.Tensor([2.0])).parents != ()

@@ -315,3 +315,33 @@ def test_forecast_event_end_to_end_shapes():
     np.testing.assert_allclose(summary.per_sample.sum(axis=1), 1.0, atol=1e-9)
     assert len(summary.routed) == 3
     assert len(summary.top(5)) == 5
+
+
+def test_logits_are_bit_identical_under_no_grad():
+    model = EventModel(CFG, Rng(40))
+    grids = [event_grid(make_segment(n, rng=Rng(41 + n)), CFG.l_max)
+             for n in (5, 9)]
+    grids[1].visibility[3:, 1] = False
+    type_taped, sub_taped = model.logits(grids)
+    with ad.no_grad():
+        type_free, sub_free = model.logits(grids)
+    assert type_free.parents == ()
+    assert type_taped.data.tobytes() == type_free.data.tobytes()
+    for t in TAXONOMY.types:
+        assert sub_taped[t].data.tobytes() == sub_free[t].data.tobytes()
+
+
+def test_classify_probabilities_are_the_textbook_softmax_bitwise():
+    rng = np.random.default_rng(42)
+    type_logits = rng.normal(size=5) * 4.0
+    sub_logits = {t: rng.normal(size=len(TAXONOMY.subtypes[t])) * 4.0
+                  for t in TAXONOMY.types}
+
+    def reference(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    pred = classify(type_logits, sub_logits)
+    assert pred.type_probs.tobytes() == reference(type_logits).tobytes()
+    for t in TAXONOMY.types:
+        assert pred.subtype_probs[t].tobytes() == reference(sub_logits[t]).tobytes()
