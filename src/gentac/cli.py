@@ -21,12 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__, data, fixtures, metrics
-from .backbone import ModelConfig, TrajectoryModel, assign_parameters, \
-    load_checkpoint, save_checkpoint
+from .backbone import ModelConfig, assign_parameters, load_checkpoint, \
+    save_checkpoint
 from .diffusion import RolloutConfig, condition_tagging, make_schedule, rollout
-from .events import EventModel, forecast_event, ground_event
+from .events import forecast_event, ground_event
 from .rng import Rng
-from .training import TrainConfig, TrainSplit, desk_event_config, \
+from .training import MODELS, TrainConfig, desk_event_config, \
     desk_forecast_config, finetune, split_clips, train
 
 
@@ -175,7 +175,7 @@ def cmd_refine(args):
     return 0
 
 
-def _write_train_outputs(args, model, result, command, inputs):
+def _write_train_outputs(args, model, result, inputs):
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, model.params, model.config.to_dict(),
@@ -183,33 +183,23 @@ def _write_train_outputs(args, model, result, command, inputs):
                            "best_epoch": result.best_epoch})
     log_path = out.with_name(out.stem + ".log.csv")
     log_path.write_text(result.log_csv(), "utf-8")
-    write_manifest(out, command, result.config.seed,
+    write_manifest(out, args.command, result.config.seed,
                    result.config.__dict__, inputs, [out, log_path],
                    checkpoint=out)
     return 0
 
 
-def cmd_train_traj(args):
-    cfg = _train_config(args, "forecast")
+def cmd_train(args):
+    cfg = _train_config(args, args.task)
     inputs = _clip_paths(args.data)
     clips = _load_clips(args.data, cfg.sport)
     split = split_clips(clips, args.valid_fraction, seed=cfg.seed)
-    model, result = train(TrainSplit(split.train, split.valid), cfg)
-    return _write_train_outputs(args, model, result, "train-traj", inputs)
-
-
-def cmd_train_event(args):
-    cfg = _train_config(args, "event")
-    inputs = _clip_paths(args.data)
-    clips = _load_clips(args.data, cfg.sport)
-    split = split_clips(clips, args.valid_fraction, seed=cfg.seed)
-    model, result = train(TrainSplit(split.train, split.valid), cfg)
-    return _write_train_outputs(args, model, result, "train-event", inputs)
+    model, result = train(split, cfg)
+    return _write_train_outputs(args, model, result, inputs)
 
 
 def cmd_finetune(args):
-    task = args.task
-    cfg = _train_config(args, task)
+    cfg = _train_config(args, args.task)
     inputs = _clip_paths(args.data) + [pathlib.Path(args.base)]
     clips = _load_clips(args.data, cfg.sport)
     if args.filter:
@@ -221,56 +211,56 @@ def cmd_finetune(args):
                              "condition_setting": setting,
                              "condition_value": value})
     split = split_clips(clips, args.valid_fraction, seed=cfg.seed)
-    model, result = finetune(args.base, TrainSplit(split.train, split.valid), cfg)
-    return _write_train_outputs(args, model, result, "finetune", inputs)
+    model, result = finetune(args.base, split, cfg)
+    return _write_train_outputs(args, model, result, inputs)
 
 
-def _load_traj_model(path):
-    config, extra, arrays = load_checkpoint(path)
-    model = TrajectoryModel(ModelConfig.from_dict(config), Rng(0, ("load",)))
+def _load_model(path, task):
+    config, _, arrays = load_checkpoint(path)
+    model = MODELS[task](ModelConfig.from_dict(config), Rng(0, ("load",)))
     assign_parameters(model.params, arrays)
-    return model, extra
+    return model
 
 
-def _load_event_model(path):
-    config, extra, arrays = load_checkpoint(path)
-    model = EventModel(ModelConfig.from_dict(config), Rng(0, ("load",)))
-    assign_parameters(model.params, arrays)
-    return model, extra
-
-
-def cmd_sample(args):
-    history_path = pathlib.Path(args.history)
-    model, _ = _load_traj_model(args.checkpoint)
-    clip = data.with_players_per_team(
-        data.load_clip(history_path, sport=args.sport),
-        model.config.n_players)
+def _rollout_inputs(args, model):
+    """(history, truth future or None, RolloutConfig, schedule, manifest
+    config, input paths) from the sampling options shared by `sample` and
+    `forecast-event`."""
+    n_players = model.config.n_players
     pitch = data.PitchSpec.for_sport(args.sport)
-    hist = data.normalize(data.clip_to_segment(clip), pitch)
-
+    history_path = pathlib.Path(args.history)
+    clip = data.with_players_per_team(
+        data.load_clip(history_path, sport=args.sport), n_players)
+    hist = data.normalize(clip, pitch)
     config = RolloutConfig(
         window=args.window, history=len(clip) / clip.fps, horizon=args.horizon,
         samples=args.k, setting=args.setting, target_side=args.target_side,
         fps=clip.fps).validate()
     truth = None
-    truth_inputs = []
+    inputs = [history_path]
     if config.single_team:
         if not args.truth:
             raise ValueError(f"setting '{args.setting}' needs --truth")
-        truth_clip = data.with_players_per_team(
-            data.load_clip(args.truth, sport=args.sport),
-            model.config.n_players)
-        truth = data.normalize(data.clip_to_segment(truth_clip), pitch)
-        truth_inputs = [pathlib.Path(args.truth)]
-
+        truth = data.normalize(data.with_players_per_team(
+            data.load_clip(args.truth, sport=args.sport), n_players), pitch)
+        inputs.append(pathlib.Path(args.truth))
     schedule = make_schedule(args.steps, args.beta_start, args.beta_end)
+    manifest_config = {**config.__dict__, "steps": args.steps,
+                       "beta_start": args.beta_start, "beta_end": args.beta_end}
+    return hist, truth, config, schedule, manifest_config, inputs
+
+
+def cmd_sample(args):
+    model = _load_model(args.checkpoint, "forecast")
+    hist, truth, config, schedule, manifest_config, inputs = \
+        _rollout_inputs(args, model)
     rng = Rng(args.seed, ("sample",))
-    sample_set = rollout(hist, config, model, schedule, rng,
-                         truth_future=truth, pitch=pitch)
+    sample_set = rollout(hist, config, model, schedule, rng, truth_future=truth,
+                         pitch=data.PitchSpec.for_sport(args.sport))
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = history_path.stem
+    stem = pathlib.Path(args.history).stem
     written = []
     clips_out = sample_set.to_clips(
         sport=args.sport,
@@ -281,17 +271,9 @@ def cmd_sample(args):
         data.save_clip(clip_out, target)
         written.append(target)
         written.append(target.with_suffix(".meta.json"))
-    write_manifest(out, "sample", args.seed,
-                   {**config.__dict__, "steps": args.steps,
-                    "beta_start": args.beta_start, "beta_end": args.beta_end},
-                   [history_path, *truth_inputs], written,
+    write_manifest(out, "sample", args.seed, manifest_config, inputs, written,
                    checkpoint=args.checkpoint)
     return 0
-
-
-STRUCTURE_COLUMNS = ("stretch_index", "surface_area", "team_width",
-                     "team_length", "frobenius_norm",
-                     "centroid_displacement", "kuramoto_order")
 
 
 def _fmt10(v):
@@ -346,7 +328,7 @@ def cmd_evaluate_traj(args):
             g = geo.row(h)
             ade_v, fde_v = (g[0], g[2]) if agg == "min" else (g[1], g[3])
             struct_avg = []
-            for m in STRUCTURE_COLUMNS:
+            for m in metrics.STRUCTURE_METRICS:
                 vals = [r[h][m][geo_idx] for r in struct_reports]
                 struct_avg.append(float(np.mean(vals)))
             rows.append(",".join([_fmt10(h), agg, _fmt10(ade_v), _fmt10(fde_v),
@@ -361,7 +343,7 @@ def cmd_evaluate_traj(args):
 
 
 def cmd_evaluate_event(args):
-    model, _ = _load_event_model(args.checkpoint)
+    model = _load_model(args.checkpoint, "event")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs = _clip_paths(args.data)
@@ -438,25 +420,10 @@ def cmd_evaluate_event(args):
 
 
 def cmd_forecast_event(args):
-    traj_model, _ = _load_traj_model(args.checkpoint)
-    event_model, _ = _load_event_model(args.event_checkpoint)
-    history_path = pathlib.Path(args.history)
-    clip = data.with_players_per_team(
-        data.load_clip(history_path, sport=args.sport),
-        traj_model.config.n_players)
-    pitch = data.PitchSpec.for_sport(args.sport)
-    hist = data.normalize(data.clip_to_segment(clip), pitch)
-    config = RolloutConfig(
-        window=args.window, history=len(clip) / clip.fps, horizon=args.horizon,
-        samples=args.k, setting=args.setting, target_side=args.target_side,
-        fps=clip.fps).validate()
-    truth = None
-    if config.single_team:
-        truth_clip = data.with_players_per_team(
-            data.load_clip(args.truth, sport=args.sport),
-            traj_model.config.n_players)
-        truth = data.normalize(data.clip_to_segment(truth_clip), pitch)
-    schedule = make_schedule(args.steps, args.beta_start, args.beta_end)
+    traj_model = _load_model(args.checkpoint, "forecast")
+    event_model = _load_model(args.event_checkpoint, "event")
+    hist, truth, config, schedule, manifest_config, inputs = \
+        _rollout_inputs(args, traj_model)
     summary = forecast_event(hist, config, traj_model, schedule, event_model,
                              Rng(args.seed, ("forecast-event",)),
                              truth_future=truth,
@@ -472,8 +439,9 @@ def cmd_forecast_event(args):
     summary_path = out / "event_forecast.csv"
     summary_path.write_text("\n".join(lines) + "\n", "utf-8")
     write_manifest(out, "forecast-event", args.seed,
-                   {**config.__dict__, "event_frames": args.event_frames},
-                   [history_path], [summary_path], checkpoint=args.checkpoint)
+                   {**manifest_config, "event_frames": args.event_frames},
+                   [*inputs, pathlib.Path(args.event_checkpoint)],
+                   [summary_path], checkpoint=args.checkpoint)
     print(summary_path)
     return 0
 
@@ -538,7 +506,7 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=0.85)
     p.set_defaults(func=cmd_refine)
 
-    def train_opts(p, with_task=False):
+    def train_opts(p):
         common(p)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
@@ -554,20 +522,18 @@ def build_parser():
                          ("diffusion_steps", int)):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                            default=None)
-        if with_task:
-            p.add_argument("--task", choices=("forecast", "event"),
-                           default="forecast")
 
     p = sub.add_parser("train-traj", help="train the diffusion forecaster")
     train_opts(p)
-    p.set_defaults(func=cmd_train_traj)
+    p.set_defaults(func=cmd_train, task="forecast")
 
     p = sub.add_parser("train-event", help="train the event classifier")
     train_opts(p)
-    p.set_defaults(func=cmd_train_event)
+    p.set_defaults(func=cmd_train, task="event")
 
     p = sub.add_parser("finetune", help="continue training from a checkpoint")
-    train_opts(p, with_task=True)
+    train_opts(p)
+    p.add_argument("--task", choices=sorted(MODELS), default="forecast")
     p.add_argument("--base", required=True)
     p.add_argument("--filter", default=None,
                    help="subset filter, e.g. league=alpha or objective=offense")

@@ -692,10 +692,6 @@ def count_windows(clip_len: int, history_len: int, future_len: int, stride: int)
     return usable // stride + 1
 
 
-def window_starts(clip_len, history_len, future_len, stride):
-    return range(0, clip_len - history_len - future_len + 1, stride)
-
-
 def flip_augment(seg: Segment, p_horizontal: float, p_vertical: float,
                  rng: Rng) -> Segment:
     """Mirror normalized coordinates about each pitch axis with the given

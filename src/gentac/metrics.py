@@ -387,32 +387,12 @@ def _nearest_control(attackers, defenders, epv: EpvGrid):
     return out.reshape(epv.values.shape)
 
 
-def _velocity_control(attackers, defenders, atk_vel, def_vel, epv: EpvGrid):
-    xs, ys = epv.cell_centers()
-    xq, yq = np.meshgrid(xs, ys)
-    cells = np.stack([xq.ravel(), yq.ravel()], axis=1)
-    ta = _min_arrival(cells, attackers, atk_vel)
-    td = _min_arrival(cells, defenders, def_vel)
-    out = np.zeros(len(cells), dtype=int)
-    out[ta < td - TIE_EPS] = 1
-    out[td < ta - TIE_EPS] = -1
-    return out.reshape(epv.values.shape)
-
-
-def obet(attackers, defenders, epv: EpvGrid, velocity_adjusted=False,
-         atk_velocities=None, def_velocities=None) -> float:
+def obet(attackers, defenders, epv: EpvGrid) -> float:
     """Off-ball expected threat: fraction of controlled EPV held by the
-    attacking team. Control is nearest-player by default; the
-    velocity-adjusted arrival rule is available behind the flag."""
+    attacking team, each cell controlled by the nearest player."""
     if len(attackers) == 0 or len(defenders) == 0:
         raise ValueError("both teams must have players on the pitch")
-    if velocity_adjusted:
-        control = _velocity_control(attackers, defenders,
-                                    _zeros_like_positions(attackers, atk_velocities),
-                                    _zeros_like_positions(defenders, def_velocities),
-                                    epv)
-    else:
-        control = _nearest_control(attackers, defenders, epv)
+    control = _nearest_control(attackers, defenders, epv)
     atk = epv.values[control == 1].sum()
     dfn = epv.values[control == -1].sum()
     total = atk + dfn

@@ -45,8 +45,5 @@ class Rng:
     def permutation(self, n):
         return self._gen.permutation(n)
 
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]
-
     def describe(self):
         return {"seed": self.seed, "path": list(self.path)}

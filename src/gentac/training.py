@@ -1,12 +1,14 @@
-"""Optimization loops for the forecasting and event tasks.
+"""Training for the forecasting and event tasks: one loop, two tasks.
 
-Both tasks share the schedule shape (linear warmup into cosine decay, global
-gradient-norm clipping, best-checkpoint retention with patience-based early
-stopping) but differ in optimizer flavor: decoupled weight decay for the
-diffusion forecaster, plain Adam for the event classifier. Validation for
-the forecaster is the diffusion MSE on held-out windows with frozen noise
-draws, so the number is comparable across epochs; the event task validates
-on top-1 type accuracy with loss as the tie-break.
+`_fit` runs what both share: linear warmup into cosine decay, global
+gradient-norm clipping, the Adam(W) step, a tape-free validation pass per
+epoch, best-epoch retention and patience-based early stopping. A task
+supplies `step_loss(epoch, i, r)`, one training batch's loss, and
+`validate()`, the logged metric with a higher-is-better selection key. The
+forecaster validates on the diffusion MSE of held-out windows with frozen
+noise draws, so the number is comparable across epochs, and decays weights
+decoupled from Adam; the event classifier validates on top-1 type accuracy,
+loss breaking ties, and runs plain Adam.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import ModelConfig, TrajectoryModel, assign_parameters, load_checkpoint
-from .data import (PitchSpec, clip_to_segment, flip_augment, normalize,
-                   window, with_players_per_team)
+from .data import (PitchSpec, flip_augment, normalize, window,
+                   with_players_per_team)
 from .diffusion import diffusion_loss, make_schedule
 from .events import EventModel, event_grid, hierarchical_loss_batch
 from .rng import Rng
@@ -153,12 +155,9 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def optimizer_step(params, grads_ready: bool, config: TrainConfig,
-                   state: AdamState, lr: float):
+def optimizer_step(params, config: TrainConfig, state: AdamState, lr: float):
     """One update: clip, Adam moments, and for the forecast task the
     decoupled weight-decay term. The event task runs plain Adam."""
-    if not grads_ready:
-        raise ValueError("optimizer_step expects populated gradients")
     clip_gradients(params, config.grad_clip)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -224,17 +223,61 @@ def _restore(params, snap):
 
 
 # ---------------------------------------------------------------------------
-# forecast task
+# the training loop
 # ---------------------------------------------------------------------------
 
+def _fit(model, config: TrainConfig, rng: Rng, n_train: int, step_loss, validate):
+    """Train `model` in place on `n_train` items; the model and TrainResult
+    end on the epoch with the highest selection key."""
+    params = model.params
+    state = AdamState()
+    steps_per_epoch = max(1, n_train // config.batch_size)
+    total_steps = max(1, config.epochs * steps_per_epoch)
+
+    best_key = (-math.inf,)
+    # with no epoch run, the metric reads as the worst a task can log
+    best_metric = math.inf if config.task == "forecast" else -math.inf
+    best_epoch, best = -1, _snapshot(params)
+    log = []
+    stale = 0
+    step = 0
+    for epoch in range(config.epochs):
+        epoch_losses = []
+        for i in range(steps_per_epoch):
+            loss = step_loss(epoch, i, rng.child("epoch", epoch, "step", i))
+            for p in params.values():
+                p.zero_grad()
+            ad.backward(loss)
+            lr = lr_at(step, total_steps, config)
+            optimizer_step(list(params.values()), config, state, lr)
+            epoch_losses.append(float(loss.data))
+            step += 1
+        with ad.no_grad():  # validation never calls backward
+            metric, key = validate()
+        log.append((epoch, float(np.mean(epoch_losses)), metric, lr))
+        if key > best_key:
+            best_key, best_metric, best_epoch = key, metric, epoch
+            best = _snapshot(params)
+            stale = 0
+        else:
+            stale += 1
+            if stale > config.early_stop_patience:
+                break
+    _restore(params, best)
+    return model, TrainResult(best, log, best_epoch, best_metric, config)
+
+
+def _normalized(clip, config):
+    """`clip` narrowed to the model's team size, densified and normalised."""
+    return normalize(with_players_per_team(clip, config.n_players),
+                     PitchSpec.for_sport(config.sport))
+
+
 def _forecast_segments(clips, config):
-    pitch = PitchSpec.for_sport(config.sport)
     out = []
     for clip in clips:
-        clip = with_players_per_team(clip, config.n_players)
-        seg = normalize(clip_to_segment(clip), pitch)
         side = clip.metadata.get("target_side")
-        out.append((seg, None if side is None else int(side)))
+        out.append((_normalized(clip, config), None if side is None else int(side)))
     return out
 
 
@@ -264,183 +307,98 @@ def _forecast_batch(segments, config: TrainConfig, rng: Rng, n_items: int):
 
 def _forecast_valid_loss(model, segments, config, schedule, rng: Rng) -> float:
     """Diffusion MSE on centered held-out windows with frozen noise draws."""
-    losses = []
-    bs = min(config.batch_size, 16)
-    batch = []
+    hl, w = config.history_frames, config.window_frames
+    items = []
     for i, (seg, side) in enumerate(segments):
-        hl, w = config.history_frames, config.window_frames
         if len(seg) < hl + w:
             continue
         start = 0 if config.fixed_start else (len(seg) - hl - w) // 2
         hist, fut = window(seg, start, hl, w)
         target = (side if side is not None else i % 2) \
             if config.forecast_task == "forecast_single" else None
-        batch.append((hist, fut, config.forecast_task, target))
-        if len(batch) == bs:
-            losses.append(float(diffusion_loss(
-                model, batch, schedule, rng.child("vbatch", len(losses))).data))
-            batch = []
-    if batch:
-        losses.append(float(diffusion_loss(
-            model, batch, schedule, rng.child("vbatch", len(losses))).data))
-    if not losses:
+        items.append((hist, fut, config.forecast_task, target))
+    if not items:
         raise ValueError("validation split produced no usable windows")
-    return float(np.mean(losses))
+    bs = min(config.batch_size, 16)
+    return float(np.mean([
+        float(diffusion_loss(model, items[j:j + bs], schedule,
+                             rng.child("vbatch", j // bs)).data)
+        for j in range(0, len(items), bs)]))
 
 
-def _train_forecast(split: TrainSplit, config: TrainConfig, model=None):
-    rng = Rng(config.seed, ("train", "forecast"))
-    if model is None:
-        model = TrajectoryModel(config.model_config(), rng.child("init"))
+def _fit_forecast(model, split: TrainSplit, config: TrainConfig, rng: Rng):
     schedule = config.schedule()
     train_segs = _forecast_segments(split.train, config)
     valid_segs = _forecast_segments(split.valid, config)
-    if not train_segs:
-        raise ValueError("empty training split")
-    if not valid_segs:
-        raise ValueError("empty validation split")
 
-    params = model.params
-    state = AdamState()
-    steps_per_epoch = max(1, len(train_segs) // config.batch_size)
-    total_steps = max(1, config.epochs * steps_per_epoch)
+    def step_loss(epoch, i, r):
+        batch = _forecast_batch(train_segs, config, r, config.batch_size)
+        return diffusion_loss(model, batch, schedule, r.child("noise"))
 
-    best = (math.inf, -1, _snapshot(params))
-    log = []
-    stale = 0
-    step = 0
-    for epoch in range(config.epochs):
-        epoch_losses = []
-        for i in range(steps_per_epoch):
-            r = rng.child("epoch", epoch, "step", i)
-            batch = _forecast_batch(train_segs, config, r, config.batch_size)
-            for p in params.values():
-                p.zero_grad()
-            loss = diffusion_loss(model, batch, schedule, r.child("noise"))
-            ad.backward(loss)
-            lr = lr_at(step, total_steps, config)
-            optimizer_step(list(params.values()), True, config, state, lr)
-            epoch_losses.append(float(loss.data))
-            step += 1
-        with ad.no_grad():  # validation never calls backward
-            vloss = _forecast_valid_loss(model, valid_segs, config, schedule,
-                                         rng.child("valid"))
-        log.append((epoch, float(np.mean(epoch_losses)), vloss, lr))
-        if vloss < best[0]:
-            best = (vloss, epoch, _snapshot(params))
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.early_stop_patience:
-                break
-    _restore(params, best[2])
-    return model, TrainResult(best[2], log, best[1], best[0], config)
+    def validate():
+        vloss = _forecast_valid_loss(model, valid_segs, config, schedule,
+                                     rng.child("valid"))
+        return vloss, (-vloss,)
 
+    return _fit(model, config, rng, len(train_segs), step_loss, validate)
 
-# ---------------------------------------------------------------------------
-# event task
-# ---------------------------------------------------------------------------
 
 def _event_items(clips, config):
-    pitch = PitchSpec.for_sport(config.sport)
     items = []
     for clip in clips:
-        clip = with_players_per_team(clip, config.n_players)
         label = (clip.metadata.get("event_type"), clip.metadata.get("event_subtype"))
         if label[0] is None or label[1] is None:
             raise ValueError("event training clips need event_type/event_subtype tags")
-        items.append((normalize(clip_to_segment(clip), pitch), label))
+        items.append((_normalized(clip, config), label))
     return items
 
 
-def _event_forward(model, items, config, rng=None):
-    segs = []
-    for i, (seg, _) in enumerate(items):
-        if rng is not None:
-            seg = flip_augment(seg, config.flip_prob, config.flip_prob,
-                               rng.child("flip", i))
-        segs.append(seg)
-    grids = [event_grid(s, config.l_max) for s in segs]
-    return model.logits(grids)
+def _event_loss(model, items, config, rng=None):
+    """(type logits, hierarchical loss) on `items`; with `rng`, each item is
+    flip-augmented first."""
+    segs = [seg if rng is None else flip_augment(
+                seg, config.flip_prob, config.flip_prob, rng.child("flip", i))
+            for i, (seg, _) in enumerate(items)]
+    type_logits, sub_logits = model.logits([event_grid(s, config.l_max) for s in segs])
+    loss = hierarchical_loss_batch(type_logits, sub_logits, [lab for _, lab in items],
+                                   config.lambda_sub, model.taxonomy)
+    return type_logits, loss
 
 
-def _event_valid(model, items, config):
-    """(top-1 type accuracy, mean loss) on the validation items."""
-    correct = 0
-    losses = []
-    for chunk_start in range(0, len(items), config.batch_size):
-        chunk = items[chunk_start:chunk_start + config.batch_size]
-        type_logits, sub_logits = _event_forward(model, chunk, config)
-        labels = [lab for _, lab in chunk]
-        loss = hierarchical_loss_batch(type_logits, sub_logits, labels,
-                                       config.lambda_sub, model.taxonomy)
-        losses.append(float(loss.data))
-        pred_idx = np.argmax(type_logits.data, axis=1)
-        for k, (_, lab) in enumerate(chunk):
-            if model.taxonomy.types[pred_idx[k]] == lab[0]:
-                correct += 1
-    return correct / len(items), float(np.mean(losses))
-
-
-def _train_event(split: TrainSplit, config: TrainConfig, model=None):
-    rng = Rng(config.seed, ("train", "event"))
-    if model is None:
-        model = EventModel(config.model_config(), rng.child("init"))
+def _fit_event(model, split: TrainSplit, config: TrainConfig, rng: Rng):
     train_items = _event_items(split.train, config)
     valid_items = _event_items(split.valid, config)
-    if not train_items or not valid_items:
-        raise ValueError("empty train or validation split")
+    order = None
 
-    params = model.params
-    state = AdamState()
-    steps_per_epoch = max(1, len(train_items) // config.batch_size)
-    total_steps = max(1, config.epochs * steps_per_epoch)
+    def step_loss(epoch, i, r):
+        nonlocal order
+        if i == 0:  # one shuffle per epoch
+            order = rng.child("shuffle", epoch).permutation(len(train_items))
+        idx = order[i * config.batch_size:(i + 1) * config.batch_size]
+        return _event_loss(model, [train_items[int(j)] for j in idx], config, r)[1]
 
-    # best = (accuracy, -loss) lexicographic, loss breaking accuracy ties
-    best_key = (-math.inf, -math.inf)
-    best = (-1, _snapshot(params), math.inf)
-    log = []
-    stale = 0
-    step = 0
-    for epoch in range(config.epochs):
-        order = rng.child("shuffle", epoch).permutation(len(train_items))
-        epoch_losses = []
-        for i in range(steps_per_epoch):
-            idx = order[i * config.batch_size:(i + 1) * config.batch_size]
-            batch = [train_items[int(j)] for j in idx]
-            if not batch:
-                continue
-            r = rng.child("epoch", epoch, "step", i)
-            type_logits, sub_logits = _event_forward(model, batch, config, r)
-            labels = [lab for _, lab in batch]
-            loss = hierarchical_loss_batch(type_logits, sub_logits, labels,
-                                           config.lambda_sub, model.taxonomy)
-            for p in params.values():
-                p.zero_grad()
-            ad.backward(loss)
-            lr = lr_at(step, total_steps, config)
-            optimizer_step(list(params.values()), True, config, state, lr)
-            epoch_losses.append(float(loss.data))
-            step += 1
-        with ad.no_grad():  # validation never calls backward
-            acc, vloss = _event_valid(model, valid_items, config)
-        log.append((epoch, float(np.mean(epoch_losses)), acc, lr))
-        key = (acc, -vloss)
-        if key > best_key:
-            best_key = key
-            best = (epoch, _snapshot(params), vloss)
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.early_stop_patience:
-                break
-    _restore(params, best[1])
-    return model, TrainResult(best[1], log, best[0], best_key[0], config)
+    def validate():  # top-1 type accuracy, mean loss breaking ties
+        correct, losses = 0, []
+        for start in range(0, len(valid_items), config.batch_size):
+            chunk = valid_items[start:start + config.batch_size]
+            type_logits, loss = _event_loss(model, chunk, config)
+            losses.append(float(loss.data))
+            pred_idx = np.argmax(type_logits.data, axis=1)
+            for k, (_, lab) in enumerate(chunk):
+                if model.taxonomy.types[pred_idx[k]] == lab[0]:
+                    correct += 1
+        acc = correct / len(valid_items)
+        return acc, (acc, -float(np.mean(losses)))
+
+    return _fit(model, config, rng, len(train_items), step_loss, validate)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
+
+MODELS = {"forecast": TrajectoryModel, "event": EventModel}
+
 
 def train(split: TrainSplit, config: TrainConfig, model=None):
     """Run the configured task; returns (model, TrainResult).
@@ -448,9 +406,13 @@ def train(split: TrainSplit, config: TrainConfig, model=None):
     The returned model carries the parameters of the epoch with the best
     validation metric, never a later, worse one.
     """
-    if config.task == "forecast":
-        return _train_forecast(split, config, model)
-    return _train_event(split, config, model)
+    if not split.train or not split.valid:
+        raise ValueError("empty train or validation split")
+    rng = Rng(config.seed, ("train", config.task))
+    if model is None:
+        model = MODELS[config.task](config.model_config(), rng.child("init"))
+    fit_task = _fit_forecast if config.task == "forecast" else _fit_event
+    return fit_task(model, split, config, rng)
 
 
 def finetune(base_checkpoint: str, split: TrainSplit, config: TrainConfig):
@@ -461,10 +423,7 @@ def finetune(base_checkpoint: str, split: TrainSplit, config: TrainConfig):
         raise ValueError(
             f"checkpoint config {ck_config} incompatible with {model_cfg.to_dict()}")
     rng = Rng(config.seed, ("finetune", config.task))
-    if config.task == "forecast":
-        model = TrajectoryModel(model_cfg, rng.child("init"))
-    else:
-        model = EventModel(model_cfg, rng.child("init"))
+    model = MODELS[config.task](model_cfg, rng.child("init"))
     assign_parameters(model.params, arrays)
     if config.epochs == 0:
         snap = _snapshot(model.params)

@@ -199,7 +199,9 @@ def test_evaluate_event_writes_predictions_and_metrics(tmp_path):
     assert (out / "event_metrics.csv").exists()
 
 
-def test_forecast_event_cli(tmp_path):
+def forecast_event_argv(tmp_path):
+    """forecast-event options for a small trained forecaster, an untrained
+    event head and a 0.4 s history clip; the caller adds --out."""
     from gentac.backbone import ModelConfig
     from gentac.events import EventModel
 
@@ -212,17 +214,52 @@ def test_forecast_event_cli(tmp_path):
     clip = constant_velocity_clips(1, seed=16, duration_s=0.4)[0]
     hist_path = tmp_path / "history.json"
     data.save_clip(clip, hist_path)
+    return ["forecast-event", "--history", str(hist_path),
+            "--checkpoint", str(ckpt), "--event-checkpoint", str(event_ckpt),
+            "--window", "0.2", "--horizon", "0.4", "--k", "3",
+            "--event-frames", "10"]
+
+
+def test_forecast_event_cli(tmp_path):
     out = tmp_path / "forecast"
-    assert run(["forecast-event", "--history", str(hist_path),
-                "--checkpoint", str(ckpt), "--event-checkpoint",
-                str(event_ckpt), "--window", "0.2", "--horizon", "0.4",
-                "--k", "3", "--steps", "4", "--event-frames", "10",
-                "--out", str(out)]) == 0
+    assert run(forecast_event_argv(tmp_path)
+               + ["--steps", "4", "--out", str(out)]) == 0
     lines = (out / "event_forecast.csv").read_text().splitlines()
     assert lines[0] == "subtype,median,p10,p90,min,max"
     assert len(lines) == 16  # 15 subtypes
     medians = [float(l.split(",")[1]) for l in lines[1:]]
     assert abs(sum(medians)) <= 1.5  # sane probability mass
+
+
+def test_forecast_event_single_team_needs_truth(tmp_path, capsys):
+    code = run(forecast_event_argv(tmp_path)
+               + ["--setting", "team", "--target-side", "0",
+                  "--out", str(tmp_path / "forecast")])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "gentac: error: setting 'team' needs --truth"
+
+
+def test_forecast_event_manifest_records_schedule_and_inputs(tmp_path):
+    argv = forecast_event_argv(tmp_path)
+    manifests = []
+    for steps in ("2", "3"):
+        out = tmp_path / f"steps{steps}"
+        assert run(argv + ["--steps", steps, "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[0]["config"]["steps"] == 2
+    assert manifests[1]["config"]["steps"] == 3
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+    assert {"beta_start", "beta_end"} <= set(manifests[0]["config"])
+    # the event head and the truth future are inputs: others give other outputs
+    assert set(manifests[0]["inputs"]) == {"history.json", "event.ckpt"}
+    truth = tmp_path / "truth.json"
+    data.save_clip(constant_velocity_clips(1, seed=17, duration_s=0.4)[0], truth)
+    out = tmp_path / "single"
+    assert run(argv + ["--setting", "team", "--target-side", "0", "--truth",
+                       str(truth), "--steps", "2", "--out", str(out)]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert set(inputs) == {"history.json", "truth.json", "event.ckpt"}
 
 
 def test_main_returns_int_when_given_argv():

@@ -218,7 +218,7 @@ def test_untrained_model_loss_near_one_and_decreases():
             p.zero_grad()
         loss = diffusion_loss(model, batch, schedule, Rng(0, ("t", step)))
         ad.backward(loss)
-        optimizer_step(model.parameters(), True, config, state, 3e-3)
+        optimizer_step(model.parameters(), config, state, 3e-3)
         losses.append(float(loss.data))
     smoothed = np.convolve(losses, np.ones(25) / 25, mode="valid")
     assert smoothed[-1] < smoothed[0]
