@@ -469,7 +469,8 @@ class RefineParams:
     ema_gamma: float = 0.85    # weight on the current sample; 1.0 disables
 
 
-def _resolve_duplicates(clip: TrajectoryClip) -> TrajectoryClip:
+def resolve_duplicates(clip: TrajectoryClip) -> TrajectoryClip:
+    """Collapse duplicate detections only (stage 1 of `refine`)."""
     frames = []
     last_seen = {}
     for f in sorted(clip.frames, key=lambda fr: fr.index):
@@ -494,39 +495,30 @@ def _resolve_duplicates(clip: TrajectoryClip) -> TrajectoryClip:
                           dict(clip.metadata))
 
 
+def _runs(mask):
+    """(start, stop) of each run of True in a 1-D boolean mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
+    return zip(edges[::2].tolist(), edges[1::2].tolist())
+
+
 def _fill_gaps(coords, vis, max_gap):
     """Linear fill of missing runs <= max_gap; boundary runs hold the nearest
-    observed value. Longer runs stay missing."""
+    observed value. Longer runs, and entities never observed, stay missing."""
     F = coords.shape[0]
     for e in range(coords.shape[1]):
-        obs = np.flatnonzero(vis[:, e])
-        if obs.size == 0:
-            continue
-        m = ~vis[:, e]
-        t = 0
-        while t < F:
-            if not m[t]:
-                t += 1
+        for start, stop in _runs(~vis[:, e]):
+            if stop - start > max_gap or stop - start == F:
                 continue
-            run_start = t
-            while t < F and m[t]:
-                t += 1
-            run_len = t - run_start
-            if run_len > max_gap:
-                continue
-            left = run_start - 1
-            right = t
-            if left < 0 and right >= F:
-                continue
+            left, right = start - 1, stop
             if left < 0:
-                coords[run_start:t, e] = coords[right, e]
+                coords[start:stop, e] = coords[right, e]
             elif right >= F:
-                coords[run_start:t, e] = coords[left, e]
+                coords[start:stop, e] = coords[left, e]
             else:
-                for k in range(run_start, t):
+                for k in range(start, stop):
                     w = (k - left) / (right - left)
                     coords[k, e] = coords[left, e] + w * (coords[right, e] - coords[left, e])
-            vis[run_start:t, e] = True
+            vis[start:stop, e] = True
 
 
 def _anomalous_pairs(coords, vis, fps, v_max, anomaly_count):
@@ -545,22 +537,15 @@ def _reconstruct_spans(coords, vis, pair_flags):
     """Interpolate entity positions across runs of anomalous frame pairs."""
     F = coords.shape[0]
     suspect = np.zeros(F, dtype=bool)
-    t = 0
     n_pairs = len(pair_flags)
-    while t < n_pairs:
-        if not pair_flags[t]:
-            t += 1
-            continue
-        run_start = t
-        while t < n_pairs and pair_flags[t]:
-            t += 1
-        run_end = t - 1  # inclusive pair index
-        if run_start == 0:
-            suspect[0:run_end + 1] = True
-        elif run_end == n_pairs - 1:
-            suspect[run_start + 1:F] = True
+    for start, stop in _runs(pair_flags):
+        if start == 0:
+            # also a run over every pair: the last frame stays trusted
+            suspect[0:stop] = True
+        elif stop == n_pairs:
+            suspect[start + 1:F] = True
         else:
-            suspect[run_start + 1:run_end + 1] = True
+            suspect[start + 1:stop] = True
 
     if not suspect.any():
         return
@@ -569,18 +554,14 @@ def _reconstruct_spans(coords, vis, pair_flags):
         good = np.flatnonzero(ok & vis[:, e])
         if good.size == 0:
             continue
-        bad = np.flatnonzero(suspect & vis[:, e])
-        for f in bad:
-            right = good[np.searchsorted(good, f)] if np.searchsorted(good, f) < good.size else None
-            li = np.searchsorted(good, f) - 1
-            left = good[li] if li >= 0 else None
-            if left is None and right is None:
-                continue
-            if left is None:
-                coords[f, e] = coords[right, e]
-            elif right is None:
-                coords[f, e] = coords[left, e]
+        for f in np.flatnonzero(suspect & vis[:, e]):
+            i = np.searchsorted(good, f)
+            if i == 0:
+                coords[f, e] = coords[good[0], e]
+            elif i == good.size:
+                coords[f, e] = coords[good[-1], e]
             else:
+                left, right = good[i - 1], good[i]
                 w = (f - left) / (right - left)
                 coords[f, e] = coords[left, e] + w * (coords[right, e] - coords[left, e])
 
@@ -606,17 +587,9 @@ def _ema_smooth(coords, vis, gamma):
             y[t] = acc
         return y
 
-    F = coords.shape[0]
     for e in range(coords.shape[1]):
-        t = 0
-        while t < F:
-            if not vis[t, e]:
-                t += 1
-                continue
-            start = t
-            while t < F and vis[t, e]:
-                t += 1
-            run = coords[start:t, e]
+        for start, stop in _runs(vis[:, e]):
+            run = coords[start:stop, e]
             if len(run) < 2:
                 continue
             p = min(pad, len(run) - 1)
@@ -625,12 +598,7 @@ def _ema_smooth(coords, vis, gamma):
             ext = np.concatenate([left, run, right])
             fwd = ema(ext)
             bwd = ema(ext[::-1])[::-1]
-            coords[start:t, e] = 0.5 * (fwd[p:p + len(run)] + bwd[p:p + len(run)])
-
-
-def resolve_duplicates(clip: TrajectoryClip) -> TrajectoryClip:
-    """Collapse duplicate detections only (stage 1 of `refine`)."""
-    return _resolve_duplicates(clip)
+            coords[start:stop, e] = 0.5 * (fwd[p:p + len(run)] + bwd[p:p + len(run)])
 
 
 def refine(clip: TrajectoryClip, params: RefineParams = RefineParams()) -> TrajectoryClip:
@@ -647,7 +615,7 @@ def refine(clip: TrajectoryClip, params: RefineParams = RefineParams()) -> Traje
 
     Refinement is total: it never raises on clip content.
     """
-    clip = _resolve_duplicates(clip)
+    clip = resolve_duplicates(clip)
     seg = clip_to_segment(clip)
     coords, vis = seg.coords, seg.visibility
 

@@ -11,15 +11,16 @@ spatial control by an expected-possession-value (EPV) grid: off-ball
 expected threat, depth/width threat over 32 zones, defensive shape
 disruption, and the velocity-aware defensive dominant region.
 
-Conventions: the attacking team plays toward +x. Control grids use 1 m
-cells over the pitch, cell centers at half-meter offsets; the EPV grid file
-is bilinearly resampled onto that lattice on load.
+Conventions: the attacking team plays toward +x. Every control metric runs
+on one cell lattice, `lattice(pitch, resolution)`: 1 m cells over the pitch by
+default, cell centers at half-cell offsets. The EPV grid file is bilinearly
+resampled onto that lattice on load.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,61 +222,37 @@ def structure(positions: np.ndarray, prev_positions: np.ndarray | None = None,
                            degenerate_hull, degenerate_kuramoto)
 
 
-def _team_slices(n_players):
-    return {0: slice(0, n_players), 1: slice(n_players, 2 * n_players)}
-
-
-def structure_series(coords, visibility, fps, team_slice, prev_frame=None):
-    """StructureVector per frame for one team; prev_frame supplies the frame
-    before coords[0] so displacement and headings exist from the start."""
-    out = []
-    prev = prev_frame
-    for t in range(coords.shape[0]):
-        mask = visibility[t, team_slice]
-        pts = coords[t, team_slice][mask]
-        prev_pts = None
-        if prev is not None:
-            prev_pts = prev[team_slice][mask] if prev.ndim == 2 else None
-        out.append(structure(pts, prev_pts, fps=fps))
-        prev = coords[t]
-    return out
-
-
 def structure_deviation(samples, truth, fps, n_players,
                         horizons=(1, 2, 3, 4, 5), teams=(0, 1),
                         history_last=None):
     """|metric(pred) - metric(truth)| per frame, time-averaged per horizon,
     then min/avg over the K samples.
 
-    Returns {horizon: {metric: (min_over_k, avg_over_k)}}. Deviations are
-    averaged over the evaluated teams. `history_last` is the [E x 2] frame
-    preceding the future, so displacement is defined at the first frame.
+    Returns {horizon: {metric: (min_over_k, avg_over_k)}}. Each sample must
+    have the truth's [T x E x 2] shape. Deviations are averaged over the
+    evaluated teams. `history_last` is the [E x 2] frame preceding the
+    future, so displacement is defined at the first frame.
     """
-    truth = np.asarray(truth["coords"] if isinstance(truth, dict) else truth)
-    slices = _team_slices(n_players)
-    vis = np.ones(truth.shape[:2], dtype=bool)
+    truth = np.asarray(truth)
+    slices = [slice(team * n_players, (team + 1) * n_players) for team in teams]
 
     def per_frame_metrics(coords):
-        rows = {team: structure_series(coords, vis, fps, slices[team],
-                                       prev_frame=history_last)
-                for team in teams}
-        return rows
+        coords = np.asarray(coords)
+        if coords.shape != truth.shape:
+            raise ValueError(f"shape mismatch {coords.shape} vs {truth.shape}")
+        # [frame][team]; a frame's predecessor gives displacement and headings
+        prevs = [history_last, *coords[:-1]]
+        return [[structure(frame[sl], None if prev is None else prev[sl], fps=fps)
+                 for sl in slices] for frame, prev in zip(coords, prevs)]
 
     truth_rows = per_frame_metrics(truth)
     per_sample = []
     for s in samples:
-        s = np.asarray(s)
-        pred_rows = per_frame_metrics(s)
         frame_dev = {m: [] for m in STRUCTURE_METRICS}
-        for t in range(truth.shape[0]):
+        for pred, true in zip(per_frame_metrics(s), truth_rows):
             for m in STRUCTURE_METRICS:
-                vals = []
-                for team in teams:
-                    a = getattr(pred_rows[team][t], m)
-                    b = getattr(truth_rows[team][t], m)
-                    if a is None or b is None:
-                        continue
-                    vals.append(abs(a - b))
+                pairs = [(getattr(a, m), getattr(b, m)) for a, b in zip(pred, true)]
+                vals = [abs(a - b) for a, b in pairs if a is not None and b is not None]
                 frame_dev[m].append(np.mean(vals) if vals else np.nan)
         per_sample.append({m: np.array(v) for m, v in frame_dev.items()})
 
@@ -293,32 +270,37 @@ def structure_deviation(samples, truth, fps, n_players,
 # EPV grids and control
 # ---------------------------------------------------------------------------
 
+def lattice(pitch: PitchSpec, resolution: float = 1.0) -> np.ndarray:
+    """Centers of the control cells, [ny x nx x 2] as (x, y) in meters: cell
+    [iy, ix] is centered at (-L/2 + (ix + 0.5) res, -W/2 + (iy + 0.5) res)."""
+    ny = int(round(pitch.width / resolution))
+    nx = int(round(pitch.length / resolution))
+    xs = -pitch.length / 2 + (np.arange(nx) + 0.5) * resolution
+    ys = -pitch.width / 2 + (np.arange(ny) + 0.5) * resolution
+    return np.stack(np.meshgrid(xs, ys), axis=-1)
+
+
 @dataclass
 class EpvGrid:
     """EPV sampled on the metric control lattice.
 
-    values[iy, ix] holds the EPV of the cell centered at
-    (-L/2 + (ix + 0.5) res, -W/2 + (iy + 0.5) res). The attacking team plays
+    values[iy, ix] holds the EPV of the cell centered at cells[iy, ix], the
+    `lattice` of the pitch at this resolution. The attacking team plays
     toward +x, so threat should grow with ix.
     """
 
     values: np.ndarray
     pitch: PitchSpec
     resolution: float = 1.0
+    cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.values < 0).any() or not np.isfinite(self.values).all():
             raise ValueError("EPV values must be finite and non-negative")
-
-    @property
-    def cell_area(self):
-        return self.resolution ** 2
-
-    def cell_centers(self):
-        ny, nx = self.values.shape
-        xs = -self.pitch.length / 2 + (np.arange(nx) + 0.5) * self.resolution
-        ys = -self.pitch.width / 2 + (np.arange(ny) + 0.5) * self.resolution
-        return xs, ys
+        self.cells = lattice(self.pitch, self.resolution)
+        if self.values.shape != self.cells.shape[:2]:
+            raise ValueError(f"EPV grid shape {self.values.shape} does not match "
+                             f"the pitch's {self.cells.shape[:2]} lattice")
 
 
 def _bilinear(values, yq, xq):
@@ -339,8 +321,7 @@ def epv_from_matrix(matrix: np.ndarray, pitch: PitchSpec,
     """Resample a raw (rows = y cells, cols = x cells) matrix onto the
     control lattice with bilinear interpolation."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    ny = int(round(pitch.width / resolution))
-    nx = int(round(pitch.length / resolution))
+    ny, nx = lattice(pitch, resolution).shape[:2]
     xs = (np.arange(nx) + 0.5) / nx * matrix.shape[1] - 0.5
     ys = (np.arange(ny) + 0.5) / ny * matrix.shape[0] - 0.5
     xq, yq = np.meshgrid(xs, ys)
@@ -356,13 +337,9 @@ def synthetic_epv(pitch: PitchSpec, resolution: float = 1.0,
     """Stand-in grid for tests and demos when no real EPV file is supplied:
     exp(-distance to the +x goal / scale), normalized to [0, 1]. This is a
     synthetic placeholder, not fitted to any possession data."""
-    ny = int(round(pitch.width / resolution))
-    nx = int(round(pitch.length / resolution))
-    xs = -pitch.length / 2 + (np.arange(nx) + 0.5) * resolution
-    ys = -pitch.width / 2 + (np.arange(ny) + 0.5) * resolution
+    cells = lattice(pitch, resolution)
     gx, gy = pitch.length / 2, 0.0
-    xq, yq = np.meshgrid(xs, ys)
-    d = np.hypot(xq - gx, yq - gy)
+    d = np.hypot(cells[..., 0] - gx, cells[..., 1] - gy)
     v = np.exp(-d / scale)
     v = (v - v.min()) / (v.max() - v.min())
     return EpvGrid(v, pitch, resolution)
@@ -370,9 +347,7 @@ def synthetic_epv(pitch: PitchSpec, resolution: float = 1.0,
 
 def _nearest_control(attackers, defenders, epv: EpvGrid):
     """+1 attacker-controlled, -1 defender-controlled, 0 tie, per cell."""
-    xs, ys = epv.cell_centers()
-    xq, yq = np.meshgrid(xs, ys)
-    cells = np.stack([xq.ravel(), yq.ravel()], axis=1)
+    cells = epv.cells.reshape(-1, 2)
 
     def min_dist(players):
         players = np.asarray(players, dtype=np.float64)
@@ -401,45 +376,35 @@ def obet(attackers, defenders, epv: EpvGrid) -> float:
     return float(atk / total)
 
 
-def _zeros_like_positions(positions, velocities):
-    if velocities is None:
-        return np.zeros_like(np.asarray(positions, dtype=np.float64))
-    return np.asarray(velocities, dtype=np.float64)
-
-
-def _zone_threat(attackers, defenders, epv: EpvGrid, axis: str,
+def _zone_threat(attackers, defenders, epv: EpvGrid, axis: int,
                  n_zones: int = 32) -> float:
+    """Sum over zones along `axis` (0 = x, 1 = y) of the attacker-held share
+    of the zone's cells times the zone's share of the EPV mass."""
     control = _nearest_control(attackers, defenders, epv)
-    xs, ys = epv.cell_centers()
-    xq, yq = np.meshgrid(xs, ys)
-    if axis == "x":
-        coord, lo, span = xq, -epv.pitch.length / 2, epv.pitch.length
-    else:
-        coord, lo, span = yq, -epv.pitch.width / 2, epv.pitch.width
-    zone = np.minimum(((coord - lo) / span * n_zones).astype(int), n_zones - 1)
+    span = (epv.pitch.length, epv.pitch.width)[axis]
+    coord = epv.cells[..., axis]
+    zone = np.minimum(((coord + span / 2) / span * n_zones).astype(int), n_zones - 1)
     total_epv = epv.values.sum()
     if total_epv <= 0:
         raise ValueError("EPV grid has no mass")
+    n_cells = np.bincount(zone.ravel(), minlength=n_zones)
+    n_atk = np.bincount(zone[control == 1], minlength=n_zones)
     value = 0.0
-    for z in range(n_zones):
-        in_zone = zone == z
-        n_z = int(in_zone.sum())
-        if n_z == 0:
-            continue
-        n_atk = int((in_zone & (control == 1)).sum())
-        epv_z = epv.values[in_zone].sum()
-        value += (n_atk / n_z) * (epv_z / total_epv)
+    for z in np.flatnonzero(n_cells):
+        # a weighted bincount would add the zone's cells in another order
+        epv_z = epv.values[zone == z].sum()
+        value += (n_atk[z] / n_cells[z]) * (epv_z / total_epv)
     return float(value)
 
 
 def depth_threat(attackers, defenders, epv: EpvGrid, n_zones: int = 32) -> float:
     """Attacking control weighted by zone EPV across 32 strips along x."""
-    return _zone_threat(attackers, defenders, epv, "x", n_zones)
+    return _zone_threat(attackers, defenders, epv, 0, n_zones)
 
 
 def width_threat(attackers, defenders, epv: EpvGrid, n_zones: int = 32) -> float:
     """Same weighting across 32 strips along y."""
-    return _zone_threat(attackers, defenders, epv, "y", n_zones)
+    return _zone_threat(attackers, defenders, epv, 1, n_zones)
 
 
 def defensive_disruption(area_before: float, area_after: float,
@@ -474,8 +439,10 @@ def arrival_time(distance, v_along, accel=ARRIVAL_ACCEL, vmax=ARRIVAL_VMAX):
 
 
 def _min_arrival(cells, players, velocities):
+    """Earliest arrival per cell over the players; None velocities are zero."""
     players = np.asarray(players, dtype=np.float64)
-    velocities = np.asarray(velocities, dtype=np.float64)
+    velocities = (np.zeros_like(players) if velocities is None
+                  else np.asarray(velocities, dtype=np.float64))
     delta = cells[None, :, :] - players[:, None, :]         # [P x C x 2]
     dist = np.linalg.norm(delta, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -493,16 +460,9 @@ def dominant_partition(defenders, attackers, def_velocities, atk_velocities,
     more than the tie tolerance; exact ties belong to neither."""
     if len(defenders) == 0 or len(attackers) == 0:
         raise ValueError("need at least one player per side")
-    ny = int(round(pitch.width / grid_res))
-    nx = int(round(pitch.length / grid_res))
-    xs = -pitch.length / 2 + (np.arange(nx) + 0.5) * grid_res
-    ys = -pitch.width / 2 + (np.arange(ny) + 0.5) * grid_res
-    xq, yq = np.meshgrid(xs, ys)
-    cells = np.stack([xq.ravel(), yq.ravel()], axis=1)
-    td = _min_arrival(cells, defenders,
-                      _zeros_like_positions(defenders, def_velocities))
-    ta = _min_arrival(cells, attackers,
-                      _zeros_like_positions(attackers, atk_velocities))
+    cells = lattice(pitch, grid_res).reshape(-1, 2)
+    td = _min_arrival(cells, defenders, def_velocities)
+    ta = _min_arrival(cells, attackers, atk_velocities)
     n_def = int((td < ta - TIE_EPS).sum())
     n_atk = int((ta < td - TIE_EPS).sum())
     n_tie = len(cells) - n_def - n_atk

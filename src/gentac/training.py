@@ -29,6 +29,9 @@ from .rng import Rng
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings for either task. The defaults are the paper-scale
+    forecaster settings: 4 s history and a 0.2 s window at 25 fps."""
+
     task: str                      # "forecast" or "event"
     lr_peak: float = 1e-3
     weight_decay: float = 1e-4
@@ -81,17 +84,6 @@ class TrainConfig:
 
     def schedule(self):
         return make_schedule(self.diffusion_steps, self.beta_start, self.beta_end)
-
-
-def paper_forecast_config(**over):
-    """Full-scale trajectory settings: 4 s history, 0.2 s window at 25 fps."""
-    return dc_replace(TrainConfig(task="forecast"), **over)
-
-
-def paper_event_config(**over):
-    return dc_replace(TrainConfig(
-        task="event", lr_peak=5e-4, epochs=200, batch_size=32,
-        early_stop_patience=35), **over)
 
 
 def desk_forecast_config(**over):

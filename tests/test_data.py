@@ -283,6 +283,33 @@ def test_refine_repairs_mass_teleport():
         assert (d * out.fps <= params.v_max + 1e-9).all(), f"speed spike at {t}"
 
 
+@pytest.mark.parametrize("shifts, expected", [
+    # run at the start: frame 0 holds frame 1
+    ({0: 30.0}, lambda clean: np.concatenate([clean[1:2], clean[1:]])),
+    # run of three pairs in the middle: frames 5 and 6 interpolate 4 -> 7
+    ({5: 30.0, 6: 60.0}, lambda clean: clean),
+    # run at the end: the last frame holds the one before it
+    ({11: 30.0}, lambda clean: np.concatenate([clean[:11], clean[10:11]])),
+    # every pair anomalous: frames 0..10 hold the last frame, still shifted
+    ({t: 30.0 for t in range(1, 12, 2)},
+     lambda clean: np.broadcast_to(clean[11] + [30.0, 0.0], clean.shape)),
+], ids=["start", "middle", "end", "every_pair"])
+def test_refine_reconstructs_anomalous_runs(shifts, expected):
+    clip = const_velocity_clip(frames=12)
+    clean = clip_to_segment(clip)
+    for t, dx in shifts.items():
+        frame = clip.frames[t]
+        frame.ball = (frame.ball[0] + dx, frame.ball[1])
+        for team in (frame.team0, frame.team1):
+            for pid, (x, y) in team.items():
+                team[pid] = (x + dx, y)
+    out = clip_to_segment(refine(clip, RefineParams(ema_gamma=1.0)))
+    vis = clean.visibility
+    assert np.array_equal(out.visibility, vis)
+    np.testing.assert_allclose(out.coords[vis], expected(clean.coords)[vis],
+                               rtol=0, atol=1e-9)
+
+
 def test_refine_duplicate_resolution_prefers_track_continuity():
     clip = const_velocity_clip(frames=6)
     true_pos = clip.frames[3].team0["A1"]

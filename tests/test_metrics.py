@@ -324,6 +324,15 @@ def test_deviation_matches_manual_two_sample_computation():
         assert report[h][m][1] == pytest.approx(np.mean(vals), abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(5, 7, 2), (3, 7, 2), (4, 6, 2), (4, 8, 2)])
+def test_deviation_rejects_a_sample_shaped_unlike_the_truth(shape):
+    truth = Rng(22).normal((4, 7, 2)) * 5
+    sample = Rng(23).normal(shape) * 5
+    with pytest.raises(ValueError, match=r"^shape mismatch"):
+        structure_deviation([truth.copy(), sample], truth, fps=25.0,
+                            n_players=3, horizons=(0.1,))
+
+
 # ---------------------------------------------------------------------------
 # EPV-weighted control metrics
 # ---------------------------------------------------------------------------
@@ -392,15 +401,26 @@ def test_zone_threat_no_control_is_zero():
     assert depth_threat(attackers, defenders, epv) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_zone_threat_two_zone_manual():
+@pytest.mark.parametrize("n_zones", [2, 4, 8])
+def test_zone_threat_two_zone_manual(n_zones):
     pitch = PitchSpec(4.0, 1.0)
     epv = EpvGrid(np.array([[1.0, 1.0, 2.0, 4.0]]), pitch, 1.0)
     attackers = np.array([[1.5, 0.0]])   # owns the two right cells
     defenders = np.array([[-1.5, 0.0]])  # owns the two left cells
     # two zones along x: left zone epv 2 (cells 1+1), right zone epv 6
-    # attacker controls all of the right zone, none of the left
-    value = depth_threat(attackers, defenders, epv, n_zones=2)
+    # attacker controls all of the right zone, none of the left; finer
+    # zones split the same cells (8 zones leave every other zone empty)
+    value = depth_threat(attackers, defenders, epv, n_zones=n_zones)
     assert value == pytest.approx((0 * 2 / 8) + (1.0 * 6 / 8), abs=1e-12)
+    # the one cell row falls in one of the 32 strips along y; 31 stay empty
+    assert width_threat(attackers, defenders, epv) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_epv_grid_rejects_a_shape_unlike_its_pitch_lattice():
+    with pytest.raises(ValueError, match=r"\(10, 10\).*\(68, 105\)"):
+        EpvGrid(np.ones((10, 10)), PitchSpec(), 1.0)
+    with pytest.raises(ValueError, match=r"\(68, 105\).*\(34, 52\)"):
+        EpvGrid(np.ones((68, 105)), PitchSpec(), 2.0)
 
 
 def test_epv_resampling_preserves_constant_grids():
