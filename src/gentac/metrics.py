@@ -14,7 +14,9 @@ disruption, and the velocity-aware defensive dominant region.
 Conventions: the attacking team plays toward +x. Every control metric runs
 on one cell lattice, `lattice(pitch, resolution)`: 1 m cells over the pitch by
 default, cell centers at half-cell offsets. The EPV grid file is bilinearly
-resampled onto that lattice on load.
+resampled onto that lattice on load, and `EpvGrid.values` is read-only. The
+nearest-player control field is computed once per grid and player set and
+shared by OBET and the depth/width zone threats; TIE_EPS compares distances.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ STRUCTURE_METRICS = ("stretch_index", "surface_area", "team_width",
 KURAMOTO_SPEED_EPS = 0.1   # m/s; slower players carry no heading
 ARRIVAL_ACCEL = 3.0        # m/s^2 toward the target cell
 ARRIVAL_VMAX = 8.0         # m/s speed cap
-TIE_EPS = 1e-9
+TIE_EPS = 1e-9             # m; compared against distances, not squared ones
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,11 @@ def average_geometric_reports(reports) -> GeometricReport:
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Hull vertices in counter-clockwise order (monotone chain)."""
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    return _hull_of_unique(np.unique(np.asarray(points, dtype=np.float64), axis=0))
+
+
+def _hull_of_unique(pts: np.ndarray) -> np.ndarray:
+    """`convex_hull` of points that are already distinct rows."""
     if len(pts) <= 2:
         return pts
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -187,8 +193,9 @@ def structure(positions: np.ndarray, prev_positions: np.ndarray | None = None,
         raise ValueError("need at least one visible player")
     c = pts.mean(axis=0)
     stretch = float(np.linalg.norm(pts - c, axis=1).mean())
-    degenerate_hull = len(np.unique(pts, axis=0)) < 3
-    area = 0.0 if degenerate_hull else hull_area(pts)
+    distinct = np.unique(pts, axis=0)
+    degenerate_hull = len(distinct) < 3
+    area = 0.0 if degenerate_hull else polygon_area(_hull_of_unique(distinct))
     width = float(pts[:, 1].max() - pts[:, 1].min())
     length = float(pts[:, 0].max() - pts[:, 0].min())
     diff = pts[:, None, :] - pts[None, :, :]
@@ -286,15 +293,20 @@ class EpvGrid:
 
     values[iy, ix] holds the EPV of the cell centered at cells[iy, ix], the
     `lattice` of the pitch at this resolution. The attacking team plays
-    toward +x, so threat should grow with ix.
+    toward +x, so threat should grow with ix. `values` is a read-only copy of
+    the array given, so the control field and zone tables cached here stay valid.
     """
 
     values: np.ndarray
     pitch: PitchSpec
     resolution: float = 1.0
     cells: np.ndarray = field(init=False, repr=False)
+    _control: tuple = field(init=False, repr=False, compare=False, default=None)
+    _zones: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        self.values = np.array(self.values, dtype=np.float64)
+        self.values.flags.writeable = False
         if (self.values < 0).any() or not np.isfinite(self.values).all():
             raise ValueError("EPV values must be finite and non-negative")
         self.cells = lattice(self.pitch, self.resolution)
@@ -345,28 +357,39 @@ def synthetic_epv(pitch: PitchSpec, resolution: float = 1.0,
     return EpvGrid(v, pitch, resolution)
 
 
+def _nearest_distance(cells, players):
+    """Distance from each cell center to its nearest player: a running minimum
+    of dx*dx + dy*dy, then one sqrt. Bit for bit norm(cells - p, axis=-1).min(),
+    since a length-2 norm is sqrt(dx*dx + dy*dy) and sqrt is monotone."""
+    cx, cy = cells[..., 0], cells[..., 1]
+    d2 = np.full(cx.shape, np.inf)
+    for px, py in np.asarray(players, dtype=np.float64):
+        dx, dy = cx - px, cy - py
+        np.minimum(d2, dx * dx + dy * dy, out=d2)
+    return np.sqrt(d2)
+
+
 def _nearest_control(attackers, defenders, epv: EpvGrid):
-    """+1 attacker-controlled, -1 defender-controlled, 0 tie, per cell."""
-    cells = epv.cells.reshape(-1, 2)
-
-    def min_dist(players):
-        players = np.asarray(players, dtype=np.float64)
-        d = np.linalg.norm(cells[:, None, :] - players[None, :, :], axis=-1)
-        return d.min(axis=1)
-
-    da = min_dist(attackers)
-    dd = min_dist(defenders)
-    out = np.zeros(len(cells), dtype=int)
-    out[da < dd - TIE_EPS] = 1
-    out[dd < da - TIE_EPS] = -1
-    return out.reshape(epv.values.shape)
+    """+1 attacker-controlled, -1 defender-controlled, 0 tie, per cell. The
+    read-only field is cached on `epv` for the last player values, so OBET and
+    both zone threats of a frame share one."""
+    atk, dfn = (np.asarray(p, dtype=np.float64) for p in (attackers, defenders))
+    if len(atk) == 0 or len(dfn) == 0:
+        raise ValueError("both teams must have players on the pitch")
+    key = (atk.shape, atk.tobytes(), dfn.shape, dfn.tobytes())
+    if epv._control is None or epv._control[0] != key:
+        da, dd = (_nearest_distance(epv.cells, p) for p in (atk, dfn))
+        out = np.zeros(epv.values.shape, dtype=int)
+        out[da < dd - TIE_EPS] = 1
+        out[dd < da - TIE_EPS] = -1
+        out.flags.writeable = False
+        epv._control = (key, out)
+    return epv._control[1]
 
 
 def obet(attackers, defenders, epv: EpvGrid) -> float:
     """Off-ball expected threat: fraction of controlled EPV held by the
     attacking team, each cell controlled by the nearest player."""
-    if len(attackers) == 0 or len(defenders) == 0:
-        raise ValueError("both teams must have players on the pitch")
     control = _nearest_control(attackers, defenders, epv)
     atk = epv.values[control == 1].sum()
     dfn = epv.values[control == -1].sum()
@@ -379,21 +402,26 @@ def obet(attackers, defenders, epv: EpvGrid) -> float:
 def _zone_threat(attackers, defenders, epv: EpvGrid, axis: int,
                  n_zones: int = 32) -> float:
     """Sum over zones along `axis` (0 = x, 1 = y) of the attacker-held share
-    of the zone's cells times the zone's share of the EPV mass."""
+    of the zone's cells times the zone's share of the EPV mass. The zone
+    tables are built once per grid, axis and zone count."""
     control = _nearest_control(attackers, defenders, epv)
-    span = (epv.pitch.length, epv.pitch.width)[axis]
-    coord = epv.cells[..., axis]
-    zone = np.minimum(((coord + span / 2) / span * n_zones).astype(int), n_zones - 1)
-    total_epv = epv.values.sum()
-    if total_epv <= 0:
-        raise ValueError("EPV grid has no mass")
-    n_cells = np.bincount(zone.ravel(), minlength=n_zones)
+    if (axis, n_zones) not in epv._zones:
+        span = (epv.pitch.length, epv.pitch.width)[axis]
+        coord = epv.cells[..., axis]
+        zone = np.minimum(((coord + span / 2) / span * n_zones).astype(int), n_zones - 1)
+        total_epv = epv.values.sum()
+        if total_epv <= 0:
+            raise ValueError("EPV grid has no mass")
+        n_cells = np.bincount(zone.ravel(), minlength=n_zones)
+        # a weighted bincount would add the zone's cells in another order
+        epv._zones[axis, n_zones] = zone, [
+            (z, n_cells[z], epv.values[zone == z].sum() / total_epv)
+            for z in np.flatnonzero(n_cells)]
+    zone, table = epv._zones[axis, n_zones]
     n_atk = np.bincount(zone[control == 1], minlength=n_zones)
     value = 0.0
-    for z in np.flatnonzero(n_cells):
-        # a weighted bincount would add the zone's cells in another order
-        epv_z = epv.values[zone == z].sum()
-        value += (n_atk[z] / n_cells[z]) * (epv_z / total_epv)
+    for z, n_z, share in table:
+        value += (n_atk[z] / n_z) * share
     return float(value)
 
 
@@ -443,13 +471,15 @@ def _min_arrival(cells, players, velocities):
     players = np.asarray(players, dtype=np.float64)
     velocities = (np.zeros_like(players) if velocities is None
                   else np.asarray(velocities, dtype=np.float64))
-    delta = cells[None, :, :] - players[:, None, :]         # [P x C x 2]
-    dist = np.linalg.norm(delta, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(dist[..., None] > 0, delta / np.maximum(dist, 1e-300)[..., None], 0.0)
-    v_along = (velocities[:, None, :] * unit).sum(axis=-1)
-    times = arrival_time(dist, v_along)
-    return times.min(axis=0)
+    cx, cy = cells[:, 0], cells[:, 1]
+    best = np.full(len(cells), np.inf)
+    for (px, py), (vx, vy) in zip(players, velocities, strict=True):
+        dx, dy = cx - px, cy - py
+        dist = np.sqrt(dx * dx + dy * dy)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ux, uy = np.where(dist > 0, np.stack([dx, dy]) / np.maximum(dist, 1e-300), 0.0)
+        np.minimum(best, arrival_time(dist, vx * ux + vy * uy), out=best)
+    return best
 
 
 def dominant_partition(defenders, attackers, def_velocities, atk_velocities,

@@ -430,6 +430,145 @@ def test_epv_resampling_preserves_constant_grids():
     np.testing.assert_allclose(grid.values, 3.7, atol=1e-12)
 
 
+# The batched formulas the control kernels replaced, kept as oracles: the
+# per-player kernels must match them bit for bit, not merely to a tolerance.
+
+def batched_nearest_distance(cells, players):
+    return np.linalg.norm(cells[:, None, :] - players[None, :, :], axis=-1).min(axis=1)
+
+
+def batched_min_arrival(cells, players, velocities):
+    velocities = np.zeros_like(players) if velocities is None else velocities
+    delta = cells[None, :, :] - players[:, None, :]         # [P x C x 2]
+    dist = np.linalg.norm(delta, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(dist[..., None] > 0, delta / np.maximum(dist, 1e-300)[..., None], 0.0)
+    v_along = (velocities[:, None, :] * unit).sum(axis=-1)
+    return arrival_time(dist, v_along).min(axis=0)
+
+
+def batched_control(attackers, defenders, epv):
+    cells = epv.cells.reshape(-1, 2)
+    da = batched_nearest_distance(cells, np.asarray(attackers, dtype=float))
+    dd = batched_nearest_distance(cells, np.asarray(defenders, dtype=float))
+    out = np.zeros(len(cells), dtype=int)
+    out[da < dd - metrics.TIE_EPS] = 1
+    out[dd < da - metrics.TIE_EPS] = -1
+    return out.reshape(epv.values.shape)
+
+
+def oracle_obet(attackers, defenders, epv):
+    control = batched_control(attackers, defenders, epv)
+    atk, dfn = epv.values[control == 1].sum(), epv.values[control == -1].sum()
+    return float(atk / (atk + dfn))
+
+
+def oracle_zone_threat(attackers, defenders, epv, axis, n_zones=32):
+    control = batched_control(attackers, defenders, epv)
+    span = (epv.pitch.length, epv.pitch.width)[axis]
+    coord = epv.cells[..., axis]
+    zone = np.minimum(((coord + span / 2) / span * n_zones).astype(int), n_zones - 1)
+    total = epv.values.sum()
+    value = 0.0
+    for z in range(n_zones):
+        if (zone == z).any():
+            share = (control[zone == z] == 1).sum() / (zone == z).sum()
+            value += share * (epv.values[zone == z].sum() / total)
+    return float(value)
+
+
+def control_cases():
+    """(name, pitch, resolution, attackers, defenders, atk vel, def vel):
+    fuzzed players on and off the pitch, players on cell centres, mirrored
+    teams (exact distance ties), and None, zero and random velocities."""
+    for sport in ("soccer", "basketball", "american_football", "ice_hockey"):
+        pitch = PitchSpec.for_sport(sport)
+        half = np.array([pitch.length, pitch.width]) / 2
+        for res in (0.5, 1.0, 2.0):
+            rng = Rng(40, (sport, res))
+            cells = metrics.lattice(pitch, res).reshape(-1, 2)
+            atk = rng.child("a").uniform(-1.1, 1.1, (5, 2)) * half
+            dfn = rng.child("d").uniform(-1.1, 1.1, (4, 2)) * half
+            vel = rng.child("v").normal((5, 2)) * 4.0
+            yield f"{sport}-{res}-fuzzed", pitch, res, atk, dfn, vel, vel[:4]
+            yield (f"{sport}-{res}-mirrored", pitch, res, atk,
+                   atk * np.array([-1.0, 1.0]), None, np.zeros((5, 2)))
+            idx = rng.child("i").integers(0, len(cells), (6,))
+            yield (f"{sport}-{res}-cell-centres", pitch, res, cells[idx[:3]],
+                   cells[idx[3:]], vel[:3], None)
+
+
+@pytest.mark.parametrize("case", list(control_cases()), ids=lambda c: c[0])
+def test_control_kernels_match_the_batched_oracles_bit_for_bit(case):
+    _, pitch, res, atk, dfn, v_atk, v_dfn = case
+    epv = synthetic_epv(pitch, res)
+    cells = epv.cells.reshape(-1, 2)
+    for players, vel in ((atk, v_atk), (dfn, v_dfn)):
+        assert np.array_equal(metrics._nearest_distance(epv.cells, players).ravel(),
+                              batched_nearest_distance(cells, players))
+        assert np.array_equal(metrics._min_arrival(cells, players, vel),
+                              batched_min_arrival(cells, players, vel))
+    assert np.array_equal(metrics._nearest_control(atk, dfn, epv),
+                          batched_control(atk, dfn, epv))
+
+
+def test_control_cache_follows_new_players_on_the_same_grid():
+    epv = synthetic_epv(PITCH)
+    rng = Rng(41)
+    frames = [(rng.child("a", t).uniform(-40, 40, (3, 2)),
+               rng.child("d", t).uniform(-40, 40, (3, 2))) for t in range(3)]
+    for att, dfn in frames + frames[:1]:
+        assert obet(att, dfn, epv) == oracle_obet(att, dfn, epv)
+        assert depth_threat(att, dfn, epv) == oracle_zone_threat(att, dfn, epv, 0)
+        assert width_threat(att, dfn, epv, 7) == oracle_zone_threat(att, dfn, epv, 1, 7)
+
+
+def test_control_caches_are_per_grid():
+    # one lattice shape, different values: neither the control field nor
+    # the zone tables of one grid may leak into the other
+    steep, flat = synthetic_epv(PITCH, scale=5.0), synthetic_epv(PITCH, scale=80.0)
+    att = np.array([[10.0, 5.0], [30.0, -8.0]])
+    dfn = np.array([[20.0, 0.0], [-5.0, 12.0]])
+    for epv in (steep, flat, steep):
+        assert obet(att, dfn, epv) == oracle_obet(att, dfn, epv)
+        assert depth_threat(att, dfn, epv) == oracle_zone_threat(att, dfn, epv, 0)
+    assert depth_threat(att, dfn, steep) != depth_threat(att, dfn, flat)
+
+
+def test_control_cache_sees_players_mutated_in_place():
+    epv = synthetic_epv(PITCH)
+    att = np.array([[10.0, 5.0], [30.0, -8.0]])
+    dfn = np.array([[20.0, 0.0], [-5.0, 12.0]])
+    before = obet(att, dfn, epv)
+    att[0] = [45.0, 0.0]
+    assert obet(att, dfn, epv) == oracle_obet(att, dfn, epv) != before
+    assert width_threat(att, dfn, epv) == oracle_zone_threat(att, dfn, epv, 1)
+
+
+def test_control_field_is_read_only():
+    control = metrics._nearest_control(np.array([[0.0, 0.0]]),
+                                       np.array([[9.0, 9.0]]), uniform_epv())
+    with pytest.raises(ValueError):
+        control[0, 0] = -1
+
+
+def test_epv_grid_keeps_a_read_only_copy_of_its_values():
+    raw = synthetic_epv(PITCH).values.copy()
+    epv = EpvGrid(raw, PITCH, 1.0)
+    att, dfn = np.array([[10.0, 5.0]]), np.array([[20.0, 0.0]])
+    before = obet(att, dfn, epv)
+    raw[:, 60:] = 0.0                     # the caller's array stays writeable
+    assert obet(att, dfn, epv) == before
+    assert obet(att + 1.0, dfn, epv) == oracle_obet(att + 1.0, dfn, epv)
+    with pytest.raises(ValueError):
+        epv.values[0, 0] = 1.0
+
+
+def test_zone_threat_requires_players():
+    with pytest.raises(ValueError, match="both teams"):
+        depth_threat(np.array([[0.0, 0.0]]), np.zeros((0, 2)), uniform_epv())
+
+
 def test_disruption_no_change_is_zero():
     assert defensive_disruption(500.0, 500.0, PITCH) == 0.0
 
