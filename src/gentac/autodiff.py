@@ -10,6 +10,13 @@ With gradients enabled (the default) every op output is checked for NaN/Inf
 and raises `NonFiniteError` naming the op, so numerical blow-ups surface at
 the op that produced them.
 
+`attention(q, k, v, bias, scale)` is the one fused op: the scores, their
+scale and key-mask bias, the softmax and the weighted values run in one
+tape node whose parents are q, k and v, with the same arithmetic as the
+chain of primitive ops, bit for bit. The tape keeps one score-sized array
+(the softmax weights) per attention instead of four. Its inner scores are
+not checked for finiteness on their own; its output is.
+
 Inference mode: inside `with no_grad():` the same ops run the same
 arithmetic but keep no tape (no parents, no backward closure) and skip the
 per-op finiteness check. A forward-only caller checks its final output once
@@ -222,11 +229,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (a, b), bwd, "matmul")
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 def take(a: Tensor, idx) -> Tensor:
     out = a.data[idx]
+    # ints, slices, None and Ellipsis select each element at most once
+    basic = all(isinstance(i, _BASIC_INDEX) and not isinstance(i, bool)
+                for i in (idx if isinstance(idx, tuple) else (idx,)))
     def bwd(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if basic:
+            ga[idx] += g  # 0 + g, as np.add.at computes it, without its loop
+        else:
+            np.add.at(ga, idx, g)  # a fancy index may repeat an element
         return (ga,)
     return Tensor(out, (a,), bwd, "take")
 
@@ -300,12 +316,47 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(out, (a,), bwd, "relu")
 
 
-def softmax_array(x: np.ndarray, axis=-1) -> np.ndarray:
+_ROWS_PER_KEY = 32
+
+
+def _columnwise(x, axis):
+    """Whether a last-axis reduction of `x` runs column by column: with this
+    many more rows than keys, numpy's reduce, which pays a fixed cost per
+    row, loses to a loop that pays one per key."""
+    keys = x.shape[-1]
+    return axis in (-1, x.ndim - 1) and 0 < keys * _ROWS_PER_KEY * keys <= x.size
+
+
+def _row_max(x, axis):
+    """`x.max(axis, keepdims=True)`; a running maximum over the columns of
+    many short rows is exact for any row length."""
+    if not _columnwise(x, axis):
+        return x.max(axis=axis, keepdims=True)
+    m = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j], out=m)
+    return m[..., None]
+
+
+def _row_sum(x, axis):
+    """`x.sum(axis, keepdims=True)` bit for bit. Numpy adds a row shorter
+    than 8 left to right, so a column loop reproduces it there; from 8 on its
+    pairwise sum unrolls by 8 and only numpy's own reduce gives its bits."""
+    if not _columnwise(x, axis) or x.shape[-1] >= 8:
+        return x.sum(axis=axis, keepdims=True)
+    s = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        s += x[..., j]
+    return s[..., None]
+
+
+def softmax_array(x: np.ndarray, axis=-1, out=None) -> np.ndarray:
     """Stable numpy softmax along `axis`: exp(x - max) / sum, computed in
-    place on the one fresh array that the max subtraction allocates."""
-    out = x - x.max(axis=axis, keepdims=True)
+    place on `out` (`x` itself is allowed), or on the one fresh array that
+    the max subtraction allocates."""
+    out = np.subtract(x, _row_max(x, axis), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= _row_sum(out, axis)
     return out
 
 
@@ -313,9 +364,34 @@ def softmax(a: Tensor, axis=-1) -> Tensor:
     """Stable softmax along `axis` (max-subtracted before exponentiation)."""
     out = softmax_array(a.data, axis=axis)
     def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        return (_softmax_grad(out, g, axis),)
     return Tensor(out, (a,), bwd, "softmax")
+
+
+def _softmax_grad(weights, g, axis):
+    """Adjoint of the softmax input, given its output `weights`."""
+    return weights * (g - _row_sum(g * weights, axis))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias, scale) -> Tensor:
+    """`softmax(q @ k^T * scale + bias) @ v` over the last two axes, bit for
+    bit that chain of ops, in one score buffer: the scores are scaled,
+    biased and turned into the softmax weights in place, and the weights are
+    the only score-sized array the tape keeps. `bias` (the key mask, an
+    array broadcast onto the scores) and `scale` get no gradient."""
+    s = q.data @ np.swapaxes(k.data, -1, -2)
+    s *= scale
+    s += bias
+    weights = softmax_array(s, out=s)
+    out = weights @ v.data
+    def bwd(g):
+        dv = np.swapaxes(weights, -1, -2) @ g
+        ds = _softmax_grad(weights, g @ np.swapaxes(v.data, -1, -2), -1)
+        ds *= scale
+        dq = ds @ k.data
+        dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
+        return dq, dk, dv
+    return Tensor(out, (q, k, v), bwd, "attention")
 
 
 def log_softmax(a: Tensor, axis=-1) -> Tensor:

@@ -113,7 +113,7 @@ class LatentGrid:
     h: ad.Tensor              # [batch x L x entities x d]
     visibility: np.ndarray    # [batch x L x entities], carried through
     # additive key-mask scores (0 on visible keys, MASK_SCORE elsewhere),
-    # built once per encode and shared by every layer
+    # built once per encode, shared by every layer, given no gradient
     spatial_bias: ad.Tensor   # [batch x L x 1 x 1 x entities]
     temporal_bias: ad.Tensor  # [batch x entities x 1 x 1 x L]
 
@@ -346,7 +346,8 @@ class Backbone:
                           _key_mask_bias(np.swapaxes(vis, 1, 2)))
 
     def _attend(self, latent: LatentGrid, base: str, axis: str) -> LatentGrid:
-        """One pre-norm residual attention block along entities or time."""
+        """One pre-norm residual attention block along entities or time; its
+        scores, key mask, softmax and values are one `ad.attention` op."""
         cfg = self.config
         p = self.params
         h = latent.h
@@ -370,9 +371,7 @@ class Backbone:
             return ad.swapaxes(y, 2, 3)                    # [B x G x heads x T x dh]
 
         q, k, v = project("wq"), project("wk"), project("wv")
-        scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
-        attn = ad.softmax(scores + bias, axis=-1)
-        out = ad.matmul(attn, v)
+        out = ad.attention(q, k, v, bias.data, 1.0 / np.sqrt(dh))
         out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T, d))
         out = ad.matmul(out, p[f"{base}.wo"]) + p[f"{base}.wo_b"]
         if axis == "time":

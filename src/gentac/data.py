@@ -214,11 +214,10 @@ def parse_clip(text, fps=25.0, sport="soccer", on_duplicate="error") -> Trajecto
     if sport_cfg is None:
         raise ValueError(f"unknown sport '{sport}'")
     clip = TrajectoryClip(frames, float(fps), sport_cfg["players"], sport)
-    for team in (0, 1):
-        n_ids = len(clip.roster(team))
-        if n_ids > clip.players_per_team:
+    for team, ids in enumerate(_entity_ids(clip)):
+        if len(ids) > clip.players_per_team:
             raise ClipFormatError(
-                f"team{team} roster has {n_ids} ids, more than "
+                f"team{team} roster has {len(ids)} ids, more than "
                 f"{clip.players_per_team} allowed for {sport}")
     return clip
 
@@ -283,12 +282,15 @@ def with_players_per_team(clip: TrajectoryClip, n: int) -> TrajectoryClip:
     """A copy of `clip` with a roster capacity of `n` slots per team
     (desk-scale models use fewer than the sport's regulation count). The
     frames are shared, not copied; `clip` itself is left unchanged."""
-    for team in (0, 1):
-        ids = len(clip.roster(team))
-        if ids > n:
-            raise ValueError(
-                f"team{team} roster of {ids} exceeds {n} players per team")
+    _check_roster_sizes(_entity_ids(clip), n)
     return replace(clip, players_per_team=int(n))
+
+
+def _check_roster_sizes(rosters, n):
+    for team, ids in enumerate(rosters):
+        if len(ids) > n:
+            raise ValueError(
+                f"team{team} roster of {len(ids)} exceeds {n} players per team")
 
 
 def save_clip(clip: TrajectoryClip, path):
@@ -309,34 +311,35 @@ def save_clip(clip: TrajectoryClip, path):
 # ---------------------------------------------------------------------------
 
 def _entity_ids(clip):
-    """(roster0, roster1); entity axis = roster0 slots, roster1 slots, ball."""
-    return tuple(clip.roster(0)), tuple(clip.roster(1))
+    """(roster0, roster1) from one walk over the frames; entity axis =
+    roster0 slots, roster1 slots, ball."""
+    ids0, ids1 = set(), set()
+    for f in clip.frames:
+        ids0.update(f.team0)
+        ids1.update(f.team1)
+    return tuple(sorted(ids0)), tuple(sorted(ids1))
 
 
 def clip_to_segment(clip: TrajectoryClip) -> Segment:
     """Densify a clip into a Segment in meters (zero-filled where missing)."""
-    if clip.has_unresolved_duplicates():
-        raise ValueError("clip carries unresolved duplicate detections; refine first")
     roster0, roster1 = _entity_ids(clip)
     n = clip.players_per_team
-    n_ent = 2 * n + 1
-    F = len(clip.frames)
-    coords = np.zeros((F, n_ent, 2))
-    vis = np.zeros((F, n_ent), dtype=bool)
-    for t, f in enumerate(clip.frames):
-        for slot, pid in enumerate(roster0):
-            pos = f.team0.get(pid)
-            if pos is not None:
-                coords[t, slot] = pos
-                vis[t, slot] = True
-        for slot, pid in enumerate(roster1):
-            pos = f.team1.get(pid)
-            if pos is not None:
-                coords[t, n + slot] = pos
-                vis[t, n + slot] = True
-        if f.ball is not None:
-            coords[t, 2 * n] = f.ball
-            vis[t, 2 * n] = True
+    _check_roster_sizes((roster0, roster1), n)
+    pad0 = [None] * (n - len(roster0))
+    pad1 = [None] * (n - len(roster1))
+    flat = []
+    for f in clip.frames:
+        row = [f.team0.get(pid) for pid in roster0] + pad0
+        row += [f.team1.get(pid) for pid in roster1] + pad1
+        if list in map(type, row):
+            raise ValueError(
+                "clip carries unresolved duplicate detections; refine first")
+        flat += row
+        flat.append(f.ball)
+    shape = (len(clip.frames), 2 * n + 1)
+    vis = np.array([pos is not None for pos in flat], dtype=bool).reshape(shape)
+    coords = np.array([(0.0, 0.0) if pos is None else pos for pos in flat],
+                      dtype=np.float64).reshape(shape + (2,))
     return Segment(coords, vis, clip.fps, n, roster0, roster1, normalized=False)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentac import autodiff as ad
+from gentac.backbone import MASK_SCORE
 
 
 def rel_err(a, b):
@@ -323,3 +324,120 @@ def test_softmax_array_is_the_textbook_formula_bitwise():
     assert ad.softmax_array(x).tobytes() == expected.tobytes()
     assert ad.softmax(ad.Tensor(x)).data.tobytes() == expected.tobytes()
     assert x.tobytes() == before.tobytes()
+
+
+# many short rows (the attention shapes) take the column-wise reductions;
+# event pooling's few long rows keep numpy's
+@pytest.mark.parametrize("shape", [(2, 8, 4, 7, 7), (2, 8, 4, 35, 35), (8, 175)])
+def test_softmax_and_its_gradient_are_the_textbook_formula_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape) * 20.0
+    g = rng.normal(size=shape)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    expected = e / e.sum(axis=-1, keepdims=True)
+    out = ad.softmax(ad.Tensor(x), axis=-1)
+    assert out.data.tobytes() == expected.tobytes()
+    dot = (g * expected).sum(axis=-1, keepdims=True)
+    (dx,) = out.backward_fn(g)
+    assert dx.tobytes() == (expected * (g - dot)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+def _attention_inputs(keys, groups, seed, dh=3):
+    """q, k, v Parameters [2 x groups x 4 heads x keys x dh] and a key-mask
+    bias that hides some keys of each group. dh=3, so the 1/sqrt(dh) scale is
+    not a power of two and scaling q instead of the scores changes bits."""
+    rng = np.random.default_rng(seed)
+    shape = (2, groups, 4, keys, dh)
+    q, k, v = (ad.Parameter(rng.normal(size=shape), name) for name in "qkv")
+    visible = rng.uniform(size=(2, groups, keys)) > 0.3
+    visible[..., 0] = True
+    bias = np.where(visible, 0.0, MASK_SCORE)[:, :, None, None, :]
+    return q, k, v, bias, 1.0 / np.sqrt(dh)
+
+
+# 8 groups give many more rows than keys, the column-wise reductions; one
+# group keeps numpy's row reductions
+@pytest.mark.parametrize("keys,groups", [(7, 1), (7, 8), (35, 1), (35, 8)])
+def test_attention_matches_the_op_chain_bitwise(keys, groups):
+    q, k, v, bias, scale = _attention_inputs(keys, groups, seed=keys + groups)
+    g = ad.Tensor(np.random.default_rng(1).normal(size=q.shape))
+
+    def run(fused):
+        for p in (q, k, v):
+            p.zero_grad()
+        if fused:
+            out = ad.attention(q, k, v, bias, scale)
+        else:
+            scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * scale
+            out = ad.matmul(ad.softmax(scores + ad.Tensor(bias), axis=-1), v)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        return [out.data.tobytes()] + [p.grad.tobytes() for p in (q, k, v)]
+
+    assert run(fused=True) == run(fused=False)
+
+
+def test_attention_gradient_vs_finite_differences():
+    q, k, v, bias, scale = _attention_inputs(5, 1, seed=8)
+    weights = np.linspace(0.5, 1.5, q.data.size).reshape(q.shape)
+
+    def f(build=False):
+        out = ad.attention(q, k, v, bias, scale)
+        return ad.sum_(ad.mul(out, ad.Tensor(weights)))
+
+    check_grads(f, [q, k, v])
+
+
+def test_attention_single_visible_key_gets_weight_one():
+    q, k, v, bias, scale = _attention_inputs(7, 1, seed=9)
+    q.data *= 30.0                                  # scores far from zero
+    bias[...] = MASK_SCORE
+    bias[..., 4] = 0.0
+    out = ad.attention(q, k, v, bias, scale).data
+    expected = np.broadcast_to(v.data[..., 4:5, :], out.shape)
+    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_attention_under_no_grad_keeps_no_tape():
+    q, k, v, bias, scale = _attention_inputs(7, 1, seed=10)
+    taped = ad.attention(q, k, v, bias, scale)
+    with ad.no_grad():
+        out = ad.attention(q, k, v, bias, scale)
+    assert taped.parents == (q, k, v)
+    assert out.parents == () and out.backward_fn is None
+    assert out.data.tobytes() == taped.data.tobytes()
+
+
+def test_attention_non_finite_output_names_the_op():
+    q, k, v, bias, scale = _attention_inputs(7, 1, seed=11)
+    q.data[0, 0, 0, 0] = 1e200                      # finite inputs whose
+    k.data[0, 0, 0, 0] = 1e200                      # scores overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ad.NonFiniteError, match="'attention'"):
+            ad.attention(q, k, v, bias, scale)
+
+
+# ---------------------------------------------------------------------------
+# take
+# ---------------------------------------------------------------------------
+
+def test_take_gradient_accumulates_a_repeated_fancy_index():
+    a = ad.Parameter(np.zeros(4), "a")
+    ad.backward(ad.sum_(ad.mul(a[np.array([1, 1, 3])],
+                               ad.Tensor([2.0, 5.0, 7.0]))))
+    np.testing.assert_array_equal(a.grad, [0.0, 7.0, 0.0, 7.0])
+
+
+def test_take_gradient_of_a_basic_index_is_np_add_at_bitwise():
+    a = ad.Tensor(np.ones((5, 3)))
+    for idx in (slice(1, 4), (slice(1, 4), Ellipsis), (1, slice(None)), 2):
+        out = ad.take(a, idx)
+        g = np.random.default_rng(12).normal(size=out.shape)
+        g.flat[0] = -0.0                            # 0 + -0.0 is +0.0
+        expected = np.zeros_like(a.data)
+        np.add.at(expected, idx, g)
+        (got,) = out.backward_fn(g)
+        assert got.tobytes() == expected.tobytes(), idx

@@ -413,3 +413,32 @@ def test_latent_grid_carries_key_mask_biases_through_encode():
                                   embedded.spatial_bias.data)
     np.testing.assert_array_equal(encoded.temporal_bias.data,
                                   embedded.temporal_bias.data)
+
+
+def _tape(out):
+    """Every node reachable from `out` through its parents."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+def test_grad_mode_tape_keeps_one_score_buffer_per_attention():
+    model = _model_with_live_head(37)
+    hist = make_segment(6, n_players=3, rng=Rng(38))
+    fut = make_segment(3, n_players=3, rng=Rng(39))
+    grids = [build_token_grid(hist, fut, "forecast_joint")] * 2
+    nodes = _tape(model.predict_noise(grids, step=[2, 5]))
+    B, L, E, heads = 2, 9, CFG.n_entities, CFG.heads
+    scores = {(B, L, heads, E, E), (B, E, heads, L, L)}   # spatial, temporal
+    assert [n.op for n in nodes if n.data.shape in scores] == []
+    attention = [n for n in nodes if n.op == "attention"]
+    assert len(attention) == 2 * CFG.layers
+    held = {id(cell.cell_contents) for n in nodes if n.backward_fn
+            for cell in n.backward_fn.__closure__ or ()
+            if getattr(cell.cell_contents, "shape", None) in scores}
+    assert len(held) == len(attention)

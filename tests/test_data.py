@@ -482,3 +482,29 @@ def test_with_players_per_team_leaves_the_input_clip_unchanged():
     assert narrowed.frames == clip.frames
     with pytest.raises(ValueError):
         with_players_per_team(clip, 0)
+
+
+def test_clip_to_segment_matches_slot_by_slot_densify_bitwise():
+    frames = [Frame(0, (0.5, -1.25), {"A1": (1.0, 2.0), "A2": (3, 4)},
+                    {"B1": (-5.5, 6.25)}),
+              Frame(1, None, {"A2": (3.1, 4.2)}, {"B1": None}),
+              Frame(2, (0.75, -1.0), {"A1": None, "A2": (3.2, 4.4)}, {})]
+    seg = clip_to_segment(TrajectoryClip(frames, 25.0, 3))
+    coords, vis = np.zeros((3, 7, 2)), np.zeros((3, 7), dtype=bool)
+    for t, f in enumerate(frames):           # slots: A1 A2 pad B1 pad pad ball
+        for slot, pos in ((0, f.team0.get("A1")), (1, f.team0.get("A2")),
+                          (3, f.team1.get("B1")), (6, f.ball)):
+            if pos is not None:
+                coords[t, slot], vis[t, slot] = pos, True
+    assert (seg.roster0, seg.roster1) == (("A1", "A2"), ("B1",))
+    assert seg.coords.tobytes() == coords.tobytes()
+    assert seg.visibility.tobytes() == vis.tobytes()
+
+
+def test_clip_to_segment_rejects_duplicates_and_oversized_rosters():
+    dup = [Frame(0, None, {"A1": [(4.0, 4.0), (2.0, 2.0)]}, {})]
+    with pytest.raises(ValueError, match="duplicate detections"):
+        clip_to_segment(TrajectoryClip(dup, 25.0, 11))
+    crowded = [Frame(0, None, {}, {"B1": (1.0, 1.0), "B2": (2.0, 2.0)})]
+    with pytest.raises(ValueError, match="team1 roster of 2 exceeds 1"):
+        clip_to_segment(TrajectoryClip(crowded, 25.0, 1))
