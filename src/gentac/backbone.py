@@ -4,8 +4,9 @@ A window of multi-agent motion becomes a dense [L x (2N+1) x 2] coordinate
 grid (team0 slots, team1 slots, ball last). Tokens are linearly projected to
 width `d` and offset by three learned tables: per-frame temporal, per-group
 (team0 / team1 / ball), and per-slot entity embeddings. The encoder applies
-M pre-norm blocks, each running self-attention across entities at fixed time
-followed by self-attention across time for a fixed entity. Invisible tokens
+M layers, each a pre-norm residual self-attention across entities at fixed
+time followed by one across time for a fixed entity; there is no
+feed-forward sublayer. Invisible tokens
 are excluded as attention keys by a large negative additive score, so they
 cannot influence any visible output.
 
@@ -55,7 +56,6 @@ class ModelConfig:
     heads: int = 8
     n_players: int = 11
     l_max: int = 250
-    with_mlp: bool = False
 
     def __post_init__(self):
         if self.d % self.heads != 0:
@@ -67,13 +67,12 @@ class ModelConfig:
 
     def to_dict(self):
         return {"d": self.d, "layers": self.layers, "heads": self.heads,
-                "n_players": self.n_players, "l_max": self.l_max,
-                "with_mlp": self.with_mlp}
+                "n_players": self.n_players, "l_max": self.l_max}
 
     @classmethod
     def from_dict(cls, obj):
         return cls(**{k: obj[k] for k in
-                      ("d", "layers", "heads", "n_players", "l_max", "with_mlp")})
+                      ("d", "layers", "heads", "n_players", "l_max")})
 
 
 @dataclass
@@ -141,14 +140,6 @@ def stack_grids(grids):
     return coords, vis, target, anchors
 
 
-def _tracked_entities(*segments):
-    tracked = None
-    for seg in segments:
-        t = seg.visibility.any(axis=0)
-        tracked = t if tracked is None else (tracked | t)
-    return tracked
-
-
 def _last_visible(history: Segment) -> np.ndarray:
     """[entities x 2]: each entity's last visible position, 0 if never seen."""
     vis = history.visibility
@@ -160,8 +151,7 @@ def _last_visible(history: Segment) -> np.ndarray:
 
 def build_token_grid(history: Segment, future_or_noise, task: str,
                      target_side: int | None = None,
-                     l_max: int | None = None,
-                     future_visibility: np.ndarray | None = None) -> TokenGrid:
+                     l_max: int | None = None) -> TokenGrid:
     """Assemble the model input for one window.
 
     task "forecast_joint": every tracked entity's future slots are noise
@@ -199,15 +189,13 @@ def build_token_grid(history: Segment, future_or_noise, task: str,
         fut_vis = future_or_noise.visibility
     else:
         fut_coords = np.asarray(future_or_noise, dtype=np.float64)
-        fut_vis = (np.ones(fut_coords.shape[:2], dtype=bool)
-                   if future_visibility is None else future_visibility)
+        fut_vis = np.ones(fut_coords.shape[:2], dtype=bool)
     w = fut_coords.shape[0]
     if fut_coords.shape[1] != E:
         raise ValueError("history and future cover different entity rosters")
+    tracked = history.visibility.any(axis=0)
     if isinstance(future_or_noise, Segment):
-        tracked = _tracked_entities(history, future_or_noise)
-    else:
-        tracked = _tracked_entities(history)
+        tracked = tracked | future_or_noise.visibility.any(axis=0)
 
     target = np.zeros((H + w, E), dtype=bool)
     n = (E - 1) // 2
@@ -277,15 +265,6 @@ class Backbone:
                 # every score in a row equally and cancels in the softmax
                 p[f"{base}.wv_b"] = np.zeros(d)
                 p[f"{base}.wo_b"] = np.zeros(d)
-                p[f"{base}.ln_g"] = np.ones(d)
-                p[f"{base}.ln_b"] = np.zeros(d)
-            if config.with_mlp:
-                base = f"layer{m}.mlp"
-                rr = r.child(base)
-                p[f"{base}.w1"] = _uniform_fan_in(rr.child("w1"), d, (d, d))
-                p[f"{base}.b1"] = np.zeros(d)
-                p[f"{base}.w2"] = _uniform_fan_in(rr.child("w2"), d, (d, d))
-                p[f"{base}.b2"] = np.zeros(d)
                 p[f"{base}.ln_g"] = np.ones(d)
                 p[f"{base}.ln_b"] = np.zeros(d)
         self.params = {k: ad.Parameter(v, k) for k, v in p.items()}
@@ -384,21 +363,11 @@ class Backbone:
     def temporal_attention(self, latent: LatentGrid, layer: int) -> LatentGrid:
         return self._attend(latent, f"layer{layer}.temporal", "time")
 
-    def _mlp(self, latent: LatentGrid, layer: int) -> LatentGrid:
-        base = f"layer{layer}.mlp"
-        p = self.params
-        x = ad.layer_norm(latent.h, p[f"{base}.ln_g"], p[f"{base}.ln_b"])
-        x = ad.relu(ad.matmul(x, p[f"{base}.w1"]) + p[f"{base}.b1"])
-        x = ad.matmul(x, p[f"{base}.w2"]) + p[f"{base}.b2"]
-        return replace(latent, h=latent.h + x)
-
     def encode(self, grids, diffusion_step=None) -> LatentGrid:
         latent = self.embed(grids, diffusion_step)
         for m in range(self.config.layers):
             latent = self.spatial_attention(latent, m)
             latent = self.temporal_attention(latent, m)
-            if self.config.with_mlp:
-                latent = self._mlp(latent, m)
         return latent
 
 

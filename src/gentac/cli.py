@@ -255,8 +255,7 @@ def cmd_sample(args):
     hist, truth, config, schedule, manifest_config, inputs = \
         _rollout_inputs(args, model)
     rng = Rng(args.seed, ("sample",))
-    sample_set = rollout(hist, config, model, schedule, rng, truth_future=truth,
-                         pitch=data.PitchSpec.for_sport(args.sport))
+    sample_set = rollout(hist, config, model, schedule, rng, truth_future=truth)
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

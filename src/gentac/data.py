@@ -406,10 +406,12 @@ def normalize(clip_or_segment, pitch: PitchSpec) -> Segment:
 def resample(clip: TrajectoryClip, target_fps: float) -> TrajectoryClip:
     """Linear temporal resampling onto a uniform grid at `target_fps`.
 
-    Output frames are indexed 0..M-1 and contiguous. A target instant is
-    interpolated between the nearest existing source frames; it is missing iff
-    either bracketing source observation is missing. Endpoints land exactly on
-    the first and last source frames; nothing is extrapolated.
+    Output frames are indexed 0..M-1 and contiguous. A target instant within
+    1e-9 source frames of a source frame copies it; any other instant is
+    `(1-w)·a + w·b` of the bracketing source frames, and missing iff either
+    of them is missing. Endpoints land exactly on the first and last source
+    frames; nothing is extrapolated. The clip is densified once, so a clip
+    with unresolved duplicate detections must be refined first.
     """
     if len(clip.frames) < 2:
         raise ValueError("resample needs at least 2 frames")
@@ -417,44 +419,25 @@ def resample(clip: TrajectoryClip, target_fps: float) -> TrajectoryClip:
         raise ValueError("target_fps must be positive")
 
     frames = sorted(clip.frames, key=lambda f: f.index)
+    seg = clip_to_segment(replace(clip, frames=frames))
     # work in source-frame units so ratio resampling stays exact
     pos = np.array([f.index - frames[0].index for f in frames], dtype=np.float64)
     ratio = clip.fps / target_fps
     n_out = int(math.floor(pos[-1] / ratio + 1e-9)) + 1
 
-    roster0, roster1 = _entity_ids(clip)
+    u = np.arange(n_out) * ratio
+    j = np.clip(np.searchsorted(pos, u, side="right") - 1, 0, len(pos) - 1)
+    exact = np.abs(pos[j] - u) < 1e-9
+    coords = seg.coords[j]
+    vis = seg.visibility[j] & exact[:, None]
+    mid = np.flatnonzero(~exact & (j + 1 < len(pos)))
+    a, b = j[mid], j[mid] + 1
+    w = ((u[mid] - pos[a]) / (pos[b] - pos[a]))[:, None, None]
+    coords[mid] = (1.0 - w) * seg.coords[a] + w * seg.coords[b]
+    vis[mid] = seg.visibility[a] & seg.visibility[b]
 
-    def series(getter):
-        return [getter(f) for f in frames]
-
-    def sample(values, u):
-        j = int(np.searchsorted(pos, u, side="right")) - 1
-        j = min(max(j, 0), len(pos) - 1)
-        if abs(pos[j] - u) < 1e-9:
-            return values[j]
-        if j + 1 >= len(pos):
-            return values[-1] if abs(pos[-1] - u) < 1e-9 else None
-        a, b = values[j], values[j + 1]
-        if a is None or b is None:
-            return None
-        w = (u - pos[j]) / (pos[j + 1] - pos[j])
-        return ((1.0 - w) * a[0] + w * b[0], (1.0 - w) * a[1] + w * b[1])
-
-    entity_series = {"ball": series(lambda f: f.ball)}
-    for pid in roster0:
-        entity_series[("t0", pid)] = series(lambda f, p=pid: f.team0.get(p))
-    for pid in roster1:
-        entity_series[("t1", pid)] = series(lambda f, p=pid: f.team1.get(p))
-
-    out = []
-    for k in range(n_out):
-        u = k * ratio
-        ball = sample(entity_series["ball"], u)
-        team0 = {pid: sample(entity_series[("t0", pid)], u) for pid in roster0}
-        team1 = {pid: sample(entity_series[("t1", pid)], u) for pid in roster1}
-        out.append(Frame(k, ball, team0, team1))
-    return TrajectoryClip(out, float(target_fps), clip.players_per_team,
-                          clip.sport, dict(clip.metadata))
+    out = replace(seg, coords=coords, visibility=vis, fps=float(target_fps))
+    return segment_to_clip(out, sport=clip.sport, metadata=dict(clip.metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +487,31 @@ def _runs(mask):
     return zip(edges[::2].tolist(), edges[1::2].tolist())
 
 
+def _interpolate(track, known, frames):
+    """Values of one entity's [frames x 2] `track` at `frames`, from its
+    values at the sorted `known` frames: `a + w·(b - a)` between the known
+    frames that bracket a frame, and a copy of the nearest known value
+    before the first or after the last."""
+    i = np.searchsorted(known, frames)
+    out = track[known[np.minimum(i, known.size - 1)]]
+    mid = np.flatnonzero((i > 0) & (i < known.size))
+    left, right = known[i[mid] - 1], known[i[mid]]
+    w = ((frames[mid] - left) / (right - left))[:, None]
+    out[mid] = track[left] + w * (track[right] - track[left])
+    return out
+
+
 def _fill_gaps(coords, vis, max_gap):
     """Linear fill of missing runs <= max_gap; boundary runs hold the nearest
     observed value. Longer runs, and entities never observed, stay missing."""
-    F = coords.shape[0]
     for e in range(coords.shape[1]):
-        for start, stop in _runs(~vis[:, e]):
-            if stop - start > max_gap or stop - start == F:
-                continue
-            left, right = start - 1, stop
-            if left < 0:
-                coords[start:stop, e] = coords[right, e]
-            elif right >= F:
-                coords[start:stop, e] = coords[left, e]
-            else:
-                for k in range(start, stop):
-                    w = (k - left) / (right - left)
-                    coords[k, e] = coords[left, e] + w * (coords[right, e] - coords[left, e])
-            vis[start:stop, e] = True
+        gaps = [np.arange(start, stop) for start, stop in _runs(~vis[:, e])
+                if stop - start <= max_gap]
+        if gaps and vis[:, e].any():
+            frames = np.concatenate(gaps)
+            known = np.flatnonzero(vis[:, e])
+            coords[frames, e] = _interpolate(coords[:, e], known, frames)
+            vis[frames, e] = True
 
 
 def _anomalous_pairs(coords, vis, fps, v_max, anomaly_count):
@@ -552,21 +542,11 @@ def _reconstruct_spans(coords, vis, pair_flags):
 
     if not suspect.any():
         return
-    ok = ~suspect
     for e in range(coords.shape[1]):
-        good = np.flatnonzero(ok & vis[:, e])
-        if good.size == 0:
-            continue
-        for f in np.flatnonzero(suspect & vis[:, e]):
-            i = np.searchsorted(good, f)
-            if i == 0:
-                coords[f, e] = coords[good[0], e]
-            elif i == good.size:
-                coords[f, e] = coords[good[-1], e]
-            else:
-                left, right = good[i - 1], good[i]
-                w = (f - left) / (right - left)
-                coords[f, e] = coords[left, e] + w * (coords[right, e] - coords[left, e])
+        known = np.flatnonzero(~suspect & vis[:, e])
+        frames = np.flatnonzero(suspect & vis[:, e])
+        if known.size and frames.size:
+            coords[frames, e] = _interpolate(coords[:, e], known, frames)
 
 
 def _ema_smooth(coords, vis, gamma):
@@ -627,12 +607,9 @@ def refine(clip: TrajectoryClip, params: RefineParams = RefineParams()) -> Traje
     _reconstruct_spans(coords, vis, flags)
     _ema_smooth(coords, vis, params.ema_gamma)
 
-    seg = replace(seg, coords=coords, visibility=vis)
     start = clip.frames[0].index if clip.frames else 0
-    out = segment_to_clip(seg, sport=clip.sport, metadata=dict(clip.metadata),
-                          start_index=start)
-    out.fps = clip.fps
-    return out
+    return segment_to_clip(seg, sport=clip.sport, metadata=dict(clip.metadata),
+                           start_index=start)
 
 
 # ---------------------------------------------------------------------------

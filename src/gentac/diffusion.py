@@ -136,7 +136,7 @@ class RolloutConfig:
 
     Seconds are converted to frames by rounding to nearest; a residual above
     0.4 frames is a configuration error. The horizon must quantize to a whole
-    number of windows.
+    number of windows, at least one.
     """
 
     window: float            # seconds per causal window
@@ -170,6 +170,10 @@ class RolloutConfig:
     @property
     def horizon_frames(self):
         n = self.frames(self.horizon)
+        if n < self.window_frames:
+            raise ValueError(
+                f"horizon of {n} frames is shorter than the "
+                f"{self.window_frames}-frame window")
         if n % self.window_frames != 0:
             raise ValueError(
                 f"horizon of {n} frames is not a multiple of the "
@@ -204,10 +208,11 @@ class RolloutConfig:
 class FutureSampleSet:
     """K generated futures sharing one history, with their RNG records.
 
-    `clamped_coords` counts the target coordinates, over every chain, window
-    and reverse step, whose predicted clean displacement the x0 clip moved
-    so that the position it implies lies inside the normalized pitch square
-    (0 with `clamp_signal=False`).
+    The futures stay in normalized coordinates, like the history; `to_clips`
+    writes them as clips in meters. `clamped_coords` counts the target
+    coordinates, over every chain, window and reverse step, whose predicted
+    clean displacement the x0 clip moved so that the position it implies
+    lies inside the normalized pitch square.
     """
 
     history: Segment
@@ -228,34 +233,6 @@ class FutureSampleSet:
                 for s in self.samples]
 
 
-def sample_window(history: Segment, conditioning_future: Segment | None,
-                  model: TrajectoryModel, schedule: DiffusionSchedule,
-                  rng: Rng, task="forecast_joint", target_side=None,
-                  window_frames=None, pitch=None, clamp_signal=True) -> Segment:
-    """Generate one future window of `window_frames` via reverse diffusion.
-
-    Conditioning slots (history plus, in single-team mode, the opponent and
-    ball futures) are frozen at every step. Pass a PitchSpec to get the
-    output denormalized to meters; otherwise it stays in model coordinates.
-    """
-    outputs, _ = sample_windows_batch([history],
-                                      conditioning_future and [conditioning_future],
-                                      model, schedule, [rng], task, target_side,
-                                      window_frames, clamp_signal=clamp_signal)
-    out = outputs[0]
-    if pitch is not None:
-        out = _denormalize_segment(out, pitch)
-    return out
-
-
-def _denormalize_segment(seg: Segment, pitch) -> Segment:
-    from .data import denormalize_xy
-
-    coords = denormalize_xy(seg.coords, pitch)
-    coords[~seg.visibility] = 0.0
-    return replace(seg, coords=coords, normalized=False)
-
-
 def _clamp_implied_signal(x0_hat, anchor):
     """Clip predicted clean displacements so that the positions they imply,
     `anchor + x0_hat / ANCHOR_SCALE`, lie in the normalized square
@@ -267,19 +244,21 @@ def _clamp_implied_signal(x0_hat, anchor):
 
 def sample_windows_batch(histories, conditioning_futures, model, schedule,
                          rngs, task="forecast_joint", target_side=None,
-                         window_frames=None, clamp_signal=True):
+                         window_frames=None):
     """Reverse diffusion for several same-shape chains in one model batch.
 
     Each chain keeps its own RNG stream, so a chain's output is a function of
     its own (history, rng) alone. The state of a target slot is its scaled
     displacement from its entity's anchor. At each step the network predicts
-    the clean displacement x0; with `clamp_signal` that estimate is clipped
-    so the position it implies stays inside the normalized pitch square. The
+    the clean displacement x0, and that estimate is clipped so the position
+    it implies stays inside the normalized pitch square. The clipped
     estimate is converted to the noise it implies,
     (x_s - sqrt(alpha_bar) x0) / sqrt(1 - alpha_bar), for the unchanged
     ancestral update `denoise_step`. The output holds
     `anchor + state / ANCHOR_SCALE` in target slots; every other slot is
-    copied bit for bit.
+    copied bit for bit. Conditioning slots (the history plus, in single-team
+    mode, the opponent and ball futures) are frozen at every step, and the
+    outputs stay in normalized coordinates.
 
     Returns (one future Segment per chain, number of target coordinates the
     clip moved over all chains and steps). The network runs under
@@ -326,9 +305,8 @@ def sample_windows_batch(histories, conditioning_futures, model, schedule,
             mask = grid.noise_target[H:]
             x_s = grid.coords[H:][mask]
             x0_hat = x0_pred[i, H:][mask]
-            if clamp_signal:
-                x0_hat, n_clipped = _clamp_implied_signal(x0_hat, anchors[i])
-                clamped += n_clipped
+            x0_hat, n_clipped = _clamp_implied_signal(x0_hat, anchors[i])
+            clamped += n_clipped
             eps_hat = (x_s - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab)
             step_rng = rngs[i].child("noise", s)
             x_prev = denoise_step(x_s, eps_hat, s, schedule, step_rng)
@@ -349,14 +327,14 @@ def sample_windows_batch(histories, conditioning_futures, model, schedule,
 
 def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
             schedule: DiffusionSchedule, rng: Rng,
-            truth_future: Segment | None = None,
-            pitch=None, clamp_signal=True) -> FutureSampleSet:
+            truth_future: Segment | None = None) -> FutureSampleSet:
     """Causal sliding-window rollout: q sequential windows, K chains.
 
     Single-team settings take the opponent (and ball) ground truth for each
     upcoming window from `truth_future`. All K chains share the history
-    prefix bit-for-bit and differ only in generated frames. With a PitchSpec
-    the sampled futures are denormalized to meters.
+    prefix bit-for-bit and differ only in generated frames. The futures stay
+    in normalized coordinates; `FutureSampleSet.to_clips` writes them in
+    meters.
     """
     config.validate()
     if abs(history.fps - config.fps) > 1e-9:
@@ -380,16 +358,12 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
         cond = None
         if config.single_team:
             lo, hi = step * w, (step + 1) * w
-            cond = [Segment(truth_future.coords[lo:hi].copy(),
-                            truth_future.visibility[lo:hi].copy(),
-                            history.fps, history.players_per_team,
-                            history.roster0, history.roster1,
-                            history.normalized)] * K
+            cond = [replace(history, coords=truth_future.coords[lo:hi].copy(),
+                            visibility=truth_future.visibility[lo:hi].copy())] * K
         windows, n_clipped = sample_windows_batch(
             chains, cond, model, schedule,
             [r.child("window", step) for r in sample_rngs],
-            task=config.task, target_side=config.target_side,
-            window_frames=w, clamp_signal=clamp_signal)
+            task=config.task, target_side=config.target_side, window_frames=w)
         clamped += n_clipped
         chains = [
             replace(c, coords=np.concatenate([c.coords, win.coords]),
@@ -400,8 +374,6 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
     H = len(history)
     futures = [replace(c, coords=c.coords[H:], visibility=c.visibility[H:])
                for c in chains]
-    if pitch is not None:
-        futures = [_denormalize_segment(f, pitch) for f in futures]
     return FutureSampleSet(history, futures,
                            [r.describe() for r in sample_rngs],
                            network_evals=model.calls - evals_before,

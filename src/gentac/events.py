@@ -9,12 +9,13 @@ futures and summarizes the induced distribution over outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import MASK_SCORE, Backbone, ModelConfig, build_token_grid
+from .backbone import (MASK_SCORE, Backbone, ModelConfig, _uniform_fan_in,
+                       build_token_grid)
 from .data import PitchSpec, Segment, TrajectoryClip, clip_to_segment, normalize
 from .diffusion import DiffusionSchedule, RolloutConfig, rollout
 from .rng import Rng
@@ -82,21 +83,19 @@ class EventModel:
         d = config.d
         self.params = dict(self.backbone.params)
         r = rng.child("event_head")
-
-        def uniform(rr, fan_in, shape):
-            return rr.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), shape)
-
         extra = {
-            "pool.w1": uniform(r.child("pool.w1"), d, (d, d)),
+            "pool.w1": _uniform_fan_in(r.child("pool.w1"), d, (d, d)),
             "pool.b1": np.zeros(d),
-            "pool.w2": uniform(r.child("pool.w2"), d, (d, 1)),
+            "pool.w2": _uniform_fan_in(r.child("pool.w2"), d, (d, 1)),
             "pool.b2": np.zeros(1),
-            "heads.type_w": uniform(r.child("type_w"), d, (d, len(taxonomy.types))),
+            "heads.type_w": _uniform_fan_in(r.child("type_w"), d,
+                                            (d, len(taxonomy.types))),
             "heads.type_b": np.zeros(len(taxonomy.types)),
         }
         for t in taxonomy.types:
             k = len(taxonomy.subtypes[t])
-            extra[f"heads.sub_{t}_w"] = uniform(r.child(f"sub_{t}"), d, (d, k))
+            extra[f"heads.sub_{t}_w"] = _uniform_fan_in(r.child(f"sub_{t}"),
+                                                        d, (d, k))
             extra[f"heads.sub_{t}_b"] = np.zeros(k)
         for name, value in extra.items():
             self.params[name] = ad.Parameter(value, name)
@@ -271,17 +270,16 @@ def forecast_event(history: Segment, config: RolloutConfig,
     The classifier sees the final `event_input_frames` frames of each
     generated future (padded and masked up to the event model's l_max).
     """
+    if event_input_frames < 1:
+        raise ValueError(
+            f"event_input_frames must be at least 1, got {event_input_frames}")
     sample_set = rollout(history, config, traj_model, schedule, rng,
                          truth_future=truth_future)
     per_sample = []
     routed = []
     for fut in sample_set.samples:
-        tail = fut
-        if len(fut) > event_input_frames:
-            tail = Segment(fut.coords[-event_input_frames:],
-                           fut.visibility[-event_input_frames:], fut.fps,
-                           fut.players_per_team, fut.roster0, fut.roster1,
-                           fut.normalized)
+        tail = replace(fut, coords=fut.coords[-event_input_frames:],
+                       visibility=fut.visibility[-event_input_frames:])
         pred = ground_event(tail, event_model)
         per_sample.append(pred.combined)
         routed.append((pred.predicted_type, pred.predicted_subtype))

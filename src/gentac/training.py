@@ -41,7 +41,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     early_stop_patience: int = 35
     seed: int = 0
-    base_checkpoint: str | None = None
     condition_setting: str | None = None
     condition_value: str | None = None
 

@@ -123,6 +123,25 @@ def test_sample_is_deterministic_across_runs(tmp_path):
     assert list(ma.values()) == list(mb.values())
 
 
+def test_sample_rejects_a_horizon_shorter_than_one_window(tmp_path, capsys):
+    config = ModelConfig(d=8, layers=1, heads=2, n_players=3, l_max=64)
+    model = TrajectoryModel(config, Rng(4))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model.params, config.to_dict(), extra={"task": "forecast"})
+    hist_path = tmp_path / "history.json"
+    data.save_clip(constant_velocity_clips(1, seed=10, duration_s=0.4)[0],
+                   hist_path)
+    out = tmp_path / "out"
+    code = run(["sample", "--history", str(hist_path), "--checkpoint",
+                str(ckpt), "--window", "0.2", "--horizon", "0", "--k", "1",
+                "--steps", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("gentac: error: horizon of 0 frames is shorter than the "
+                   "5-frame window")
+    assert not out.exists()
+
+
 def test_sample_rejects_checkpoint_without_anchor_embedding(tmp_path, capsys):
     # a forecaster saved before futures were anchored has no anchor embedding
     config = ModelConfig(d=8, layers=1, heads=2, n_players=3, l_max=64)
@@ -257,6 +276,16 @@ def test_forecast_event_single_team_needs_truth(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert err == "gentac: error: setting 'team' needs --truth"
+
+
+def test_forecast_event_rejects_zero_event_frames(tmp_path, capsys):
+    argv = forecast_event_argv(tmp_path)
+    argv[argv.index("--event-frames") + 1] = "0"
+    out = tmp_path / "forecast"
+    assert run(argv + ["--steps", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "gentac: error: event_input_frames must be at least 1, got 0"
+    assert not (out / "event_forecast.csv").exists()
 
 
 def test_forecast_event_manifest_records_schedule_and_inputs(tmp_path):

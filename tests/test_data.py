@@ -199,6 +199,139 @@ def test_resample_missing_when_either_bracket_missing():
     assert out.frames[4].ball == (2.0, 0.0)
 
 
+def reference_resample(clip, target_fps):
+    """Per-entity, per-instant resampling: the dict-series formulation that
+    `resample` densified, kept as its bitwise oracle."""
+    frames = sorted(clip.frames, key=lambda f: f.index)
+    pos = np.array([f.index - frames[0].index for f in frames], dtype=np.float64)
+    ratio = clip.fps / target_fps
+    n_out = int(math.floor(pos[-1] / ratio + 1e-9)) + 1
+    roster0 = sorted({pid for f in frames for pid in f.team0})
+    roster1 = sorted({pid for f in frames for pid in f.team1})
+
+    def sample(values, u):
+        j = int(np.searchsorted(pos, u, side="right")) - 1
+        j = min(max(j, 0), len(pos) - 1)
+        if abs(pos[j] - u) < 1e-9:
+            return values[j]
+        if j + 1 >= len(pos):
+            return values[-1] if abs(pos[-1] - u) < 1e-9 else None
+        a, b = values[j], values[j + 1]
+        if a is None or b is None:
+            return None
+        w = (u - pos[j]) / (pos[j + 1] - pos[j])
+        return ((1.0 - w) * a[0] + w * b[0], (1.0 - w) * a[1] + w * b[1])
+
+    ball = [f.ball for f in frames]
+    team0 = {pid: [f.team0.get(pid) for f in frames] for pid in roster0}
+    team1 = {pid: [f.team1.get(pid) for f in frames] for pid in roster1}
+    out = []
+    for k in range(n_out):
+        u = k * ratio
+        out.append(Frame(k, sample(ball, u),
+                         {pid: sample(team0[pid], u) for pid in roster0},
+                         {pid: sample(team1[pid], u) for pid in roster1}))
+    return TrajectoryClip(out, float(target_fps), clip.players_per_team,
+                          clip.sport, dict(clip.metadata))
+
+
+def gappy_clip(rng, fps):
+    """Frames with index gaps, shuffled, ~20% of observations missing (some
+    ids absent from a frame altogether) and some -0.0 coordinates."""
+    n_frames = int(rng.child("F").integers(2, 14))
+    n_players = int(rng.child("N").integers(1, 4))
+    steps = rng.child("steps").integers(1, 4, n_frames)
+    indices = 100 + np.cumsum(steps) - steps[0]
+
+    def pos(rr):
+        if rr.child("missing").uniform() < 0.2:
+            return None
+        x, y = (round(float(v), 2) for v in rr.child("xy").uniform(-30, 30, 2))
+        return (-0.0 if rr.child("zero").uniform() < 0.1 else x, y)
+
+    frames = []
+    for t, index in enumerate(indices.tolist()):
+        r = rng.child("frame", t)
+        team0 = {f"A{i}": pos(r.child("a", i)) for i in range(n_players)
+                 if r.child("a_absent", i).uniform() > 0.1}
+        team1 = {f"B{i}": pos(r.child("b", i)) for i in range(n_players)}
+        frames.append(Frame(index, pos(r.child("ball")), team0, team1))
+    order = rng.child("order").permutation(n_frames)
+    return TrajectoryClip([frames[i] for i in order], fps, 11,
+                          metadata={"tag": "x"})
+
+
+def position_bytes(pos):
+    return None if pos is None else np.array(pos, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("fps_in, fps_out", [(50.0, 25.0), (12.5, 25.0),
+                                              (25.0, 30.0)])
+def test_resample_matches_per_entity_reference_bitwise(fps_in, fps_out):
+    rng = Rng(31, ("resample-fuzz", fps_in, fps_out))
+    for i in range(200):
+        clip = gappy_clip(rng.child("clip", i), fps_in)
+        got, want = resample(clip, fps_out), reference_resample(clip, fps_out)
+        assert (got.fps, got.players_per_team, got.sport, got.metadata) == \
+            (want.fps, want.players_per_team, want.sport, want.metadata)
+        assert len(got) == len(want), f"clip {i}"
+        for g, w in zip(got.frames, want.frames):
+            assert g.index == w.index
+            assert position_bytes(g.ball) == position_bytes(w.ball), f"clip {i}"
+            for gt, wt in ((g.team0, w.team0), (g.team1, w.team1)):
+                assert list(gt) == list(wt)
+                assert [position_bytes(v) for v in gt.values()] == \
+                    [position_bytes(v) for v in wt.values()], f"clip {i}"
+
+
+@pytest.mark.parametrize("target_fps", [25.0, 50.0])  # exact instants, midpoints
+def test_resample_rejects_unresolved_duplicates(target_fps):
+    frames = [Frame(0, None, {"A1": [(4.0, 4.0), (2.0, 2.0)]}, {}),
+              Frame(1, None, {"A1": (3.0, 3.0)}, {})]
+    with pytest.raises(ValueError, match="refine first"):
+        resample(TrajectoryClip(frames, 25.0, 11), target_fps)
+
+
+def test_interpolate_matches_per_frame_loop_bitwise():
+    rng = Rng(32, ("interpolate",))
+    for i in range(100):
+        r = rng.child("case", i)
+        F = int(r.child("F").integers(2, 30))
+        track = np.round(r.child("track").normal((F, 2)) * 20, 2)
+        track[r.child("zero").uniform(0.0, 1.0, (F, 2)) < 0.1] = -0.0
+        is_known = r.child("known").uniform(0.0, 1.0, F) < 0.5
+        is_known[int(r.child("one").integers(0, F))] = True
+        known, frames = np.flatnonzero(is_known), np.flatnonzero(~is_known)
+        want = np.empty((frames.size, 2))
+        for n, f in enumerate(frames):
+            j = np.searchsorted(known, f)
+            if j == 0:
+                want[n] = track[known[0]]
+            elif j == known.size:
+                want[n] = track[known[-1]]
+            else:
+                left, right = known[j - 1], known[j]
+                w = (f - left) / (right - left)
+                want[n] = track[left] + w * (track[right] - track[left])
+        got = data._interpolate(track, known, frames)
+        assert got.tobytes() == want.tobytes(), f"case {i}"
+
+
+def test_interpolate_holds_negative_zero_at_the_ends():
+    track = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 1.0],
+                      [0.0, 0.0]])
+    out = data._interpolate(track, np.array([1, 3]), np.array([0, 2, 4]))
+    assert np.signbit(out[0]).all()              # held first known value
+    assert np.signbit(out[2]).tolist() == [True, False]  # held last one
+    # through refine: a leading gap holds the first observation, sign and all
+    frames = [Frame(t, None, {"A1": None if t < 2 else (-0.0, t * 0.1)}, {})
+              for t in range(6)]
+    repaired = refine(TrajectoryClip(frames, 25.0, 11),
+                      RefineParams(ema_gamma=1.0))
+    assert [math.copysign(1.0, f.team0["A1"][0]) for f in repaired.frames] \
+        == [-1.0] * 6
+
+
 def test_resample_rejects_single_frame():
     clip = TrajectoryClip([Frame(0, (0, 0), {}, {})], 25.0, 11)
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from gentac.data import Segment
 from gentac.diffusion import (DiffusionSchedule, RolloutConfig,
                               condition_tagging, diffusion_loss, denoise_step,
                               forward_noise, make_schedule, rollout,
-                              sample_window)
+                              sample_windows_batch)
 from gentac.fixtures import constant_velocity_clips, event_class_clips
 from gentac.rng import Rng
 from helpers import oracle_sampler_mse
@@ -289,8 +289,9 @@ def test_sample_window_runs_S_network_calls_and_freezes_conditioning():
     schedule = make_schedule(25)
     hist = make_segment(6, rng=Rng(1))
     before = hist.coords.copy()
-    out = sample_window(hist, None, model, schedule, Rng(2, ("w",)),
-                        task="forecast_joint", window_frames=3)
+    (out,), _ = sample_windows_batch([hist], None, model, schedule,
+                                     [Rng(2, ("w",))], task="forecast_joint",
+                                     window_frames=3)
     assert model.calls == 25
     assert out.coords.shape == (3, 5, 2)
     assert np.isfinite(out.coords).all()
@@ -302,8 +303,9 @@ def test_sample_window_single_team_keeps_opponent_truth_bitwise():
     schedule = make_schedule(10)
     hist = make_segment(6, rng=Rng(3))
     fut = make_segment(3, rng=Rng(4))
-    out = sample_window(hist, fut, model, schedule, Rng(5, ("w",)),
-                        task="forecast_single", target_side=0)
+    (out,), _ = sample_windows_batch([hist], [fut], model, schedule,
+                                     [Rng(5, ("w",))], task="forecast_single",
+                                     target_side=0)
     # opponent players and ball are conditioning: bit-identical to the truth
     assert out.coords[:, 2:].tobytes() == fut.coords[:, 2:].tobytes()
     assert not np.array_equal(out.coords[:, :2], fut.coords[:, :2])
@@ -344,6 +346,15 @@ def test_rollout_rejects_bad_horizon():
     with pytest.raises(ValueError, match="multiple"):
         RolloutConfig(window=0.2, history=1.0, horizon=0.44,
                       fps=25.0).validate()
+
+
+@pytest.mark.parametrize("horizon", [0.0, -0.4])
+def test_rollout_rejects_a_horizon_shorter_than_one_window(horizon):
+    # 0 s would sample no window at all and -0.4 s "minus two windows";
+    # both used to validate and produce empty futures
+    config = RolloutConfig(window=0.2, history=0.4, horizon=horizon, fps=25.0)
+    with pytest.raises(ValueError, match="shorter than the 5-frame window"):
+        config.validate()
 
 
 def test_rollout_frame_quantization_guard():
@@ -409,26 +420,22 @@ def test_rollout_reports_how_often_the_clamp_fires():
     hist = make_segment(10, rng=Rng(12))
     config = RolloutConfig(window=0.2, history=0.4, horizon=0.4, samples=2,
                            fps=25.0)
+    off_pitch = TrajectoryModel(CFG, Rng(0))
+    off_pitch.params["head.b"].data[:] = 3.0 * ANCHOR_SCALE
 
-    def off_pitch_model():
-        model = TrajectoryModel(CFG, Rng(0))
-        model.params["head.b"].data[:] = 3.0 * ANCHOR_SCALE
-        return model
-
-    clamped = rollout(hist, config, off_pitch_model(), schedule,
-                      Rng(13, ("clamp",)))
-    free = rollout(hist, config, off_pitch_model(), schedule,
-                   Rng(13, ("clamp",)), clamp_signal=False)
+    clamped = rollout(hist, config, off_pitch, schedule, Rng(13, ("clamp",)))
+    untrained = rollout(hist, config, TrajectoryModel(CFG, Rng(0)), schedule,
+                        Rng(13, ("clamp",)))
     assert clamped.clamped_coords > 0
-    assert free.clamped_coords == 0
+    assert untrained.clamped_coords == 0
 
 
 def test_sampler_non_finite_network_output_names_predict_noise():
     model = TrajectoryModel(CFG, Rng(0))
     model.params["head.b"].data[:] = np.nan
     with pytest.raises(ad.NonFiniteError, match="predict_noise"):
-        sample_window(make_segment(6, rng=Rng(14)), None, model,
-                      make_schedule(3), Rng(15, ("w",)),
-                      task="forecast_joint", window_frames=2)
+        sample_windows_batch([make_segment(6, rng=Rng(14))], None, model,
+                             make_schedule(3), [Rng(15, ("w",))],
+                             task="forecast_joint", window_frames=2)
     # the sampler's inference context is closed again after the error
     assert ad.add(ad.Tensor([1.0]), ad.Tensor([2.0])).parents != ()

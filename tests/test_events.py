@@ -317,6 +317,19 @@ def test_forecast_event_end_to_end_shapes():
     assert len(summary.top(5)) == 5
 
 
+@pytest.mark.parametrize("frames", [0, -3])
+def test_forecast_event_rejects_fewer_than_one_input_frame(frames):
+    # 0 used to classify the whole future and -3 to drop its first 3 frames
+    cfg = ModelConfig(d=8, layers=1, heads=2, n_players=2, l_max=32)
+    config = RolloutConfig(window=0.2, history=0.4, horizon=0.4, samples=1,
+                           fps=25.0)
+    with pytest.raises(ValueError, match="event_input_frames must be at least 1"):
+        forecast_event(make_segment(10, rng=Rng(18)), config,
+                       TrajectoryModel(cfg, Rng(16)), make_schedule(2),
+                       EventModel(cfg, Rng(17)), Rng(19, ("fe",)),
+                       event_input_frames=frames)
+
+
 def test_logits_are_bit_identical_under_no_grad():
     model = EventModel(CFG, Rng(40))
     grids = [event_grid(make_segment(n, rng=Rng(41 + n)), CFG.l_max)

@@ -430,6 +430,19 @@ def test_epv_resampling_preserves_constant_grids():
     np.testing.assert_allclose(grid.values, 3.7, atol=1e-12)
 
 
+def test_load_epv_round_trips_through_the_grid_file(tmp_path):
+    from gentac.data import save_epv_grid
+
+    matrix = np.round(Rng(41, ("epv",)).uniform(0.0, 1.0, (12, 16)), 4)
+    path = tmp_path / "epv.txt"
+    save_epv_grid(matrix, path)
+    loaded = metrics.load_epv(path, PITCH, 2.0)
+    direct = metrics.epv_from_matrix(matrix, PITCH, 2.0)
+    assert loaded.values.tobytes() == direct.values.tobytes()
+    assert (loaded.pitch, loaded.resolution) == (direct.pitch, direct.resolution)
+    assert loaded.cells.tobytes() == direct.cells.tobytes()
+
+
 # The batched formulas the control kernels replaced, kept as oracles: the
 # per-player kernels must match them bit for bit, not merely to a tolerance.
 
