@@ -2,9 +2,14 @@
 
 Every subcommand validates its paths up front, runs exactly one action, and
 writes a manifest next to its outputs recording the seed, the effective
-config hash, git-style content hashes of all inputs, and the checkpoint hash
-when one is involved. Outputs carry no timestamps, so identical manifests
-mean byte-identical outputs.
+config hash, git-style content hashes of all inputs, the checkpoint hash
+when one is involved, and every file it wrote, sidecars included. Outputs
+carry no timestamps, so identical manifests mean byte-identical outputs.
+
+Each job has one path: `ingest`, `resample` and `refine` share one per-clip
+loop; `train-traj`, `train-event` and `finetune` share one train command,
+and finetune takes its task and geometry from the `--base` checkpoint; every
+command that reads a checkpoint loads it through `training.load_model`.
 
 Exit codes: 0 success, 1 runtime failure (single-line diagnostic on stderr),
 2 usage error.
@@ -21,13 +26,12 @@ import sys
 import numpy as np
 
 from . import __version__, data, fixtures, metrics
-from .backbone import ModelConfig, assign_parameters, load_checkpoint, \
-    save_checkpoint
+from .backbone import ModelConfig, load_checkpoint, save_checkpoint
 from .diffusion import RolloutConfig, condition_tagging, make_schedule, rollout
-from .events import forecast_event, ground_event
+from .events import TAXONOMY, forecast_event, ground_event
 from .rng import Rng
 from .training import MODELS, TrainConfig, desk_event_config, \
-    desk_forecast_config, finetune, split_clips, train
+    desk_forecast_config, finetune, load_model, split_clips, train
 
 
 def git_blob_hash(path) -> str:
@@ -85,22 +89,19 @@ def _clip_paths(path):
     return [p]
 
 
-def _load_clips(path, sport, fps=None):
-    return [data.load_clip(p, fps=fps, sport=sport) for p in _clip_paths(path)]
-
-
-def _load_file_config(path):
-    if path is None:
-        return {}
-    obj = json.loads(pathlib.Path(path).read_text("utf-8"))
-    if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
-    return obj
-
-
-def _train_config(args, task) -> TrainConfig:
-    base = desk_forecast_config() if task == "forecast" else desk_event_config()
-    merged = {**base.__dict__, **_load_file_config(args.config)}
+def _train_config(args, task, base_geometry=None) -> TrainConfig:
+    """The task's desk config, then the base checkpoint's geometry, then the
+    `--config` file, then the flags given on the command line."""
+    desk = desk_forecast_config() if task == "forecast" else desk_event_config()
+    merged = {**desk.__dict__, **(base_geometry or {})}
+    if args.config is not None:
+        file_config = json.loads(pathlib.Path(args.config).read_text("utf-8"))
+        if not isinstance(file_config, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+        for key in file_config:
+            if key not in merged:
+                raise ValueError(f"{args.config}: unknown config key '{key}'")
+        merged.update(file_config)
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
@@ -117,109 +118,81 @@ def _float_list(text):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args):
+def _map_clips(args, config, transform, fps, on_duplicate):
+    """Write `transform(clip)` of every input clip under `args.out`, with a
+    manifest listing every file written, sidecars included."""
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     inputs = _clip_paths(args.input)
+    written = []
     for p in inputs:
-        clip = data.parse_clip(
-            p.read_text("utf-8"), fps=args.fps, sport=args.sport,
-            on_duplicate="collect" if args.repair_duplicates else "error")
-        if args.repair_duplicates:
-            clip = data.resolve_duplicates(clip)
-        meta = p.with_suffix(".meta.json")
-        if meta.exists():
-            clip.metadata = json.loads(meta.read_text("utf-8"))
-        target = out / p.name
-        data.save_clip(clip, target)
-        written.append(target)
-        if (out / meta.name).exists():
-            written.append(out / meta.name)
-    write_manifest(out, "ingest", args.seed,
-                   {"sport": args.sport, "fps": args.fps,
-                    "repair_duplicates": args.repair_duplicates},
-                   inputs, written)
+        clip = data.load_clip(p, fps=fps, sport=args.sport,
+                              on_duplicate=on_duplicate)
+        written += data.save_clip(transform(clip), out / p.name)
+    write_manifest(out, args.command, args.seed, config, inputs, written)
     return 0
+
+
+def cmd_ingest(args):
+    repair = args.repair_duplicates
+    return _map_clips(
+        args, {"sport": args.sport, "fps": args.fps, "repair_duplicates": repair},
+        data.resolve_duplicates if repair else (lambda clip: clip),
+        args.fps, "collect" if repair else "error")
 
 
 def cmd_resample(args):
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    inputs = _clip_paths(args.input)
-    written = []
-    for p in inputs:
-        clip = data.load_clip(p, fps=args.fps_in, sport=args.sport)
-        target = out / p.name
-        data.save_clip(data.resample(clip, args.fps), target)
-        written.append(target)
-    write_manifest(out, "resample", args.seed,
-                   {"fps": args.fps, "sport": args.sport}, inputs, written)
-    return 0
+    return _map_clips(args, {"fps": args.fps, "sport": args.sport},
+                      lambda clip: data.resample(clip, args.fps),
+                      args.fps_in, "error")
 
 
 def cmd_refine(args):
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params = data.RefineParams(max_gap=args.max_gap, v_max=args.v_max,
                                anomaly_count=args.anomaly_count,
                                ema_gamma=args.gamma)
-    inputs = _clip_paths(args.input)
-    written = []
-    for p in inputs:
-        clip = data.load_clip(p, sport=args.sport, on_duplicate="collect")
-        target = out / p.name
-        data.save_clip(data.refine(clip, params), target)
-        written.append(target)
-    write_manifest(out, "refine", args.seed, params.__dict__, inputs, written)
-    return 0
-
-
-def _write_train_outputs(args, model, result, inputs):
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, model.params, model.config.to_dict(),
-                    extra={"task": result.config.task,
-                           "best_epoch": result.best_epoch})
-    log_path = out.with_name(out.stem + ".log.csv")
-    log_path.write_text(result.log_csv(), "utf-8")
-    write_manifest(out, args.command, result.config.seed,
-                   result.config.__dict__, inputs, [out, log_path],
-                   checkpoint=out)
-    return 0
+    return _map_clips(args, params.__dict__,
+                      lambda clip: data.refine(clip, params), None, "collect")
 
 
 def cmd_train(args):
-    cfg = _train_config(args, args.task)
+    """`train-traj`, `train-event` and `finetune`; finetune reads its task
+    and model geometry from the `--base` checkpoint."""
+    finetuning = args.command == "finetune"
+    if finetuning:
+        header, extra, _ = load_checkpoint(args.base)
+        task = extra.get("task")
+        if task not in MODELS:
+            raise ValueError(f"{args.base} records no task; finetune needs a "
+                             f"checkpoint written by train-traj or train-event")
+        cfg = _train_config(args, task, ModelConfig.from_dict(header).to_dict())
+    else:
+        cfg = _train_config(args, args.task)
     inputs = _clip_paths(args.data)
-    clips = _load_clips(args.data, cfg.sport)
-    split = split_clips(clips, args.valid_fraction, seed=cfg.seed)
-    model, result = train(split, cfg)
-    return _write_train_outputs(args, model, result, inputs)
-
-
-def cmd_finetune(args):
-    cfg = _train_config(args, args.task)
-    inputs = _clip_paths(args.data) + [pathlib.Path(args.base)]
-    clips = _load_clips(args.data, cfg.sport)
-    if args.filter:
+    clips = [data.load_clip(p, sport=cfg.sport) for p in inputs]
+    if finetuning and args.filter:
         setting, _, value = args.filter.partition("=")
         if not value:
             raise ValueError("--filter must look like league=NAME")
         clips = condition_tagging(clips, setting, value)
-        cfg = TrainConfig(**{**cfg.__dict__,
-                             "condition_setting": setting,
-                             "condition_value": value})
     split = split_clips(clips, args.valid_fraction, seed=cfg.seed)
-    model, result = finetune(args.base, split, cfg)
-    return _write_train_outputs(args, model, result, inputs)
+    manifest_config = dict(cfg.__dict__)
+    if finetuning:
+        model, result = finetune(args.base, split, cfg)
+        inputs.append(pathlib.Path(args.base))
+        manifest_config["filter"] = args.filter
+    else:
+        model, result = train(split, cfg)
 
-
-def _load_model(path, task):
-    config, _, arrays = load_checkpoint(path)
-    model = MODELS[task](ModelConfig.from_dict(config), Rng(0, ("load",)))
-    assign_parameters(model.params, arrays)
-    return model
+    out = pathlib.Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out, model.params, model.config.to_dict(),
+                    extra={"task": cfg.task, "best_epoch": result.best_epoch})
+    log_path = out.with_name(out.stem + ".log.csv")
+    log_path.write_text(result.log_csv(), "utf-8")
+    write_manifest(out, args.command, cfg.seed, manifest_config, inputs,
+                   [out, log_path], checkpoint=out)
+    return 0
 
 
 def _rollout_inputs(args, model):
@@ -251,7 +224,7 @@ def _rollout_inputs(args, model):
 
 
 def cmd_sample(args):
-    model = _load_model(args.checkpoint, "forecast")
+    model = load_model(args.checkpoint, "forecast")
     hist, truth, config, schedule, manifest_config, inputs = \
         _rollout_inputs(args, model)
     rng = Rng(args.seed, ("sample",))
@@ -266,10 +239,7 @@ def cmd_sample(args):
         metadata={"players_per_team": model.config.n_players, "stem": stem})
     for i, clip_out in enumerate(clips_out):
         clip_out.metadata["sample_index"] = i
-        target = out / f"{stem}_k{i}.json"
-        data.save_clip(clip_out, target)
-        written.append(target)
-        written.append(target.with_suffix(".meta.json"))
+        written += data.save_clip(clip_out, out / f"{stem}_k{i}.json")
     write_manifest(out, "sample", args.seed, manifest_config, inputs, written,
                    checkpoint=args.checkpoint)
     return 0
@@ -342,18 +312,18 @@ def cmd_evaluate_traj(args):
 
 
 def cmd_evaluate_event(args):
-    model = _load_model(args.checkpoint, "event")
+    model = load_model(args.checkpoint, "event")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs = _clip_paths(args.data)
-    clips = [data.with_players_per_team(c, model.config.n_players)
-             for c in _load_clips(args.data, args.sport)]
+    clips = [data.with_players_per_team(data.load_clip(p, sport=args.sport),
+                                        model.config.n_players)
+             for p in inputs]
 
-    taxonomy = model.taxonomy
     predictions, labels, rows, records = [], [], [], []
     header = (["clip", "true_type", "true_subtype"]
-              + [f"p_type_{t}" for t in taxonomy.types]
-              + [f"p_{s}" for s in taxonomy.all_subtypes]
+              + [f"p_type_{t}" for t in TAXONOMY.types]
+              + [f"p_{s}" for s in TAXONOMY.all_subtypes]
               + ["pred_type", "pred_subtype", "type_hit@1", "subtype_hit@1",
                  "subtype_hit@3", "subtype_hit@5"])
     rows.append(",".join(header))
@@ -365,12 +335,9 @@ def cmd_evaluate_event(args):
         if true_type and true_sub:
             predictions.append(pred)
             labels.append((true_type, true_sub))
-            si = taxonomy.combined_index(true_sub)
-            order = np.argsort(-pred.combined)
-            hits = [str(int(pred.predicted_type == true_type)),
-                    str(int(si == order[0])),
-                    str(int(si in order[:3])),
-                    str(int(si in order[:5]))]
+            si = TAXONOMY.combined_index(true_sub)
+            hits = [str(int(pred.predicted_type == true_type))] + [
+                str(metrics.topk_hit(pred.combined, si, k)) for k in (1, 3, 5)]
         rows.append(",".join(
             [path.stem, true_type, true_sub]
             + [_fmt10(v) for v in pred.type_probs]
@@ -391,21 +358,22 @@ def cmd_evaluate_event(args):
     written = [pred_csv, pred_json]
 
     if predictions:
-        report = metrics.event_metrics(predictions, labels, taxonomy)
+        report = metrics.event_metrics(predictions, labels)
         lines = ["metric,key,value"]
-        for k, v in report.type_accuracy.items():
-            lines.append(f"type_accuracy,@{k},{_fmt10(v)}")
-        for k, v in report.subtype_accuracy.items():
-            lines.append(f"subtype_accuracy,@{k},{_fmt10(v)}")
-        for k, d in report.type_recall.items():
-            for t, v in d.items():
-                lines.append(f"type_recall@{k},{t},{_fmt10(v)}")
-            lines.append(f"type_recall@{k},macro,{_fmt10(report.type_macro_recall[k])}")
-        for k, d in report.subtype_recall.items():
-            for s, v in d.items():
-                if not np.isnan(v):
-                    lines.append(f"subtype_recall@{k},{s},{_fmt10(v)}")
-            lines.append(f"subtype_recall@{k},macro,{_fmt10(report.subtype_macro_recall[k])}")
+        for name, by_k in (("type_accuracy", report.type_accuracy),
+                           ("subtype_accuracy", report.subtype_accuracy)):
+            lines += [f"{name},@{k},{_fmt10(v)}" for k, v in by_k.items()]
+        # a subtype with no labelled clip has no recall row; a type keeps its nan
+        for name, by_k, macro, skip_nan in (
+                ("type_recall", report.type_recall, report.type_macro_recall,
+                 False),
+                ("subtype_recall", report.subtype_recall,
+                 report.subtype_macro_recall, True)):
+            for k, per_class in by_k.items():
+                lines += [f"{name}@{k},{c},{_fmt10(v)}"
+                          for c, v in per_class.items()
+                          if not (skip_nan and np.isnan(v))]
+                lines.append(f"{name}@{k},macro,{_fmt10(macro[k])}")
         lines.append(f"type_precision@1,macro,{_fmt10(report.type_macro_precision)}")
         lines.append(f"type_f1@1,macro,{_fmt10(report.type_macro_f1)}")
         metrics_csv = out / "event_metrics.csv"
@@ -419,8 +387,8 @@ def cmd_evaluate_event(args):
 
 
 def cmd_forecast_event(args):
-    traj_model = _load_model(args.checkpoint, "forecast")
-    event_model = _load_model(args.event_checkpoint, "event")
+    traj_model = load_model(args.checkpoint, "forecast")
+    event_model = load_model(args.event_checkpoint, "event")
     hist, truth, config, schedule, manifest_config, inputs = \
         _rollout_inputs(args, traj_model)
     summary = forecast_event(hist, config, traj_model, schedule, event_model,
@@ -507,10 +475,12 @@ def build_parser():
 
     def train_opts(p):
         common(p)
+        p.set_defaults(seed=None, sport=None)  # unset: the config's value
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--config", default=None,
-                       help="JSON file of TrainConfig fields")
+                       help="JSON file of TrainConfig fields; flags given "
+                            "on the command line override it")
         p.add_argument("--valid-fraction", type=float, default=0.2)
         for key, typ in (("lr_peak", float), ("epochs", int),
                          ("batch_size", int), ("d", int), ("layers", int),
@@ -532,11 +502,11 @@ def build_parser():
 
     p = sub.add_parser("finetune", help="continue training from a checkpoint")
     train_opts(p)
-    p.add_argument("--task", choices=sorted(MODELS), default="forecast")
-    p.add_argument("--base", required=True)
+    p.add_argument("--base", required=True,
+                   help="checkpoint whose task and geometry to continue")
     p.add_argument("--filter", default=None,
                    help="subset filter, e.g. league=alpha or objective=offense")
-    p.set_defaults(func=cmd_finetune)
+    p.set_defaults(func=cmd_train)
 
     def sampling_opts(p):
         common(p)

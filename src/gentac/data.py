@@ -294,16 +294,20 @@ def _check_roster_sizes(rosters, n):
 
 
 def save_clip(clip: TrajectoryClip, path):
+    """Write the clip file, plus a `<stem>.meta.json` sidecar when the clip
+    has metadata; returns the paths written."""
     import pathlib
 
     path = pathlib.Path(path)
     path.write_text(serialize_clip(clip), "utf-8")
-    if clip.metadata:
-        meta = dict(clip.metadata)
-        meta["fps"] = clip.fps  # the clip object is authoritative
-        meta["players_per_team"] = clip.players_per_team
-        path.with_suffix(".meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=1), "utf-8")
+    if not clip.metadata:
+        return [path]
+    meta = dict(clip.metadata)
+    meta["fps"] = clip.fps  # the clip object is authoritative
+    meta["players_per_team"] = clip.players_per_team
+    meta_path = path.with_suffix(".meta.json")
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1), "utf-8")
+    return [path, meta_path]
 
 
 # ---------------------------------------------------------------------------

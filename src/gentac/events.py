@@ -9,7 +9,7 @@ futures and summarizes the induced distribution over outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,12 +21,10 @@ from .diffusion import DiffusionSchedule, RolloutConfig, rollout
 from .rng import Rng
 
 
-@dataclass(frozen=True)
 class EventTaxonomy:
     """Five event types, fifteen subtypes, each subtype in exactly one type."""
 
-    types: tuple = ("build", "transition", "interruption", "set_piece", "threat")
-    subtypes: dict = field(default_factory=lambda: {
+    subtypes = {
         "build": ("build",),
         "transition": ("ball_win", "progression"),
         "interruption": ("stoppage",),
@@ -34,16 +32,9 @@ class EventTaxonomy:
                       "kick_off", "goal_kick"),
         "threat": ("goal", "shot_off_target", "shot_saved", "clearance",
                    "defended"),
-    })
-
-    def __post_init__(self):
-        flat = [s for t in self.types for s in self.subtypes[t]]
-        if len(flat) != len(set(flat)):
-            raise ValueError("subtypes must be unique across types")
-
-    @property
-    def all_subtypes(self):
-        return tuple(s for t in self.types for s in self.subtypes[t])
+    }
+    types = tuple(subtypes)
+    all_subtypes = sum(subtypes.values(), ())  # in type order
 
     def type_of(self, subtype: str) -> str:
         for t in self.types:
@@ -76,10 +67,8 @@ class EventPrediction:
 class EventModel:
     """Backbone plus pooling scorer and the routed classification heads."""
 
-    def __init__(self, config: ModelConfig, rng: Rng,
-                 taxonomy: EventTaxonomy = TAXONOMY):
+    def __init__(self, config: ModelConfig, rng: Rng):
         self.backbone = Backbone(config, rng)
-        self.taxonomy = taxonomy
         d = config.d
         self.params = dict(self.backbone.params)
         r = rng.child("event_head")
@@ -89,11 +78,11 @@ class EventModel:
             "pool.w2": _uniform_fan_in(r.child("pool.w2"), d, (d, 1)),
             "pool.b2": np.zeros(1),
             "heads.type_w": _uniform_fan_in(r.child("type_w"), d,
-                                            (d, len(taxonomy.types))),
-            "heads.type_b": np.zeros(len(taxonomy.types)),
+                                            (d, len(TAXONOMY.types))),
+            "heads.type_b": np.zeros(len(TAXONOMY.types)),
         }
-        for t in taxonomy.types:
-            k = len(taxonomy.subtypes[t])
+        for t in TAXONOMY.types:
+            k = len(TAXONOMY.subtypes[t])
             extra[f"heads.sub_{t}_w"] = _uniform_fan_in(r.child(f"sub_{t}"),
                                                         d, (d, k))
             extra[f"heads.sub_{t}_b"] = np.zeros(k)
@@ -133,58 +122,55 @@ class EventModel:
         type_logits = ad.matmul(z, p["heads.type_w"]) + p["heads.type_b"]
         sub_logits = {
             t: ad.matmul(z, p[f"heads.sub_{t}_w"]) + p[f"heads.sub_{t}_b"]
-            for t in self.taxonomy.types
+            for t in TAXONOMY.types
         }
         for out in (type_logits, *sub_logits.values()):
             ad.check_finite(out.data, "logits")
         return type_logits, sub_logits
 
 
-def classify(type_logits: np.ndarray, sub_logits: dict,
-             taxonomy: EventTaxonomy = TAXONOMY) -> EventPrediction:
+def classify(type_logits: np.ndarray, sub_logits: dict) -> EventPrediction:
     """Routed prediction plus the combined 15-way distribution."""
     type_probs = ad.softmax_array(np.asarray(type_logits, dtype=np.float64))
     subtype_probs = {t: ad.softmax_array(np.asarray(sub_logits[t], dtype=np.float64))
-                     for t in taxonomy.types}
+                     for t in TAXONOMY.types}
     combined = np.concatenate([type_probs[i] * subtype_probs[t]
-                               for i, t in enumerate(taxonomy.types)])
-    t_hat = taxonomy.types[int(np.argmax(type_probs))]
-    s_hat = taxonomy.subtypes[t_hat][int(np.argmax(subtype_probs[t_hat]))]
+                               for i, t in enumerate(TAXONOMY.types)])
+    t_hat = TAXONOMY.types[int(np.argmax(type_probs))]
+    s_hat = TAXONOMY.subtypes[t_hat][int(np.argmax(subtype_probs[t_hat]))]
     return EventPrediction(type_probs, subtype_probs, combined, t_hat, s_hat)
 
 
-def hierarchical_loss(prediction: EventPrediction, label, lam: float,
-                      taxonomy: EventTaxonomy = TAXONOMY) -> float:
+def hierarchical_loss(prediction: EventPrediction, label, lam: float) -> float:
     """Type cross-entropy plus lam times the true type's subtype
     cross-entropy (teacher routing). `label` is (type, subtype)."""
     y_type, y_sub = label
-    if y_type not in taxonomy.types or y_sub not in taxonomy.subtypes[y_type]:
+    if y_type not in TAXONOMY.types or y_sub not in TAXONOMY.subtypes[y_type]:
         raise ValueError(f"label {label} not in the taxonomy")
-    ti = taxonomy.type_index(y_type)
-    si = taxonomy.subtype_index(y_type, y_sub)
+    ti = TAXONOMY.type_index(y_type)
+    si = TAXONOMY.subtype_index(y_type, y_sub)
     return float(-np.log(prediction.type_probs[ti])
                  - lam * np.log(prediction.subtype_probs[y_type][si]))
 
 
 def hierarchical_loss_batch(type_logits: ad.Tensor, sub_logits: dict,
-                            labels, lam: float,
-                            taxonomy: EventTaxonomy = TAXONOMY) -> ad.Tensor:
+                            labels, lam: float) -> ad.Tensor:
     """Differentiable batch loss with teacher-routed subtype terms.
 
     Gradients reach only the type head, the true type's subtype head of each
     sample, and the shared trunk; the other heads stay untouched.
     """
     B = type_logits.shape[0]
-    type_idx = np.array([taxonomy.type_index(t) for t, _ in labels])
+    type_idx = np.array([TAXONOMY.type_index(t) for t, _ in labels])
     log_type = ad.log_softmax(type_logits, axis=-1)
     total = ad.mul(ad.sum_(ad.take(log_type, (np.arange(B), type_idx))),
                    ad.as_tensor(-1.0))
 
-    for t in taxonomy.types:
+    for t in TAXONOMY.types:
         rows = np.flatnonzero([lt == t for lt, _ in labels])
         if rows.size == 0:
             continue
-        cols = np.array([taxonomy.subtype_index(t, labels[r][1]) for r in rows])
+        cols = np.array([TAXONOMY.subtype_index(t, labels[r][1]) for r in rows])
         log_sub = ad.log_softmax(sub_logits[t], axis=-1)
         picked = ad.take(log_sub, (rows, cols))
         total = total + ad.mul(ad.sum_(picked), ad.as_tensor(-lam))
@@ -210,8 +196,7 @@ def ground_event(clip, model: EventModel, pitch: PitchSpec | None = None) -> Eve
     with ad.no_grad():
         type_logits, sub_logits = model.logits(grid)
     return classify(type_logits.data[0],
-                    {t: v.data[0] for t, v in sub_logits.items()},
-                    model.taxonomy)
+                    {t: v.data[0] for t, v in sub_logits.items()})
 
 
 def _sorted_quantile(values: np.ndarray, q: float) -> float:
@@ -244,7 +229,7 @@ class EventForecastSummary:
         return [(self.subtype_labels[i], float(self.median[i])) for i in order[:n]]
 
 
-def summarize_predictions(per_sample: np.ndarray, routed, taxonomy=TAXONOMY):
+def summarize_predictions(per_sample: np.ndarray, routed):
     per_sample = np.asarray(per_sample, dtype=np.float64)
     stats = {
         "median": np.array([_sorted_quantile(per_sample[:, j], 0.5)
@@ -255,7 +240,7 @@ def summarize_predictions(per_sample: np.ndarray, routed, taxonomy=TAXONOMY):
                          for j in range(per_sample.shape[1])]),
     }
     return EventForecastSummary(
-        taxonomy.all_subtypes, per_sample,
+        TAXONOMY.all_subtypes, per_sample,
         stats["median"], stats["p10"], stats["p90"],
         per_sample.min(axis=0), per_sample.max(axis=0), routed)
 
@@ -283,5 +268,4 @@ def forecast_event(history: Segment, config: RolloutConfig,
         pred = ground_event(tail, event_model)
         per_sample.append(pred.combined)
         routed.append((pred.predicted_type, pred.predicted_subtype))
-    return summarize_predictions(np.array(per_sample), routed,
-                                 event_model.taxonomy)
+    return summarize_predictions(np.array(per_sample), routed)

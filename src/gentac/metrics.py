@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PitchSpec, load_epv_grid
+from .events import TAXONOMY
 
 STRUCTURE_METRICS = ("stretch_index", "surface_area", "team_width",
                      "team_length", "frobenius_norm",
@@ -527,12 +528,13 @@ class EventMetricsReport:
     n_samples: int
 
 
-def _topk_hits(scores, true_idx, k):
+def topk_hit(scores, true_idx, k) -> int:
+    """1 if `true_idx` is among the `k` highest `scores`, else 0."""
     order = np.argsort(-scores)
     return int(true_idx in order[:k])
 
 
-def event_metrics(predictions, labels, taxonomy) -> EventMetricsReport:
+def event_metrics(predictions, labels) -> EventMetricsReport:
     """Accuracy, per-class recall, and macro P/R/F1 from EventPredictions.
 
     Subtype ranking uses the combined p(type) * p(subtype | type) 15-vector;
@@ -541,8 +543,8 @@ def event_metrics(predictions, labels, taxonomy) -> EventMetricsReport:
     """
     if len(predictions) == 0 or len(predictions) != len(labels):
         raise ValueError("predictions and labels must align and be non-empty")
-    types = taxonomy.types
-    subtypes = taxonomy.all_subtypes
+    types = TAXONOMY.types
+    subtypes = TAXONOMY.all_subtypes
     type_ks, sub_ks = (1, 3), (1, 3, 5)
 
     type_hits = {k: [] for k in type_ks}
@@ -554,14 +556,14 @@ def event_metrics(predictions, labels, taxonomy) -> EventMetricsReport:
     true_counts = {t: 0 for t in types}
 
     for pred, (y_type, y_sub) in zip(predictions, labels):
-        ti = taxonomy.type_index(y_type)
-        si = taxonomy.combined_index(y_sub)
+        ti = TAXONOMY.type_index(y_type)
+        si = TAXONOMY.combined_index(y_sub)
         for k in type_ks:
-            hit = _topk_hits(pred.type_probs, ti, k)
+            hit = topk_hit(pred.type_probs, ti, k)
             type_hits[k].append(hit)
             per_type_hits[k][y_type].append(hit)
         for k in sub_ks:
-            hit = _topk_hits(pred.combined, si, k)
+            hit = topk_hit(pred.combined, si, k)
             sub_hits[k].append(hit)
             per_sub_hits[k][y_sub].append(hit)
         top1 = types[int(np.argmax(pred.type_probs))]

@@ -23,7 +23,7 @@ from .backbone import ModelConfig, TrajectoryModel, assign_parameters, load_chec
 from .data import (PitchSpec, flip_augment, normalize, window,
                    with_players_per_team)
 from .diffusion import diffusion_loss, make_schedule
-from .events import EventModel, event_grid, hierarchical_loss_batch
+from .events import TAXONOMY, EventModel, event_grid, hierarchical_loss_batch
 from .rng import Rng
 
 
@@ -41,8 +41,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     early_stop_patience: int = 35
     seed: int = 0
-    condition_setting: str | None = None
-    condition_value: str | None = None
 
     # model geometry
     d: int = 256
@@ -352,7 +350,7 @@ def _event_loss(model, items, config, rng=None):
             for i, (seg, _) in enumerate(items)]
     type_logits, sub_logits = model.logits([event_grid(s, config.l_max) for s in segs])
     loss = hierarchical_loss_batch(type_logits, sub_logits, [lab for _, lab in items],
-                                   config.lambda_sub, model.taxonomy)
+                                   config.lambda_sub)
     return type_logits, loss
 
 
@@ -376,7 +374,7 @@ def _fit_event(model, split: TrainSplit, config: TrainConfig, rng: Rng):
             losses.append(float(loss.data))
             pred_idx = np.argmax(type_logits.data, axis=1)
             for k, (_, lab) in enumerate(chunk):
-                if model.taxonomy.types[pred_idx[k]] == lab[0]:
+                if TAXONOMY.types[pred_idx[k]] == lab[0]:
                     correct += 1
         acc = correct / len(valid_items)
         return acc, (acc, -float(np.mean(losses)))
@@ -406,17 +404,24 @@ def train(split: TrainSplit, config: TrainConfig, model=None):
     return fit_task(model, split, config, rng)
 
 
+def load_model(path, task):
+    """The `task` model (`MODELS` key) held in the checkpoint at `path`.
+
+    A checkpoint that records another task is rejected; one that records no
+    task (as `save_checkpoint` writes by default) is taken as `task`."""
+    config, extra, arrays = load_checkpoint(path)
+    recorded = extra.get("task", task)
+    if recorded != task:
+        raise ValueError(f"{path} holds a {recorded} model, not a {task} model")
+    model = MODELS[task](ModelConfig.from_dict(config), Rng(0, ("load",)))
+    assign_parameters(model.params, arrays)
+    return model
+
+
 def finetune(base_checkpoint: str, split: TrainSplit, config: TrainConfig):
     """Continue training from a checkpoint on a condition-filtered subset."""
-    ck_config, _, arrays = load_checkpoint(base_checkpoint)
-    model_cfg = config.model_config()
-    if ModelConfig.from_dict(ck_config) != model_cfg:
-        raise ValueError(
-            f"checkpoint config {ck_config} incompatible with {model_cfg.to_dict()}")
-    rng = Rng(config.seed, ("finetune", config.task))
-    model = MODELS[config.task](model_cfg, rng.child("init"))
-    assign_parameters(model.params, arrays)
-    if config.epochs == 0:
-        snap = _snapshot(model.params)
-        return model, TrainResult(snap, [], -1, math.nan, config)
+    model = load_model(base_checkpoint, config.task)
+    if model.config != config.model_config():
+        raise ValueError(f"checkpoint config {model.config.to_dict()} "
+                         f"incompatible with {config.model_config().to_dict()}")
     return train(split, config, model=model)

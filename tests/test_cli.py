@@ -313,3 +313,259 @@ def test_forecast_event_manifest_records_schedule_and_inputs(tmp_path):
 def test_main_returns_int_when_given_argv():
     assert isinstance(main(["make-fixtures", "--kind", "circular", "--n",
                             "0", "--out", "/tmp/gentac-empty-fixture"]), int)
+
+
+# ---------------------------------------------------------------------------
+# train configuration: desk config, base geometry, --config file, given flags
+# ---------------------------------------------------------------------------
+
+TINY_TRAJ = ["--epochs", "1", "--d", "8", "--layers", "1", "--heads", "2",
+             "--n-players", "3", "--l-max", "32", "--history-frames", "10",
+             "--window-frames", "5", "--max-history-frames", "10",
+             "--batch-size", "4"]
+
+
+def tiny_fixtures(tmp_path):
+    fx = tmp_path / "fx"
+    assert run(["make-fixtures", "--kind", "constant-velocity", "--n", "6",
+                "--out", str(fx), "--players", "3", "--duration", "1.0"]) == 0
+    return fx
+
+
+def test_config_file_seed_and_sport_hold_unless_flags_are_given(tmp_path):
+    fx = tmp_path / "court"
+    fx.mkdir()
+    for i, clip in enumerate(constant_velocity_clips(
+            6, seed=5, duration_s=1.0, sport="basketball")):
+        data.save_clip(clip, fx / f"clip{i}.json")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"seed": 7, "sport": "basketball"}))
+    ckpt = tmp_path / "file.ckpt"
+    assert run(["train-traj", "--data", str(fx), "--out", str(ckpt),
+                "--config", str(config), *TINY_TRAJ]) == 0
+    manifest = json.loads((tmp_path / "file.ckpt.manifest.json").read_text())
+    assert manifest["seed"] == 7
+    assert manifest["config"]["sport"] == "basketball"
+
+    ckpt = tmp_path / "flags.ckpt"
+    assert run(["train-traj", "--data", str(fx), "--out", str(ckpt),
+                "--config", str(config), "--seed", "3", "--sport", "soccer",
+                *TINY_TRAJ]) == 0
+    manifest = json.loads((tmp_path / "flags.ckpt.manifest.json").read_text())
+    assert manifest["seed"] == 3
+    assert manifest["config"]["sport"] == "soccer"
+
+
+def test_config_file_with_unknown_key_fails_naming_file_and_key(tmp_path, capsys):
+    fx = tiny_fixtures(tmp_path)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 1, "base_checkpoint": "b.ckpt"}))
+    ckpt = tmp_path / "model.ckpt"
+    assert run(["train-traj", "--data", str(fx), "--out", str(ckpt),
+                "--config", str(config), *TINY_TRAJ]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"gentac: error: {config}: unknown config key "
+                   f"'base_checkpoint'")
+    assert not ckpt.exists()
+
+
+# ---------------------------------------------------------------------------
+# checkpoints of the wrong task
+# ---------------------------------------------------------------------------
+
+def event_checkpoint(tmp_path):
+    from gentac.events import EventModel
+
+    model = EventModel(ModelConfig(d=8, layers=1, heads=2, n_players=3,
+                                   l_max=32), Rng(15))
+    path = tmp_path / "event.ckpt"
+    save_checkpoint(path, model.params, model.config.to_dict(),
+                    extra={"task": "event"})
+    return path
+
+
+ROLLOUT = ["--history", "{history}", "--window", "0.2", "--horizon", "0.4",
+           "--k", "1", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv, task, wanted", [
+    (["sample", "--checkpoint", "{event}", *ROLLOUT], "event", "forecast"),
+    (["evaluate-event", "--data", "{history}", "--checkpoint", "{forecast}"],
+     "forecast", "event"),
+    (["forecast-event", "--checkpoint", "{event}", "--event-checkpoint",
+      "{event}", *ROLLOUT], "event", "forecast"),
+    (["forecast-event", "--checkpoint", "{forecast}", "--event-checkpoint",
+      "{forecast}", *ROLLOUT], "forecast", "event"),
+], ids=["sample", "evaluate-event", "forecast-event-traj",
+        "forecast-event-event"])
+def test_wrong_task_checkpoint_fails_naming_file(tmp_path, capsys, argv, task,
+                                                 wanted):
+    paths = {"forecast": make_checkpoint(tmp_path),
+             "event": event_checkpoint(tmp_path),
+             "history": tmp_path / "history.json"}
+    data.save_clip(constant_velocity_clips(1, seed=16, duration_s=0.4)[0],
+                   paths["history"])
+    out = tmp_path / "out"
+    assert run([a.format(**paths) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"gentac: error: {paths[task]} holds a {task} model, "
+                   f"not a {wanted} model")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# ingest
+# ---------------------------------------------------------------------------
+
+def test_ingest_keeps_the_sidecar_team_size(tmp_path):
+    raw = tmp_path / "raw"
+    assert run(["make-fixtures", "--kind", "constant-velocity", "--n", "1",
+                "--out", str(raw), "--players", "3", "--duration", "0.4"]) == 0
+    canon = tmp_path / "canon"
+    assert run(["ingest", "--input", str(raw), "--out", str(canon)]) == 0
+    meta = json.loads((canon / "fixture_0000.meta.json").read_text())
+    assert meta["players_per_team"] == 3
+    assert data.load_clip(canon / "fixture_0000.json").players_per_team == 3
+
+
+# ---------------------------------------------------------------------------
+# manifests list every file their command wrote
+# ---------------------------------------------------------------------------
+
+def _subcommands():
+    from gentac.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return set(sub.choices)
+
+
+@pytest.fixture(scope="module")
+def cli_chain(tmp_path_factory):
+    """Every subcommand run once, each into its own output; returns
+    command -> (exit code, manifest path, files the command wrote there)."""
+    w = tmp_path_factory.mktemp("chain")
+    small = ["--d", "8", "--layers", "1", "--heads", "2", "--n-players", "3"]
+    traj = ["--history-frames", "10", "--window-frames", "5",
+            "--max-history-frames", "10", "--batch-size", "4"]
+    rollout_opts = ["--history", str(w / "hist" / "fixture_0000.json"),
+                    "--checkpoint", str(w / "traj" / "m.ckpt"), "--window",
+                    "0.2", "--horizon", "0.4", "--k", "2", "--steps", "2"]
+    chain = {
+        "make-fixtures": ["--kind", "two-style-league", "--n", "6",
+                          "--players", "3", "--out", str(w / "raw")],
+        "ingest": ["--input", str(w / "raw"), "--out", str(w / "canon")],
+        "resample": ["--input", str(w / "canon"), "--out", str(w / "res"),
+                     "--fps", "12.5"],
+        "refine": ["--input", str(w / "res"), "--out", str(w / "ref")],
+        "train-traj": ["--data", str(w / "canon"), "--out",
+                       str(w / "traj" / "m.ckpt"), "--epochs", "1", *small,
+                       "--l-max", "64", *traj],
+        "train-event": ["--data", str(w / "ev"), "--out",
+                        str(w / "event" / "m.ckpt"), "--epochs", "1", *small,
+                        "--l-max", "15", "--batch-size", "4"],
+        "finetune": ["--data", str(w / "canon"), "--base",
+                     str(w / "traj" / "m.ckpt"), "--filter", "league=alpha",
+                     "--out", str(w / "tuned" / "m.ckpt"), "--epochs", "1",
+                     "--valid-fraction", "0.34", *traj],
+        "sample": [*rollout_opts, "--out", str(w / "samp")],
+        "evaluate-traj": ["--pred", str(w / "samp"), "--truth",
+                          str(w / "hist"), "--k", "2", "--horizons", "0.2",
+                          "--out", str(w / "evtraj")],
+        "evaluate-event": ["--data", str(w / "ev"), "--checkpoint",
+                           str(w / "event" / "m.ckpt"), "--out",
+                           str(w / "evev")],
+        "forecast-event": [*rollout_opts, "--event-checkpoint",
+                           str(w / "event" / "m.ckpt"), "--event-frames", "10",
+                           "--out", str(w / "fe")],
+    }
+    # inputs the chain needs but whose manifests are not under test
+    assert run(["make-fixtures", "--kind", "event-classes", "--n", "6",
+                "--players", "3", "--duration", "0.6", "--out",
+                str(w / "ev")]) == 0
+    assert run(["make-fixtures", "--kind", "constant-velocity", "--n", "1",
+                "--players", "3", "--duration", "0.8", "--out",
+                str(w / "hist")]) == 0
+    written = {}
+    for command, argv in chain.items():
+        out = pathlib.Path(argv[argv.index("--out") + 1])
+        code = run([command, *argv])
+        if out.suffix == ".ckpt":
+            written[command] = (code, out.with_name(out.name + ".manifest.json"),
+                                {out.name, out.stem + ".log.csv"})
+        else:
+            written[command] = (code, out / "manifest.json",
+                                {p.name for p in out.iterdir()
+                                 if p.name != "manifest.json"}
+                                if out.is_dir() else set())
+    return written
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_manifest_lists_every_file_written(cli_chain, command):
+    code, manifest_path, files = cli_chain[command]
+    assert code == 0
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    assert set(manifest["outputs"]) == files
+
+
+# ---------------------------------------------------------------------------
+# finetune
+# ---------------------------------------------------------------------------
+
+def test_finetune_reads_task_and_geometry_from_base(tmp_path):
+    from gentac.diffusion import condition_tagging
+    from gentac.training import finetune
+
+    clips_dir = tmp_path / "clips"
+    clips_dir.mkdir()
+    clips = (constant_velocity_clips(4, seed=20, duration_s=1.0, league="alpha")
+             + constant_velocity_clips(4, seed=21, duration_s=1.0,
+                                       league="beta"))
+    for i, clip in enumerate(clips):
+        data.save_clip(clip, clips_dir / f"clip{i}.json")
+    base = tmp_path / "base.ckpt"
+    assert run(["train-traj", "--data", str(clips_dir), "--out", str(base),
+                *TINY_TRAJ]) == 0
+
+    tuned = tmp_path / "tuned.ckpt"
+    non_geometry = ["--epochs", "1", "--history-frames", "10",
+                    "--window-frames", "5", "--max-history-frames", "10",
+                    "--batch-size", "4"]
+    assert run(["finetune", "--data", str(clips_dir), "--base", str(base),
+                "--filter", "league=alpha", "--out", str(tuned),
+                *non_geometry]) == 0
+    manifest = json.loads((tmp_path / "tuned.ckpt.manifest.json").read_text())
+    assert manifest["command"] == "finetune"
+    assert "base.ckpt" in manifest["inputs"]
+    assert manifest["config"]["filter"] == "league=alpha"
+    assert manifest["config"]["task"] == "forecast"
+
+    # the library on the same subset, split and config writes the same bytes
+    loaded = [data.load_clip(p) for p in sorted(clips_dir.glob("clip?.json"))]
+    cfg = desk_forecast_config(d=8, layers=1, heads=2, n_players=3, l_max=32,
+                               epochs=1, history_frames=10, window_frames=5,
+                               max_history_frames=10, batch_size=4)
+    split = split_clips(condition_tagging(loaded, "league", "alpha"), 0.2,
+                        seed=cfg.seed)
+    model, result = finetune(str(base), split, cfg)
+    library = tmp_path / "library.ckpt"
+    save_checkpoint(library, model.params, model.config.to_dict(),
+                    extra={"task": "forecast", "best_epoch": result.best_epoch})
+    assert tuned.read_bytes() == library.read_bytes()
+
+
+def test_finetune_rejects_base_without_task(tmp_path, capsys):
+    fx = tiny_fixtures(tmp_path)
+    model = TrajectoryModel(ModelConfig(d=8, layers=1, heads=2, n_players=3,
+                                        l_max=32), Rng(4))
+    base = tmp_path / "untagged.ckpt"
+    save_checkpoint(base, model.params, model.config.to_dict())
+    out = tmp_path / "tuned.ckpt"
+    assert run(["finetune", "--data", str(fx), "--base", str(base),
+                "--out", str(out), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"gentac: error: {base} records no task; finetune needs a "
+                   f"checkpoint written by train-traj or train-event")
+    assert not out.exists()

@@ -707,7 +707,7 @@ def test_event_metrics_all_correct():
     labels = [("threat", "goal"), ("build", "build"),
               ("transition", "progression")]
     preds = [one_hot_pred(*lab) for lab in labels]
-    rep = event_metrics(preds, labels, TAXONOMY)
+    rep = event_metrics(preds, labels)
     assert rep.type_accuracy[1] == 1.0
     assert rep.subtype_accuracy[1] == 1.0
     assert rep.subtype_accuracy[5] == 1.0
@@ -719,7 +719,7 @@ def test_event_metrics_all_correct():
 def test_event_metrics_constant_predictor_on_balanced_pair():
     labels = [("build", "build"), ("threat", "goal")] * 5
     preds = [one_hot_pred("build", "build")] * 10
-    rep = event_metrics(preds, labels, TAXONOMY)
+    rep = event_metrics(preds, labels)
     assert rep.type_accuracy[1] == pytest.approx(0.5)
     assert rep.type_recall[1]["build"] == 1.0
     assert rep.type_recall[1]["threat"] == 0.0
@@ -742,7 +742,7 @@ def test_event_metrics_hand_counted_confusion():
              ("set_piece", "penalty", "threat", "goal")]
     labels = [(c[0], c[1]) for c in cases]
     preds = [one_hot_pred(c[2], c[3]) for c in cases]
-    rep = event_metrics(preds, labels, TAXONOMY)
+    rep = event_metrics(preds, labels)
     # type hits: rows 0,1,3,4,6,7,8 -> 7/10
     assert rep.type_accuracy[1] == pytest.approx(0.7)
     # subtype hits: rows 0,1,3,6,7,8 -> 6/10
@@ -761,7 +761,7 @@ def test_event_metrics_hand_counted_confusion():
 
 def test_event_metrics_rejects_empty():
     with pytest.raises(ValueError):
-        event_metrics([], [], TAXONOMY)
+        event_metrics([], [])
 
 
 def test_topk_recall_counts_membership():
@@ -769,6 +769,6 @@ def test_topk_recall_counts_membership():
     tl = np.array([1.0, 2.0, -5.0, -5.0, -5.0])  # argmax transition
     sub = {t: np.zeros(len(TAXONOMY.subtypes[t])) for t in TAXONOMY.types}
     pred = classify(tl, sub)
-    rep = event_metrics([pred], [("build", "build")], TAXONOMY)
+    rep = event_metrics([pred], [("build", "build")])
     assert rep.type_accuracy[1] == 0.0
     assert rep.type_accuracy[3] == 1.0

@@ -206,6 +206,9 @@ def test_finetune_zero_epochs_returns_base_weights(tmp_path):
                                    tiny_forecast_config(epochs=0))
     for name, p in model.params.items():
         assert tuned.params[name].data.tobytes() == p.data.tobytes()
+    # as for `train`, a run of no epochs logs the worst forecast metric
+    assert tuned_result.best_metric == math.inf
+    assert tuned_result.log == [] and tuned_result.best_epoch == -1
 
 
 def test_finetune_rejects_incompatible_config(tmp_path):
