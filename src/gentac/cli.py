@@ -2,9 +2,10 @@
 
 Every subcommand validates its paths up front, runs exactly one action, and
 writes a manifest next to its outputs recording the seed, the effective
-config hash, git-style content hashes of all inputs, the checkpoint hash
-when one is involved, and every file it wrote, sidecars included. Outputs
-carry no timestamps, so identical manifests mean byte-identical outputs.
+config hash, git-style content hashes of every file it read, the
+checkpoint hash when one is involved, and every file it wrote; clip
+sidecars count among both. Outputs carry no timestamps, so identical
+manifests mean byte-identical outputs.
 
 Each job has one path: `ingest`, `resample` and `refine` share one per-clip
 loop; `train-traj`, `train-event` and `finetune` share one train command,
@@ -89,6 +90,17 @@ def _clip_paths(path):
     return [p]
 
 
+def _with_sidecars(clip_paths):
+    """The clip paths, each followed by the sidecar `data.load_clip` read
+    beside it, when one exists: a manifest's inputs for those clips."""
+    paths = []
+    for p in clip_paths:
+        paths.append(p)
+        if data.sidecar_path(p).exists():
+            paths.append(data.sidecar_path(p))
+    return paths
+
+
 def _train_config(args, task, base_geometry=None) -> TrainConfig:
     """The task's desk config, then the base checkpoint's geometry, then the
     `--config` file, then the flags given on the command line."""
@@ -129,7 +141,8 @@ def _map_clips(args, config, transform, fps, on_duplicate):
         clip = data.load_clip(p, fps=fps, sport=args.sport,
                               on_duplicate=on_duplicate)
         written += data.save_clip(transform(clip), out / p.name)
-    write_manifest(out, args.command, args.seed, config, inputs, written)
+    write_manifest(out, args.command, args.seed, config,
+                   _with_sidecars(inputs), written)
     return 0
 
 
@@ -168,8 +181,9 @@ def cmd_train(args):
         cfg = _train_config(args, task, ModelConfig.from_dict(header).to_dict())
     else:
         cfg = _train_config(args, args.task)
-    inputs = _clip_paths(args.data)
-    clips = [data.load_clip(p, sport=cfg.sport) for p in inputs]
+    clip_paths = _clip_paths(args.data)
+    clips = [data.load_clip(p, sport=cfg.sport) for p in clip_paths]
+    inputs = _with_sidecars(clip_paths)
     if finetuning and args.filter:
         setting, _, value = args.filter.partition("=")
         if not value:
@@ -220,7 +234,7 @@ def _rollout_inputs(args, model):
     schedule = make_schedule(args.steps, args.beta_start, args.beta_end)
     manifest_config = {**config.__dict__, "steps": args.steps,
                        "beta_start": args.beta_start, "beta_end": args.beta_end}
-    return hist, truth, config, schedule, manifest_config, inputs
+    return hist, truth, config, schedule, manifest_config, _with_sidecars(inputs)
 
 
 def cmd_sample(args):
@@ -306,7 +320,7 @@ def cmd_evaluate_traj(args):
     report_path.write_text("\n".join(rows) + "\n", "utf-8")
     write_manifest(out, "evaluate-traj", args.seed,
                    {"k": args.k, "horizons": list(horizons)},
-                   inputs, [report_path])
+                   _with_sidecars(inputs), [report_path])
     print(report_path)
     return 0
 
@@ -381,7 +395,7 @@ def cmd_evaluate_event(args):
         written.append(metrics_csv)
 
     write_manifest(out, "evaluate-event", args.seed, {"sport": args.sport},
-                   inputs, written, checkpoint=args.checkpoint)
+                   _with_sidecars(inputs), written, checkpoint=args.checkpoint)
     print(pred_csv)
     return 0
 
@@ -424,11 +438,9 @@ def cmd_make_fixtures(args):
     paths = fixtures.make_fixture_set(args.kind, args.n, args.out,
                                       seed=args.seed, **kwargs)
     out = pathlib.Path(args.out)
-    meta_paths = [p.with_suffix(".meta.json") for p in paths
-                  if p.with_suffix(".meta.json").exists()]
     write_manifest(out, "make-fixtures", args.seed,
                    {"kind": args.kind, "n": args.n, **kwargs},
-                   [], paths + meta_paths)
+                   [], _with_sidecars(paths))
     print(out)
     return 0
 

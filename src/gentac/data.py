@@ -258,6 +258,13 @@ def serialize_clip(clip: TrajectoryClip) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+def sidecar_path(path):
+    """The `<stem>.meta.json` metadata sidecar beside a clip file."""
+    import pathlib
+
+    return pathlib.Path(path).with_suffix(".meta.json")
+
+
 def load_clip(path, fps=None, sport="soccer", on_duplicate="error") -> TrajectoryClip:
     """Read a clip file plus its optional `<stem>.meta.json` sidecar."""
     import pathlib
@@ -267,7 +274,7 @@ def load_clip(path, fps=None, sport="soccer", on_duplicate="error") -> Trajector
         fps = SPORTS[sport]["fps"]
     clip = parse_clip(path.read_text("utf-8"), fps=fps, sport=sport,
                       on_duplicate=on_duplicate)
-    meta_path = path.with_suffix(".meta.json")
+    meta_path = sidecar_path(path)
     if meta_path.exists():
         clip.metadata = json.loads(meta_path.read_text("utf-8"))
         if "fps" in clip.metadata:
@@ -305,7 +312,7 @@ def save_clip(clip: TrajectoryClip, path):
     meta = dict(clip.metadata)
     meta["fps"] = clip.fps  # the clip object is authoritative
     meta["players_per_team"] = clip.players_per_team
-    meta_path = path.with_suffix(".meta.json")
+    meta_path = sidecar_path(path)
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1), "utf-8")
     return [path, meta_path]
 

@@ -6,9 +6,11 @@ with min/avg aggregation over the K sampled futures. Collective structure is
 the seven-indicator team-shape suite (stretch index, convex-hull surface
 area, width, length, Frobenius norm of pairwise distances, centroid
 displacement, Kuramoto order), reported as |metric(pred) - metric(truth)|
-per frame and time-averaged per horizon. Offense/defense metrics weight
-spatial control by an expected-possession-value (EPV) grid: off-ball
-expected threat, depth/width threat over 32 zones, defensive shape
+per frame and time-averaged per horizon; `structure_deviation` computes the
+suite in one pass over the truth and the K samples x frames x teams, and
+`structure` is the one-frame call into the same kernel. Offense/defense
+metrics weight spatial control by an expected-possession-value (EPV) grid:
+off-ball expected threat, depth/width threat over 32 zones, defensive shape
 disruption, and the velocity-aware defensive dominant region.
 
 Conventions: the attacking team plays toward +x. Every control metric runs
@@ -17,6 +19,8 @@ default, cell centers at half-cell offsets. The EPV grid file is bilinearly
 resampled onto that lattice on load, and `EpvGrid.values` is read-only. The
 nearest-player control field is computed once per grid and player set and
 shared by OBET and the depth/width zone threats; TIE_EPS compares distances.
+The dominant region's arrival kernel works in place on a few [cells] work
+arrays per side.
 """
 
 from __future__ import annotations
@@ -121,17 +125,20 @@ def average_geometric_reports(reports) -> GeometricReport:
 # convex hull
 # ---------------------------------------------------------------------------
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Hull vertices in counter-clockwise order (monotone chain)."""
-    return _hull_of_unique(np.unique(np.asarray(points, dtype=np.float64), axis=0))
+def _sorted_distinct(pts: np.ndarray):
+    """Rows of each [B x N x 2] point set sorted by (x, y), and a [B x N] mask
+    of each sorted row's first occurrence: `np.unique(pts[b], axis=0)` is
+    `ordered[b][first[b]]`, with -0.0 == 0.0 and NaN rows kept apart."""
+    order = np.lexsort((pts[..., 1], pts[..., 0]), axis=-1)
+    ordered = np.take_along_axis(pts, order[..., None], axis=1)
+    first = np.ones(order.shape, dtype=bool)
+    first[:, 1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=2)
+    return ordered, first
 
 
-def _hull_of_unique(pts: np.ndarray) -> np.ndarray:
-    """`convex_hull` of points that are already distinct rows."""
-    if len(pts) <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
+def _monotone_chain(pts: list) -> list:
+    """Hull vertices, counter-clockwise, of distinct [x, y] points sorted by
+    (x, y) (Andrew's monotone chain, on Python floats)."""
     def half(seq):
         chain = []
         for p in seq:
@@ -144,9 +151,14 @@ def _hull_of_unique(pts: np.ndarray) -> np.ndarray:
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
+
+
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Hull vertices in counter-clockwise order (monotone chain)."""
+    ordered, first = _sorted_distinct(np.asarray(points, dtype=np.float64)[None])
+    pts = ordered[0][first[0]]
+    return pts if len(pts) <= 2 else np.array(_monotone_chain(pts.tolist()))
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -155,11 +167,23 @@ def polygon_area(vertices: np.ndarray) -> float:
     if len(v) < 3:
         return 0.0
     x, y = v[:, 0], v[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+    return float(abs(np.dot(x, np.concatenate((y[1:], y[:1])))
+                     - np.dot(y, np.concatenate((x[1:], x[:1])))) / 2.0)
 
 
 def hull_area(points: np.ndarray) -> float:
     return polygon_area(convex_hull(points))
+
+
+def _hull_areas(pts: np.ndarray):
+    """([B] hull areas, [B] fewer-than-3-distinct flags) of [B x N x 2] sets,
+    one chain per set (collinear sets keep area 0)."""
+    ordered, first = _sorted_distinct(pts)
+    degenerate = first.sum(axis=1) < 3
+    area = np.zeros(len(pts))
+    for b in np.flatnonzero(~degenerate):
+        area[b] = polygon_area(_monotone_chain(ordered[b][first[b]].tolist()))
+    return area, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +203,44 @@ class StructureVector:
     degenerate_kuramoto: bool = False     # nobody above the speed threshold
 
 
+def _norm_rows(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-contiguous [B x 2] array, bit for bit
+    np.linalg.norm of the row alone (a BLAS dot, then sqrt)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _structure_rows(pts, prev=None, vel=None, v_eps=KURAMOTO_SPEED_EPS) -> dict:
+    """The seven indicators of B teams at once, {name: [B] array}, plus the
+    two degenerate flags. pts and vel are [B x N x 2], prev [B x M x 2];
+    displacement needs prev and Kuramoto needs vel. Each row adds in the
+    order a one-team computation would: player means and sums run over the
+    player axis in order, with a 0.0 heading for slow players (adding 0.0
+    is exact), and flat-vector norms are BLAS dots. C order keeps each row's
+    reductions on the inner axis."""
+    pts, prev, vel = (None if a is None else np.ascontiguousarray(a)
+                      for a in (pts, prev, vel))
+    c = pts.mean(axis=1)
+    rows = {"stretch_index": np.linalg.norm(pts - c[:, None], axis=2).mean(axis=1)}
+    rows["surface_area"], rows["degenerate_hull"] = _hull_areas(pts)
+    rows["team_width"] = pts[..., 1].max(axis=1) - pts[..., 1].min(axis=1)
+    rows["team_length"] = pts[..., 0].max(axis=1) - pts[..., 0].min(axis=1)
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    rows["frobenius_norm"] = np.sqrt((diff ** 2).reshape(len(pts), -1).sum(axis=1))
+    if prev is not None:
+        rows["centroid_displacement"] = _norm_rows(c - prev.mean(axis=1))
+    if vel is not None:
+        speed = np.linalg.norm(vel, axis=2)
+        moving = speed >= v_eps
+        headings = np.divide(vel, speed[..., None], out=np.zeros_like(vel),
+                             where=moving[..., None])
+        n_moving = moving.sum(axis=1)
+        still = n_moving == 0
+        kuramoto = _norm_rows(headings.sum(axis=1)) / np.maximum(n_moving, 1)
+        kuramoto[still] = 1.0
+        rows["kuramoto_order"], rows["degenerate_kuramoto"] = kuramoto, still
+    return rows
+
+
 def structure(positions: np.ndarray, prev_positions: np.ndarray | None = None,
               velocities: np.ndarray | None = None, fps: float | None = None,
               v_eps: float = KURAMOTO_SPEED_EPS) -> StructureVector:
@@ -192,42 +254,18 @@ def structure(positions: np.ndarray, prev_positions: np.ndarray | None = None,
     pts = np.asarray(positions, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need at least one visible player")
-    c = pts.mean(axis=0)
-    stretch = float(np.linalg.norm(pts - c, axis=1).mean())
-    distinct = np.unique(pts, axis=0)
-    degenerate_hull = len(distinct) < 3
-    area = 0.0 if degenerate_hull else polygon_area(_hull_of_unique(distinct))
-    width = float(pts[:, 1].max() - pts[:, 1].min())
-    length = float(pts[:, 0].max() - pts[:, 0].min())
-    diff = pts[:, None, :] - pts[None, :, :]
-    frob = float(np.sqrt((diff ** 2).sum()))
-
-    displacement = None
-    if prev_positions is not None:
-        prev = np.asarray(prev_positions, dtype=np.float64)
-        displacement = float(np.linalg.norm(c - prev.mean(axis=0)))
-
-    if velocities is None and prev_positions is not None:
+    prev = None if prev_positions is None else np.asarray(prev_positions, dtype=np.float64)
+    if velocities is None and prev is not None:
         if fps is None:
             raise ValueError("finite-difference velocities need fps")
-        velocities = (pts - np.asarray(prev_positions)) * fps
-
-    kuramoto = None
-    degenerate_kuramoto = False
-    if velocities is not None:
-        vel = np.asarray(velocities, dtype=np.float64)
-        speed = np.linalg.norm(vel, axis=1)
-        moving = speed >= v_eps
-        if not moving.any():
-            kuramoto = 1.0
-            degenerate_kuramoto = True
-        else:
-            headings = vel[moving] / speed[moving, None]
-            kuramoto = float(np.linalg.norm(headings.sum(axis=0)) / moving.sum())
-
-    return StructureVector(stretch, area, width, length, frob,
-                           displacement, kuramoto,
-                           degenerate_hull, degenerate_kuramoto)
+        velocities = (pts - prev) * fps
+    vel = None if velocities is None else np.asarray(velocities, dtype=np.float64)
+    rows = _structure_rows(pts[None], None if prev is None else prev[None],
+                           None if vel is None else vel[None], v_eps)
+    value = {m: float(rows[m][0]) if m in rows else None for m in STRUCTURE_METRICS}
+    return StructureVector(**value, degenerate_hull=bool(rows["degenerate_hull"][0]),
+                           degenerate_kuramoto=vel is not None
+                           and bool(rows["degenerate_kuramoto"][0]))
 
 
 def structure_deviation(samples, truth, fps, n_players,
@@ -239,37 +277,49 @@ def structure_deviation(samples, truth, fps, n_players,
     Returns {horizon: {metric: (min_over_k, avg_over_k)}}. Each sample must
     have the truth's [T x E x 2] shape. Deviations are averaged over the
     evaluated teams. `history_last` is the [E x 2] frame preceding the
-    future, so displacement is defined at the first frame.
+    future, so displacement is defined at the first frame. The truth and
+    the samples run through one `_structure_rows` pass.
     """
-    truth = np.asarray(truth)
-    slices = [slice(team * n_players, (team + 1) * n_players) for team in teams]
-
-    def per_frame_metrics(coords):
-        coords = np.asarray(coords)
-        if coords.shape != truth.shape:
-            raise ValueError(f"shape mismatch {coords.shape} vs {truth.shape}")
-        # [frame][team]; a frame's predecessor gives displacement and headings
-        prevs = [history_last, *coords[:-1]]
-        return [[structure(frame[sl], None if prev is None else prev[sl], fps=fps)
-                 for sl in slices] for frame, prev in zip(coords, prevs)]
-
-    truth_rows = per_frame_metrics(truth)
-    per_sample = []
+    truth = np.asarray(truth, dtype=np.float64)
+    if len(samples) == 0:
+        raise ValueError("need at least one sample")
+    if truth.ndim != 3 or truth.shape[0] < 1 or truth.shape[2] != 2:
+        raise ValueError(f"truth must be [T x E x 2] with T >= 1, got {truth.shape}")
+    T, E = truth.shape[:2]
+    if n_players < 1 or not teams or min(teams) < 0 \
+            or (max(teams) + 1) * n_players > E:
+        raise ValueError(f"teams {tuple(teams)} of {n_players} players do not "
+                         f"fit the truth's {E} entities")
+    if history_last is not None and np.shape(history_last) != (E, 2):
+        raise ValueError(f"history_last must be [E x 2] = ({E}, 2), "
+                         f"got {np.shape(history_last)}")
     for s in samples:
-        frame_dev = {m: [] for m in STRUCTURE_METRICS}
-        for pred, true in zip(per_frame_metrics(s), truth_rows):
-            for m in STRUCTURE_METRICS:
-                pairs = [(getattr(a, m), getattr(b, m)) for a, b in zip(pred, true)]
-                vals = [abs(a - b) for a, b in pairs if a is not None and b is not None]
-                frame_dev[m].append(np.mean(vals) if vals else np.nan)
-        per_sample.append({m: np.array(v) for m, v in frame_dev.items()})
+        if np.shape(s) != truth.shape:
+            raise ValueError(f"shape mismatch {np.shape(s)} vs {truth.shape}")
+
+    coords = np.stack([truth, *(np.asarray(s, dtype=np.float64) for s in samples)])
+    first = coords[:, 0] if history_last is None else np.broadcast_to(
+        np.asarray(history_last, dtype=np.float64), coords[:, 0].shape)
+    prev = np.concatenate([first[:, None], coords[:, :-1]], axis=1)
+    players = np.add.outer(np.asarray(teams) * n_players, np.arange(n_players))
+    pts, prev = coords[:, :, players], prev[:, :, players]   # [K+1, T, teams, N, 2]
+    vel = (pts - prev) * fps
+    flat = (-1, n_players, 2)
+    rows = _structure_rows(pts.reshape(flat), prev.reshape(flat), vel.reshape(flat))
+
+    dev = {}
+    for m in STRUCTURE_METRICS:
+        per_team = rows[m].reshape(pts.shape[:3])
+        dev[m] = np.abs(per_team[1:] - per_team[0]).mean(axis=2)   # [K x T]
+        if history_last is None and m in ("centroid_displacement", "kuramoto_order"):
+            dev[m][:, 0] = np.nan
 
     report = {}
     for h in horizons:
-        n = min(int(round(h * fps)), truth.shape[0])
+        n = min(int(round(h * fps)), T)
         report[h] = {}
         for m in STRUCTURE_METRICS:
-            means = [float(np.nanmean(ps[m][:n])) for ps in per_sample]
+            means = np.nanmean(dev[m][:, :n], axis=1)
             report[h][m] = (float(np.min(means)), float(np.mean(means)))
     return report
 
@@ -454,33 +504,94 @@ def arrival_time(distance, v_along, accel=ARRIVAL_ACCEL, vmax=ARRIVAL_VMAX):
     the target, accelerating at `accel` up to `vmax`.
 
     A player moving away first brakes to a stop (drifting further away),
-    then accelerates toward the target from rest. Vectorized over arrays.
+    then accelerates toward the target from rest. Vectorized over arrays;
+    scalars in give a scalar out.
     """
     D = np.asarray(distance, dtype=np.float64)
-    v0 = np.clip(np.asarray(v_along, dtype=np.float64), -vmax, vmax)
-    t_brake = np.where(v0 < 0, -v0 / accel, 0.0)
-    D_eff = D + np.where(v0 < 0, v0 ** 2 / (2 * accel), 0.0)
-    v_start = np.maximum(v0, 0.0)
-    d_acc = (vmax ** 2 - v_start ** 2) / (2 * accel)
-    t_short = (np.sqrt(v_start ** 2 + 2 * accel * D_eff) - v_start) / accel
-    t_long = (vmax - v_start) / accel + (D_eff - d_acc) / vmax
-    return t_brake + np.where(D_eff <= d_acc, t_short, t_long)
+    v = np.asarray(v_along, dtype=np.float64)
+    shape = np.broadcast_shapes(D.shape, v.shape)
+    t, v0, w1, w2, w3 = (np.empty(shape) for _ in range(5))
+    np.copyto(v0, v)
+    _arrival_into(t.reshape(-1), np.broadcast_to(D, shape).reshape(-1),
+                  v0.reshape(-1), accel, vmax,
+                  w1.reshape(-1), w2.reshape(-1), w3.reshape(-1))
+    return t[()]
+
+
+def _arrival_into(t, D, v0, accel, vmax, w1, w2, w3):
+    """t <- arrival_time(D, v0), in place on 1-D arrays: v0 is overwritten,
+    w1..w3 are work arrays.
+
+    max then min is np.clip in two fast passes. b = max(-v0, 0) is -v0
+    where the player moves away and a zero elsewhere, so b / accel and
+    D + b ** 2 / (2 accel) are the braking time and the effective distance
+    bit for bit; the short-sprint time is computed on the cells that take
+    it only."""
+    np.maximum(v0, -vmax, out=v0)
+    np.minimum(v0, vmax, out=v0)
+    np.negative(v0, out=w1)
+    np.maximum(w1, 0.0, out=w1)
+    np.divide(w1, accel, out=t)                         # braking time
+    np.square(w1, out=w1)
+    np.divide(w1, 2 * accel, out=w1)
+    np.add(D, w1, out=w1)                               # effective distance
+    np.maximum(v0, 0.0, out=v0)                         # start speed
+    np.square(v0, out=w2)
+    np.subtract(vmax ** 2, w2, out=w3)
+    np.divide(w3, 2 * accel, out=w3)                    # distance to reach vmax
+    short = np.flatnonzero(w1 <= w3)
+    t_short = (np.sqrt(w2[short] + 2 * accel * w1[short]) - v0[short]) / accel
+    np.subtract(w1, w3, out=w3)
+    np.divide(w3, vmax, out=w3)
+    np.subtract(vmax, v0, out=v0)
+    np.divide(v0, accel, out=v0)
+    np.add(v0, w3, out=v0)                              # accelerate, then cruise
+    v0[short] = t_short
+    np.add(t, v0, out=t)
 
 
 def _min_arrival(cells, players, velocities):
-    """Earliest arrival per cell over the players; None velocities are zero."""
+    """Earliest arrival per cell over the players; None velocities are zero.
+    One set of [cells] work arrays serves every player. The speed toward a
+    cell is v . (offset / distance), and 0 at distance 0. A nonzero distance
+    is at least 2.2e-162 (the root of the least subnormal), so this is the
+    division by max(distance, 1e-300) bit for bit."""
     players = np.asarray(players, dtype=np.float64)
     velocities = (np.zeros_like(players) if velocities is None
                   else np.asarray(velocities, dtype=np.float64))
     cx, cy = cells[:, 0], cells[:, 1]
     best = np.full(len(cells), np.inf)
+    dist, v_along, t, w1, w2, w3 = (np.empty(len(cells)) for _ in range(6))
     for (px, py), (vx, vy) in zip(players, velocities, strict=True):
-        dx, dy = cx - px, cy - py
-        dist = np.sqrt(dx * dx + dy * dy)
+        np.subtract(cx, px, out=w1)
+        np.subtract(cy, py, out=w2)
+        np.multiply(w1, w1, out=dist)
+        np.multiply(w2, w2, out=w3)
+        np.add(dist, w3, out=dist)
+        np.sqrt(dist, out=dist)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ux, uy = np.where(dist > 0, np.stack([dx, dy]) / np.maximum(dist, 1e-300), 0.0)
-        np.minimum(best, arrival_time(dist, vx * ux + vy * uy), out=best)
+            np.divide(w1, dist, out=w1)                 # unit vector toward
+            np.divide(w2, dist, out=w2)                 # the cell
+            np.multiply(w1, vx, out=w1)
+            np.multiply(w2, vy, out=w2)
+        np.add(w1, w2, out=v_along)
+        np.copyto(v_along, 0.0, where=dist == 0)
+        _arrival_into(t, dist, v_along, ARRIVAL_ACCEL, ARRIVAL_VMAX, w1, w2, w3)
+        np.minimum(best, t, out=best)
     return best
+
+
+def _side(players, velocities, name):
+    """A side's positions and velocities as [N x 2] float arrays."""
+    p = np.asarray(players, dtype=np.float64)
+    if p.size == 0:
+        raise ValueError("need at least one player per side")
+    v = None if velocities is None else np.asarray(velocities, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != 2 or (v is not None and v.shape != p.shape):
+        raise ValueError(f"{name} positions and velocities must be [N x 2] with one "
+                         f"row per player, got {p.shape} and "
+                         f"{None if v is None else v.shape}")
+    return p, v
 
 
 def dominant_partition(defenders, attackers, def_velocities, atk_velocities,
@@ -489,8 +600,8 @@ def dominant_partition(defenders, attackers, def_velocities, atk_velocities,
 
     A cell belongs to the side whose earliest arrival beats the other by
     more than the tie tolerance; exact ties belong to neither."""
-    if len(defenders) == 0 or len(attackers) == 0:
-        raise ValueError("need at least one player per side")
+    defenders, def_velocities = _side(defenders, def_velocities, "defender")
+    attackers, atk_velocities = _side(attackers, atk_velocities, "attacker")
     cells = lattice(pitch, grid_res).reshape(-1, 2)
     td = _min_arrival(cells, defenders, def_velocities)
     ta = _min_arrival(cells, attackers, atk_velocities)

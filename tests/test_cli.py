@@ -299,15 +299,18 @@ def test_forecast_event_manifest_records_schedule_and_inputs(tmp_path):
     assert manifests[1]["config"]["steps"] == 3
     assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
     assert {"beta_start", "beta_end"} <= set(manifests[0]["config"])
-    # the event head and the truth future are inputs: others give other outputs
-    assert set(manifests[0]["inputs"]) == {"history.json", "event.ckpt"}
+    # the event head, the truth future and the sidecars load_clip read with
+    # them are inputs: others give other outputs
+    assert set(manifests[0]["inputs"]) == {"history.json", "history.meta.json",
+                                           "event.ckpt"}
     truth = tmp_path / "truth.json"
     data.save_clip(constant_velocity_clips(1, seed=17, duration_s=0.4)[0], truth)
     out = tmp_path / "single"
     assert run(argv + ["--setting", "team", "--target-side", "0", "--truth",
                        str(truth), "--steps", "2", "--out", str(out)]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    assert set(inputs) == {"history.json", "truth.json", "event.ckpt"}
+    assert set(inputs) == {"history.json", "history.meta.json", "truth.json",
+                           "truth.meta.json", "event.ckpt"}
 
 
 def test_main_returns_int_when_given_argv():
@@ -443,7 +446,8 @@ def _subcommands():
 @pytest.fixture(scope="module")
 def cli_chain(tmp_path_factory):
     """Every subcommand run once, each into its own output; returns
-    command -> (exit code, manifest path, files the command wrote there)."""
+    command -> (exit code, manifest path, files the command wrote there,
+    argv)."""
     w = tmp_path_factory.mktemp("chain")
     small = ["--d", "8", "--layers", "1", "--heads", "2", "--n-players", "3"]
     traj = ["--history-frames", "10", "--window-frames", "5",
@@ -492,22 +496,59 @@ def cli_chain(tmp_path_factory):
         code = run([command, *argv])
         if out.suffix == ".ckpt":
             written[command] = (code, out.with_name(out.name + ".manifest.json"),
-                                {out.name, out.stem + ".log.csv"})
+                                {out.name, out.stem + ".log.csv"}, argv)
         else:
             written[command] = (code, out / "manifest.json",
                                 {p.name for p in out.iterdir()
                                  if p.name != "manifest.json"}
-                                if out.is_dir() else set())
+                                if out.is_dir() else set(), argv)
     return written
 
 
 @pytest.mark.parametrize("command", sorted(_subcommands()))
 def test_manifest_lists_every_file_written(cli_chain, command):
-    code, manifest_path, files = cli_chain[command]
+    code, manifest_path, files, _ = cli_chain[command]
     assert code == 0
     manifest = json.loads(manifest_path.read_text())
     assert manifest["command"] == command
     assert set(manifest["outputs"]) == files
+
+
+@pytest.mark.parametrize("command", ["ingest", "resample", "refine", "train-traj",
+                                     "evaluate-traj", "evaluate-event"])
+def test_manifest_inputs_hash_the_sidecars_read(cli_chain, tmp_path, command):
+    # rerun on a copy of the clip directories, before and after editing one
+    # sidecar that load_clip applies: the manifest's inputs must tell them apart
+    import shutil
+
+    argv = list(cli_chain[command][3])
+    copies = []
+    for i, arg in enumerate(argv[:-1]):
+        if arg in ("--input", "--data", "--pred", "--truth"):
+            copy = tmp_path / arg.strip("-")
+            shutil.copytree(argv[i + 1], copy)
+            argv[i + 1] = str(copy)
+            copies.append(copy)
+    out_at = argv.index("--out") + 1
+    out_name = pathlib.Path(argv[out_at]).name
+
+    def inputs_after_run(name):
+        out = tmp_path / name / out_name
+        argv[out_at] = str(out)
+        assert run([command, *argv]) == 0
+        manifest = out / "manifest.json" if out.is_dir() else \
+            out.with_name(out.name + ".manifest.json")
+        return json.loads(manifest.read_text())["inputs"]
+
+    before = inputs_after_run("before")
+    sidecar = sorted(copies[0].glob("*.meta.json"))[0]
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "note": "edited"}))
+    after = inputs_after_run("after")
+    assert sidecar.name in before
+    assert after[sidecar.name] != before[sidecar.name]
+    assert {k: v for k, v in after.items() if k != sidecar.name} == \
+        {k: v for k, v in before.items() if k != sidecar.name}
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,168 @@ def test_deviation_rejects_a_sample_shaped_unlike_the_truth(shape):
                             n_players=3, horizons=(0.1,))
 
 
+@pytest.mark.parametrize("case, message", [
+    ({"n_players": 4}, r"^teams \(0, 1\) of 4 players do not fit the truth's 7 entities$"),
+    ({"n_players": 3, "teams": (2,)}, r"^teams \(2,\) of 3 players do not fit"),
+    ({"samples": []}, r"^need at least one sample$"),
+    ({"history_last": np.zeros((6, 2))}, r"^history_last must be \[E x 2\] = \(7, 2\), got \(6, 2\)$"),
+    ({"history_last": np.zeros(14)}, r"^history_last must be \[E x 2\]"),
+    ({"truth": np.zeros((4, 7))}, r"^truth must be \[T x E x 2\]"),
+], ids=["players-past-entities", "team-past-entities", "no-samples",
+        "history-rows", "history-flat", "truth-2d"])
+def test_deviation_rejects_malformed_input_in_one_line(case, message):
+    truth = Rng(24).normal((4, 7, 2)) * 5
+    kwargs = {"samples": [truth + 1.0], "truth": truth, "fps": 25.0,
+              "n_players": 3, "horizons": (0.1,), **case}
+    with pytest.raises(ValueError, match=message):
+        structure_deviation(**kwargs)
+
+
+# The per-frame structure suite the one-pass kernel replaced, kept as the
+# oracle: `structure` and `structure_deviation` must match it bit for bit.
+
+def oracle_hull_area(points):
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if len(pts) < 3:
+        return 0.0
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
+
+    v = np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+    if len(v) < 3:
+        return 0.0
+    x, y = v[:, 0], v[:, 1]
+    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+
+
+def oracle_structure(positions, prev_positions=None, velocities=None, fps=None,
+                     v_eps=metrics.KURAMOTO_SPEED_EPS):
+    pts = np.asarray(positions, dtype=np.float64)
+    c = pts.mean(axis=0)
+    stretch = float(np.linalg.norm(pts - c, axis=1).mean())
+    degenerate_hull = len(np.unique(pts, axis=0)) < 3
+    area = 0.0 if degenerate_hull else oracle_hull_area(pts)
+    width = float(pts[:, 1].max() - pts[:, 1].min())
+    length = float(pts[:, 0].max() - pts[:, 0].min())
+    diff = pts[:, None, :] - pts[None, :, :]
+    frob = float(np.sqrt((diff ** 2).sum()))
+    displacement = None
+    if prev_positions is not None:
+        prev = np.asarray(prev_positions, dtype=np.float64)
+        displacement = float(np.linalg.norm(c - prev.mean(axis=0)))
+    if velocities is None and prev_positions is not None:
+        velocities = (pts - np.asarray(prev_positions)) * fps
+    kuramoto, degenerate_kuramoto = None, False
+    if velocities is not None:
+        vel = np.asarray(velocities, dtype=np.float64)
+        speed = np.linalg.norm(vel, axis=1)
+        moving = speed >= v_eps
+        if not moving.any():
+            kuramoto, degenerate_kuramoto = 1.0, True
+        else:
+            headings = vel[moving] / speed[moving, None]
+            kuramoto = float(np.linalg.norm(headings.sum(axis=0)) / moving.sum())
+    return StructureVector(stretch, area, width, length, frob, displacement,
+                           kuramoto, degenerate_hull, degenerate_kuramoto)
+
+
+def oracle_structure_deviation(samples, truth, fps, n_players, horizons,
+                               teams=(0, 1), history_last=None):
+    truth = np.asarray(truth)
+    slices = [slice(team * n_players, (team + 1) * n_players) for team in teams]
+
+    def per_frame_metrics(coords):
+        prevs = [history_last, *coords[:-1]]
+        return [[oracle_structure(frame[sl], None if prev is None else prev[sl],
+                                  fps=fps) for sl in slices]
+                for frame, prev in zip(np.asarray(coords), prevs)]
+
+    truth_rows = per_frame_metrics(truth)
+    per_sample = []
+    for s in samples:
+        frame_dev = {m: [] for m in metrics.STRUCTURE_METRICS}
+        for pred, true in zip(per_frame_metrics(s), truth_rows):
+            for m in metrics.STRUCTURE_METRICS:
+                pairs = [(getattr(a, m), getattr(b, m)) for a, b in zip(pred, true)]
+                vals = [abs(a - b) for a, b in pairs if a is not None and b is not None]
+                frame_dev[m].append(np.mean(vals) if vals else np.nan)
+        per_sample.append({m: np.array(v) for m, v in frame_dev.items()})
+    report = {}
+    for h in horizons:
+        n = min(int(round(h * fps)), truth.shape[0])
+        report[h] = {}
+        for m in metrics.STRUCTURE_METRICS:
+            means = [float(np.nanmean(ps[m][:n])) for ps in per_sample]
+            report[h][m] = (float(np.min(means)), float(np.mean(means)))
+    return report
+
+
+def shape_scene(kind, n_players, k, seed):
+    """(truth [T x E x 2], K samples): one extra entity stands for the ball."""
+    rng = Rng(seed, ("shape", kind, n_players, k))
+    E = 2 * n_players + 1
+    truth = rng.child("t").normal((6, E, 2)) * 8
+    if kind == "static":                 # nobody moves: degenerate Kuramoto
+        truth[:] = truth[0]
+    elif kind == "coincident":           # players share spots: fewer distinct
+        truth[:, 1::2] = truth[:, 0:E - 1:2]
+    elif kind == "collinear":            # on one line: hull area 0, not degenerate
+        truth[..., 1] = 0.5 * truth[..., 0] - 3.0
+    elif kind == "rounded":              # whole metres: ties in the sort
+        truth = np.round(truth)
+    scale = (0.0, 0.02, 1.5)
+    samples = []
+    for i in range(k):
+        s = truth + rng.child("s", i).normal(truth.shape) * scale[i % 3]
+        samples.append(np.round(s) if kind == "rounded" else s)
+    return truth, samples
+
+
+def same_bits(a, b):
+    return a == b or (a is not None and b is not None
+                      and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("n_players", [1, 2, 3, 5, 8, 9, 11])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("kind", ["random", "static", "coincident", "collinear",
+                                  "rounded"])
+def test_structure_suite_matches_the_per_frame_oracle_bit_for_bit(n_players, k,
+                                                                   kind):
+    truth, samples = shape_scene(kind, n_players, k, 25)
+    fps, horizons = 25.0, (0.08, 0.2, 1)
+    for history in (None, truth[0] - 0.3):
+        for teams in ((0, 1), (1,)):
+            got = structure_deviation(samples, truth, fps, n_players, horizons,
+                                      teams, history)
+            want = oracle_structure_deviation(samples, truth, fps, n_players,
+                                              horizons, teams, history)
+            assert got.keys() == want.keys()
+            for h in horizons:
+                for m in metrics.STRUCTURE_METRICS:
+                    assert all(map(same_bits, got[h][m], want[h][m])), (h, m)
+    team = slice(0, n_players)
+    for t in range(len(truth)):
+        frame, prev = truth[t, team], truth[t - 1, team]
+        vel = samples[0][t, team] - frame
+        for args in ((frame,), (frame, prev, None, 25.0), (frame, None, vel),
+                     (frame, prev, vel)):
+            assert structure(*args) == oracle_structure(*args)
+        assert np.array_equal(convex_hull(frame), convex_hull(frame[::-1]))
+        assert hull_area(frame) == oracle_hull_area(frame)
+
+
 # ---------------------------------------------------------------------------
 # EPV-weighted control metrics
 # ---------------------------------------------------------------------------
@@ -450,6 +612,21 @@ def batched_nearest_distance(cells, players):
     return np.linalg.norm(cells[:, None, :] - players[None, :, :], axis=-1).min(axis=1)
 
 
+def oracle_arrival_time(distance, v_along, accel=metrics.ARRIVAL_ACCEL,
+                        vmax=metrics.ARRIVAL_VMAX):
+    """The arrival kernel before it worked in place: both branches of every
+    np.where evaluated on fresh arrays."""
+    D = np.asarray(distance, dtype=np.float64)
+    v0 = np.clip(np.asarray(v_along, dtype=np.float64), -vmax, vmax)
+    t_brake = np.where(v0 < 0, -v0 / accel, 0.0)
+    D_eff = D + np.where(v0 < 0, v0 ** 2 / (2 * accel), 0.0)
+    v_start = np.maximum(v0, 0.0)
+    d_acc = (vmax ** 2 - v_start ** 2) / (2 * accel)
+    t_short = (np.sqrt(v_start ** 2 + 2 * accel * D_eff) - v_start) / accel
+    t_long = (vmax - v_start) / accel + (D_eff - d_acc) / vmax
+    return t_brake + np.where(D_eff <= d_acc, t_short, t_long)
+
+
 def batched_min_arrival(cells, players, velocities):
     velocities = np.zeros_like(players) if velocities is None else velocities
     delta = cells[None, :, :] - players[:, None, :]         # [P x C x 2]
@@ -457,7 +634,7 @@ def batched_min_arrival(cells, players, velocities):
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(dist[..., None] > 0, delta / np.maximum(dist, 1e-300)[..., None], 0.0)
     v_along = (velocities[:, None, :] * unit).sum(axis=-1)
-    return arrival_time(dist, v_along).min(axis=0)
+    return oracle_arrival_time(dist, v_along).min(axis=0)
 
 
 def batched_control(attackers, defenders, epv):
@@ -509,6 +686,16 @@ def control_cases():
             idx = rng.child("i").integers(0, len(cells), (6,))
             yield (f"{sport}-{res}-cell-centres", pitch, res, cells[idx[:3]],
                    cells[idx[3:]], vel[:3], None)
+    # dx * dx underflows to 0 at the (0, 0.5) cell centre: a zero distance
+    # whose offset is not zero still has no heading toward that cell
+    near = np.array([[1e-170, 0.5], [-3e-160, 0.5]])
+    yield ("soccer-1.0-underflow", PitchSpec.for_sport("soccer"), 1.0, near,
+           np.array([[5.0, 5.0]]), np.array([[3.0, 1.0], [-2.0, 4.0]]), None)
+    # both offsets underflow at the (0, 0) centre of a 105 x 67 m pitch: the
+    # quotients are -inf there, yet the speed toward that cell is still 0
+    yield ("odd-1.0-underflow", PitchSpec(105.0, 67.0), 1.0,
+           np.array([[1e-170, 1e-170]]), np.array([[5.0, 5.0]]),
+           np.array([[3.0, 1.0]]), None)
 
 
 @pytest.mark.parametrize("case", list(control_cases()), ids=lambda c: c[0])
@@ -523,6 +710,10 @@ def test_control_kernels_match_the_batched_oracles_bit_for_bit(case):
                               batched_min_arrival(cells, players, vel))
     assert np.array_equal(metrics._nearest_control(atk, dfn, epv),
                           batched_control(atk, dfn, epv))
+    td = batched_min_arrival(cells, dfn, v_dfn)
+    ta = batched_min_arrival(cells, atk, v_atk)
+    assert dominant_partition(dfn, atk, v_dfn, v_atk, pitch, res)[:2] == (
+        int((td < ta - metrics.TIE_EPS).sum()), int((ta < td - metrics.TIE_EPS).sum()))
 
 
 def test_control_cache_follows_new_players_on_the_same_grid():
@@ -620,6 +811,20 @@ def test_arrival_time_moving_away_brakes_first():
     assert t_toward < t_rest < t_away
 
 
+@pytest.mark.parametrize("distance, v_along", [
+    (5.0, 0.0), (10.0, -4.0), (0.0, 9.0), (3.0, -20.0),
+    (np.array([0.0, 1e-310, 64 / 6, 10.67, 500.0]), np.array([0.0, -0.0, 8.0, -8.0, 3.0])),
+    (np.linspace(0.0, 80.0, 200), 0.0),
+    (30.0, np.linspace(-12.0, 12.0, 97)),
+    (np.linspace(0.0, 40.0, 50)[:, None], np.linspace(-9.0, 9.0, 7)[None, :]),
+], ids=["rest", "away", "zero-distance", "clipped", "edges", "distances",
+        "speeds", "broadcast"])
+def test_arrival_time_matches_the_oracle_bit_for_bit(distance, v_along):
+    got, want = arrival_time(distance, v_along), oracle_arrival_time(distance, v_along)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
 def test_arrival_time_monotone_in_distance():
     d = np.linspace(0.0, 80.0, 300)
     t = arrival_time(d, 0.0)
@@ -674,6 +879,23 @@ def test_static_dominant_region_matches_voronoi_oracle():
         assert abs(area - count) <= 68.0  # one boundary cell row
 
 
+@pytest.mark.parametrize("defenders, attackers, def_vel, atk_vel, side", [
+    (np.zeros((2, 3)), [[1.0, 1.0]], None, None, "defender"),
+    ([[0.0, 0.0]], np.zeros(2), None, None, "attacker"),
+    ([[0.0, 0.0], [1.0, 1.0]], [[5.0, 5.0]], np.zeros((1, 2)), None, "defender"),
+    ([[0.0, 0.0]], [[5.0, 5.0]], None, np.zeros((1, 3)), "attacker"),
+    ([[0.0, 0.0]], [[5.0, 5.0]], None, np.zeros(2), "attacker"),
+], ids=["three-columns", "flat-players", "fewer-velocities", "velocity-columns",
+        "flat-velocities"])
+def test_dominant_region_rejects_malformed_players_in_one_line(
+        defenders, attackers, def_vel, atk_vel, side):
+    message = rf"^{side} positions and velocities must be \[N x 2\] with one row per player"
+    for call in (dominant_region, dominant_partition):
+        with pytest.raises(ValueError, match=message) as err:
+            call(defenders, attackers, def_vel, atk_vel, PITCH)
+        assert "\n" not in str(err.value)
+
+
 def test_velocity_shifts_the_contested_boundary():
     # sprinting toward the halfway line wins the contested cell just past it
     t_def = float(arrival_time(11.0, 6.0))
@@ -689,6 +911,33 @@ def test_velocity_shifts_the_contested_boundary():
                              atk_velocities=np.array([[0.0, 0.0]]),
                              pitch=PITCH)
     assert moving != static
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: structure(a["pos"], a["prev"], fps=25.0),
+    lambda a: structure(a["pos"], velocities=a["vel"]),
+    lambda a: structure_deviation(a["samples"], a["truth"], 25.0, 3, (0.2,),
+                                  history_last=a["history"]),
+    lambda a: arrival_time(a["dist"], a["v"]),
+    lambda a: dominant_region(a["pos"], a["prev"], a["vel"], a["v"][:6].reshape(3, 2),
+                              PITCH),
+], ids=["structure-prev", "structure-velocities", "structure_deviation",
+        "arrival_time", "dominant_region"])
+def test_public_metrics_leave_their_arguments_unchanged(call):
+    # the kernels write into work arrays of their own, never into the caller's
+    rng = Rng(26)
+    truth = rng.child("t").normal((5, 7, 2)) * 8
+    args = {"truth": truth, "samples": [truth + rng.child("s", k).normal((5, 7, 2))
+                                        for k in range(2)],
+            "history": truth[0] - 0.5, "pos": truth[1, :3].copy(),
+            "prev": truth[0, :3].copy(), "vel": rng.child("u").normal((3, 2)) * 5,
+            "dist": rng.child("d").uniform(0.0, 40.0, (50,)),
+            "v": rng.child("v").normal((50,)) * 6}
+    before = {k: [x.copy() for x in v] if isinstance(v, list) else v.copy()
+              for k, v in args.items()}
+    call(args)
+    for k, v in args.items():
+        assert np.array_equal(np.asarray(v), np.asarray(before[k])), k
 
 
 # ---------------------------------------------------------------------------
