@@ -10,6 +10,12 @@ feed-forward sublayer. Invisible tokens
 are excluded as attention keys by a large negative additive score, so they
 cannot influence any visible output.
 
+The forecaster reads its output only at frames from the history length on,
+so `TrajectoryModel.predict_noise` runs the last temporal sublayer's queries,
+output projection and residual, and then the head, on those future rows
+alone; history frames stay keys and values. Its history rows of the output
+are zeros that nothing reads. The event model encodes every row.
+
 Forecast grids also carry each entity's anchor, its last visible history
 position. Their future is diffused as scaled displacements from it,
 `ANCHOR_SCALE * (x - anchor)`, and the embedding reads every other token in
@@ -324,9 +330,16 @@ class Backbone:
         return LatentGrid(h, vis, _key_mask_bias(vis),
                           _key_mask_bias(np.swapaxes(vis, 1, 2)))
 
-    def _attend(self, latent: LatentGrid, base: str, axis: str) -> LatentGrid:
+    def _attend(self, latent: LatentGrid, base: str, axis: str,
+                start: int = 0) -> LatentGrid:
         """One pre-norm residual attention block along entities or time; its
-        scores, key mask, softmax and values are one `ad.attention` op."""
+        scores, key mask, softmax and values are one `ad.attention` op.
+
+        Along time, `start` > 0 keeps only the output rows of frames
+        `start`.. : the queries, output projection and residual run on those
+        rows, while every frame is still normalized and projected as a key
+        and value. Each of those ops is row-wise along the query rows, so
+        the rows it keeps are bit for bit the full block's."""
         cfg = self.config
         p = self.params
         h = latent.h
@@ -342,32 +355,42 @@ class Backbone:
             bias = latent.spatial_bias                     # keys indexed by entity
             G, T = L, E
 
-        def project(w):
-            y = ad.matmul(x, p[f"{base}.{w}"])
+        def project(rows, w):
+            y = ad.matmul(rows, p[f"{base}.{w}"])
             if f"{base}.{w}_b" in p:
                 y = y + p[f"{base}.{w}_b"]
-            y = ad.reshape(y, (B, G, T, heads, dh))
-            return ad.swapaxes(y, 2, 3)                    # [B x G x heads x T x dh]
+            y = ad.reshape(y, (B, G, rows.shape[2], heads, dh))
+            return ad.swapaxes(y, 2, 3)                    # [B x G x heads x rows x dh]
 
-        q, k, v = project("wq"), project("wk"), project("wv")
+        queries = x if not start else ad.take(
+            x, (slice(None), slice(None), slice(start, None)))
+        q, k, v = project(queries, "wq"), project(x, "wk"), project(x, "wv")
         out = ad.attention(q, k, v, bias.data, 1.0 / np.sqrt(dh))
-        out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T, d))
+        out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T - start, d))
         out = ad.matmul(out, p[f"{base}.wo"]) + p[f"{base}.wo_b"]
         if axis == "time":
             out = ad.swapaxes(out, 1, 2)
+        if start:
+            h = ad.take(h, (slice(None), slice(start, None)))
         return replace(latent, h=h + out)
 
     def spatial_attention(self, latent: LatentGrid, layer: int) -> LatentGrid:
         return self._attend(latent, f"layer{layer}.spatial", "entity")
 
-    def temporal_attention(self, latent: LatentGrid, layer: int) -> LatentGrid:
-        return self._attend(latent, f"layer{layer}.temporal", "time")
+    def temporal_attention(self, latent: LatentGrid, layer: int,
+                           start: int = 0) -> LatentGrid:
+        return self._attend(latent, f"layer{layer}.temporal", "time", start)
 
-    def encode(self, grids, diffusion_step=None) -> LatentGrid:
+    def encode(self, grids, diffusion_step=None, start: int = 0) -> LatentGrid:
+        """Embed, then run the M layers. With `start` > 0 the last temporal
+        sublayer computes only frames `start`.. , so the returned `h` is
+        [B x (L - start) x entities x d] and equals those rows of the full
+        encoding bit for bit; visibility and biases still cover every frame."""
         latent = self.embed(grids, diffusion_step)
+        last = self.config.layers - 1
         for m in range(self.config.layers):
             latent = self.spatial_attention(latent, m)
-            latent = self.temporal_attention(latent, m)
+            latent = self.temporal_attention(latent, m, start if m == last else 0)
         return latent
 
 
@@ -409,18 +432,28 @@ class TrajectoryModel:
         slots, the estimate of the clean scaled displacement
         `ANCHOR_SCALE * (x0 - anchor)`; other slots are ignored.
 
+        Only frames from the batch's smallest history length H on can hold
+        a target, so the last temporal sublayer and the head run on those
+        rows alone (see `Backbone.encode`); rows before H are exact zeros
+        that nothing reads.
+
         The name dates from the noise-regression parametrization and is kept
         because tracing (`perfbench/tracing.py`) hooks it by name.
         `step` is shared or per batch element; each grid in the batch counts
         as one network evaluation. The output is checked for NaN/Inf here,
         which is the only check a forward under `ad.no_grad()` gets.
         """
-        n = 1 if isinstance(grids, TokenGrid) else len(grids)
-        self.calls += n
-        latent = self.backbone.encode(grids, diffusion_step=step)
+        grids = [grids] if isinstance(grids, TokenGrid) else list(grids)
+        self.calls += len(grids)
+        start = min(g.history_len for g in grids)
+        latent = self.backbone.encode(grids, diffusion_step=step, start=start)
         p = self.params
         x = ad.layer_norm(latent.h, p["head.ln_g"], p["head.ln_b"])
         out = ad.matmul(x, p["head.w"]) + p["head.b"]
+        B, rows, E, _ = out.shape
+        skipped = grids[0].L - rows
+        if skipped:
+            out = ad.concat([np.zeros((B, skipped, E, 2)), out], axis=1)
         ad.check_finite(out.data, "predict_noise")
         return out
 

@@ -277,8 +277,9 @@ def structure_deviation(samples, truth, fps, n_players,
     Returns {horizon: {metric: (min_over_k, avg_over_k)}}. Each sample must
     have the truth's [T x E x 2] shape. Deviations are averaged over the
     evaluated teams. `history_last` is the [E x 2] frame preceding the
-    future, so displacement is defined at the first frame. The truth and
-    the samples run through one `_structure_rows` pass.
+    future, so displacement is defined at the first frame; a horizon of one
+    frame needs it, and one shorter than a frame raises. The truth and the
+    samples run through one `_structure_rows` pass.
     """
     truth = np.asarray(truth, dtype=np.float64)
     if len(samples) == 0:
@@ -296,6 +297,13 @@ def structure_deviation(samples, truth, fps, n_players,
     for s in samples:
         if np.shape(s) != truth.shape:
             raise ValueError(f"shape mismatch {np.shape(s)} vs {truth.shape}")
+    frames = {h: min(int(round(h * fps)), T) for h in horizons}
+    for h, n in frames.items():
+        if n < 1:
+            raise ValueError(f"horizon {h}s shorter than one frame")
+        if n == 1 and history_last is None:
+            raise ValueError(f"horizon {h}s covers one frame, where displacement "
+                             f"and Kuramoto order need history_last")
 
     coords = np.stack([truth, *(np.asarray(s, dtype=np.float64) for s in samples)])
     first = coords[:, 0] if history_last is None else np.broadcast_to(
@@ -315,8 +323,7 @@ def structure_deviation(samples, truth, fps, n_players,
             dev[m][:, 0] = np.nan
 
     report = {}
-    for h in horizons:
-        n = min(int(round(h * fps)), T)
+    for h, n in frames.items():
         report[h] = {}
         for m in STRUCTURE_METRICS:
             means = np.nanmean(dev[m][:, :n], axis=1)

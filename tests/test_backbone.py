@@ -1,6 +1,7 @@
 """Backbone: token grid construction, embeddings, attention masking, and
 checkpoint round trips."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -433,8 +434,9 @@ def test_grad_mode_tape_keeps_one_score_buffer_per_attention():
     fut = make_segment(3, n_players=3, rng=Rng(39))
     grids = [build_token_grid(hist, fut, "forecast_joint")] * 2
     nodes = _tape(model.predict_noise(grids, step=[2, 5]))
-    B, L, E, heads = 2, 9, CFG.n_entities, CFG.heads
-    scores = {(B, L, heads, E, E), (B, E, heads, L, L)}   # spatial, temporal
+    B, L, W, E, heads = 2, 9, 3, CFG.n_entities, CFG.heads
+    # spatial, temporal, and the last temporal sublayer's future queries
+    scores = {(B, L, heads, E, E), (B, E, heads, L, L), (B, E, heads, W, L)}
     assert [n.op for n in nodes if n.data.shape in scores] == []
     attention = [n for n in nodes if n.op == "attention"]
     assert len(attention) == 2 * CFG.layers
@@ -442,3 +444,71 @@ def test_grad_mode_tape_keeps_one_score_buffer_per_attention():
             for cell in n.backward_fn.__closure__ or ()
             if getattr(cell.cell_contents, "shape", None) in scores}
     assert len(held) == len(attention)
+
+
+# ---------------------------------------------------------------------------
+# future rows only
+# ---------------------------------------------------------------------------
+
+
+def _full_row_output(model, grids, step):
+    """The oracle: every row through every sublayer and the head."""
+    latent = model.backbone.encode(grids, diffusion_step=step)
+    p = model.params
+    x = ad.layer_norm(latent.h, p["head.ln_g"], p["head.ln_b"])
+    return ad.matmul(x, p["head.w"]) + p["head.b"]
+
+
+def _masked_loss(out, grids, seed):
+    """Criterion 1's loss: squared error on the target slots only."""
+    target = np.stack([g.noise_target for g in grids])
+    eps = Rng(seed).normal(out.shape)
+    m = ad.Tensor(np.broadcast_to(target[..., None], out.shape).astype(float).copy())
+    md = ad.mul(out - ad.Tensor(eps), m)
+    return ad.mul(ad.sum_(ad.mul(md, md)), ad.as_tensor(1.0 / target.sum()))
+
+
+def _mixed_history_grids(seed):
+    """Joint and single-team grids of one shape; the last has a longer
+    history, so the batch's first predicted frame is the shorter one's."""
+    grids = _forecast_grids(seed)
+    hist = make_segment(6, n_players=3, rng=Rng(seed + 2))
+    fut = make_segment(1, n_players=3, rng=Rng(seed + 3))
+    return grids + [build_token_grid(hist, fut, "forecast_single", target_side=0)]
+
+
+@pytest.mark.parametrize("make_grids", [_forecast_grids, _mixed_history_grids])
+def test_predict_noise_rows_match_the_full_row_computation(make_grids):
+    model = _model_with_live_head(40)
+    grids = make_grids(41)
+    steps = [4, 9, 17][:len(grids)]
+    H = min(g.history_len for g in grids)
+    for grad_mode in (True, False):
+        with contextlib.nullcontext() if grad_mode else ad.no_grad():
+            oracle = _full_row_output(model, grids, steps).data
+            out = model.predict_noise(grids, step=steps).data
+        assert out.shape == oracle.shape
+        assert out[:, H:].tobytes() == oracle[:, H:].tobytes()
+        assert not out[:, :H].any()
+        assert not np.signbit(out[:, :H]).any()
+
+
+@pytest.mark.parametrize("make_grids", [_forecast_grids, _mixed_history_grids])
+def test_predict_noise_gradients_match_the_full_row_computation(make_grids):
+    model = _model_with_live_head(42)
+    for j, prm in enumerate(model.parameters()):   # no zero-initialized layer
+        prm.data = prm.data + 0.05 * Rng(43, ("jitter", j)).normal(prm.data.shape)
+    grids = make_grids(44)
+    steps = [3, 11, 20][:len(grids)]
+
+    def grads(forward):
+        for prm in model.parameters():
+            prm.zero_grad()
+        ad.backward(_masked_loss(forward(grids, steps), grids, 45))
+        return {prm.name: prm.grad.copy() for prm in model.parameters()}
+
+    oracle = grads(lambda g, s: _full_row_output(model, g, s))
+    fast = grads(lambda g, s: model.predict_noise(g, step=s))
+    assert all(np.abs(g).max() > 0 for g in oracle.values())
+    for name, g in oracle.items():
+        assert fast[name].tobytes() == g.tobytes(), name

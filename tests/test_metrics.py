@@ -340,14 +340,24 @@ def test_deviation_rejects_a_sample_shaped_unlike_the_truth(shape):
     ({"history_last": np.zeros((6, 2))}, r"^history_last must be \[E x 2\] = \(7, 2\), got \(6, 2\)$"),
     ({"history_last": np.zeros(14)}, r"^history_last must be \[E x 2\]"),
     ({"truth": np.zeros((4, 7))}, r"^truth must be \[T x E x 2\]"),
+    ({"horizons": (0.01,)}, r"^horizon 0.01s shorter than one frame$"),
+    ({"horizons": (0.1, 0.04)}, r"^horizon 0.04s covers one frame, .* need history_last$"),
 ], ids=["players-past-entities", "team-past-entities", "no-samples",
-        "history-rows", "history-flat", "truth-2d"])
+        "history-rows", "history-flat", "truth-2d", "zero-frame-horizon",
+        "one-frame-horizon-without-history"])
 def test_deviation_rejects_malformed_input_in_one_line(case, message):
     truth = Rng(24).normal((4, 7, 2)) * 5
     kwargs = {"samples": [truth + 1.0], "truth": truth, "fps": 25.0,
               "n_players": 3, "horizons": (0.1,), **case}
     with pytest.raises(ValueError, match=message):
         structure_deviation(**kwargs)
+
+
+def test_deviation_one_frame_horizon_with_history_last_is_finite():
+    truth = Rng(25).normal((4, 7, 2)) * 5
+    report = structure_deviation([truth + 1.0], truth, fps=25.0, n_players=3,
+                                 horizons=(0.04,), history_last=truth[0] - 0.5)
+    assert all(np.isfinite(v).all() for v in report[0.04].values())
 
 
 # The per-frame structure suite the one-pass kernel replaced, kept as the
