@@ -281,11 +281,6 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return Tensor(out, (a,), bwd, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), as_tensor(1.0 / n))
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out = np.exp(a.data)

@@ -16,11 +16,13 @@ output projection and residual, and then the head, on those future rows
 alone; history frames stay keys and values. Its history rows of the output
 are zeros that nothing reads. The event model encodes every row.
 
-Forecast grids also carry each entity's anchor, its last visible history
-position. Their future is diffused as scaled displacements from it,
-`ANCHOR_SCALE * (x - anchor)`, and the embedding reads every other token in
-that same space plus a learned anchor embedding, so the network sees each
-entity's own motion at order one and still knows where on the pitch it is.
+`build_token_grid` builds the forecaster's grids; the event model's come
+from `events.event_grid`. Forecast grids also carry each entity's anchor,
+its last visible history position. Their future is diffused as scaled
+displacements from it, `ANCHOR_SCALE * (x - anchor)`, and the embedding
+reads every other token in that same space plus a learned anchor embedding,
+so the network sees each entity's own motion at order one and still knows
+where on the pitch it is.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class TokenGrid:
     [entities x 2]: each entity's last visible history position (0 for one
     never visible). Their target slots hold the diffusion state, a scaled
     displacement from the anchor; every other slot holds absolute normalized
-    coordinates. Event grids have no anchor.
+    coordinates. Event grids (`events.event_grid`) have no anchor.
     """
 
     coords: np.ndarray
@@ -156,39 +158,23 @@ def _last_visible(history: Segment) -> np.ndarray:
 
 
 def build_token_grid(history: Segment, future_or_noise, task: str,
-                     target_side: int | None = None,
-                     l_max: int | None = None) -> TokenGrid:
-    """Assemble the model input for one window.
+                     target_side: int | None = None) -> TokenGrid:
+    """Assemble the forecaster's input for one window (`events.event_grid`
+    builds the event model's).
 
     task "forecast_joint": every tracked entity's future slots are noise
     targets. task "forecast_single": only `target_side`'s player slots are
     targets; the opponent's and the ball's future slots carry their ground
-    truth as conditioning. task "event": the history alone, padded or
-    truncated to `l_max` with padded frames masked.
+    truth as conditioning.
 
     `future_or_noise` supplies the values written into the future rows: the
-    noised target (training), pure noise (sampling start), or the ground
-    truth segment in the slots that condition. Forecast grids record each
+    noised target (training), a placeholder array (sampling start), or the
+    ground truth segment in the slots that condition. The grid records each
     entity's anchor (see TokenGrid); the coordinates are written as given.
     """
     if not history.normalized:
         raise ValueError("token grids are built from normalized coordinates")
     H, E = history.visibility.shape
-
-    if task == "event":
-        if l_max is None:
-            raise ValueError("event grids need l_max")
-        coords = history.coords
-        vis = history.visibility
-        if H > l_max:  # keep the most recent context
-            coords, vis = coords[H - l_max:], vis[H - l_max:]
-        pad = l_max - coords.shape[0]
-        if pad > 0:
-            coords = np.concatenate([coords, np.zeros((pad, E, 2))])
-            vis = np.concatenate([vis, np.zeros((pad, E), dtype=bool)])
-        return TokenGrid(coords.copy(), vis.copy(),
-                         np.zeros((l_max, E), dtype=bool),
-                         history_len=min(H, l_max))
 
     if isinstance(future_or_noise, Segment):
         fut_coords = future_or_noise.coords
@@ -282,9 +268,6 @@ class Backbone:
         sel[n:2 * n, 1] = 1.0
         sel[2 * n, 2] = 1.0
         self._group_select = sel
-
-    def parameters(self):
-        return list(self.params.values())
 
     def embed(self, grids, diffusion_step=None) -> LatentGrid:
         """h[t, n] = proj(coords[t, n]) + temporal[t] + group(n) + entity[n].
@@ -413,7 +396,7 @@ class TrajectoryModel:
         ):
             self.params[name] = ad.Parameter(value, name)
         # registered last, so every other parameter keeps its position in
-        # parameters(); the event model's backbone has no anchor embedding
+        # `params`; the event model's backbone has no anchor embedding
         anchor_w = ad.Parameter(_uniform_fan_in(
             rng.child("backbone", "anchor_w"), 2, (2, d)), "embed.anchor_w")
         self.params["embed.anchor_w"] = anchor_w
@@ -423,9 +406,6 @@ class TrajectoryModel:
     @property
     def config(self):
         return self.backbone.config
-
-    def parameters(self):
-        return list(self.params.values())
 
     def predict_noise(self, grids, step) -> ad.Tensor:
         """Network output for every token, [B x L x entities x 2]: on target

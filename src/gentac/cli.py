@@ -1,7 +1,8 @@
 """The ``gentac`` command line: ingest/refine data, train, sample, evaluate.
 
 Every subcommand validates its paths up front, runs exactly one action, and
-writes a manifest next to its outputs recording the seed, the effective
+writes a manifest next to its outputs recording the seed (null for the
+commands that draw no random numbers, which take no --seed), the effective
 config hash, git-style content hashes of every file it read, the
 checkpoint hash when one is involved, and every file it wrote; clip
 sidecars count among both. Outputs carry no timestamps, so identical
@@ -141,7 +142,7 @@ def _map_clips(args, config, transform, fps, on_duplicate):
         clip = data.load_clip(p, fps=fps, sport=args.sport,
                               on_duplicate=on_duplicate)
         written += data.save_clip(transform(clip), out / p.name)
-    write_manifest(out, args.command, args.seed, config,
+    write_manifest(out, args.command, None, config,
                    _with_sidecars(inputs), written)
     return 0
 
@@ -318,7 +319,7 @@ def cmd_evaluate_traj(args):
                                   *(_fmt10(v) for v in struct_avg)]))
     report_path = out / "trajectory_report.csv"
     report_path.write_text("\n".join(rows) + "\n", "utf-8")
-    write_manifest(out, "evaluate-traj", args.seed,
+    write_manifest(out, "evaluate-traj", None,
                    {"k": args.k, "horizons": list(horizons)},
                    _with_sidecars(inputs), [report_path])
     print(report_path)
@@ -394,7 +395,7 @@ def cmd_evaluate_event(args):
         metrics_csv.write_text("\n".join(lines) + "\n", "utf-8")
         written.append(metrics_csv)
 
-    write_manifest(out, "evaluate-event", args.seed, {"sport": args.sport},
+    write_manifest(out, "evaluate-event", None, {"sport": args.sport},
                    _with_sidecars(inputs), written, checkpoint=args.checkpoint)
     print(pred_csv)
     return 0
@@ -455,12 +456,15 @@ def build_parser():
         description="generative multi-agent trajectory engine for team sports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # --seed only where random numbers are drawn: fixtures, training, sampling
+    def seed_opt(p):
         p.add_argument("--seed", type=int, default=0)
+
+    def sport_opt(p):
         p.add_argument("--sport", default="soccer", choices=sorted(data.SPORTS))
 
     p = sub.add_parser("ingest", help="canonicalize raw clip files")
-    common(p)
+    sport_opt(p)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fps", type=float, default=25.0)
@@ -468,7 +472,7 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("resample", help="linear temporal resampling")
-    common(p)
+    sport_opt(p)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fps", type=float, required=True)
@@ -476,7 +480,7 @@ def build_parser():
     p.set_defaults(func=cmd_resample)
 
     p = sub.add_parser("refine", help="repair and smooth tracking")
-    common(p)
+    sport_opt(p)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-gap", type=int, default=12)
@@ -485,8 +489,13 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=0.85)
     p.set_defaults(func=cmd_refine)
 
-    def train_opts(p):
-        common(p)
+    # the forecaster's window geometry and schedule; the event task reads none
+    forecast_flags = (("history_frames", int), ("window_frames", int),
+                      ("max_history_frames", int), ("diffusion_steps", int))
+
+    def train_opts(p, flags):
+        seed_opt(p)
+        sport_opt(p)
         p.set_defaults(seed=None, sport=None)  # unset: the config's value
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
@@ -497,23 +506,21 @@ def build_parser():
         for key, typ in (("lr_peak", float), ("epochs", int),
                          ("batch_size", int), ("d", int), ("layers", int),
                          ("heads", int), ("n_players", int), ("l_max", int),
-                         ("history_frames", int), ("window_frames", int),
-                         ("max_history_frames", int),
-                         ("early_stop_patience", int),
-                         ("diffusion_steps", int)):
+                         ("early_stop_patience", int), *flags):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                            default=None)
 
     p = sub.add_parser("train-traj", help="train the diffusion forecaster")
-    train_opts(p)
+    train_opts(p, forecast_flags)
     p.set_defaults(func=cmd_train, task="forecast")
 
     p = sub.add_parser("train-event", help="train the event classifier")
-    train_opts(p)
+    train_opts(p, ())
     p.set_defaults(func=cmd_train, task="event")
 
+    # the task comes from --base after parsing, so the forecast flags stay
     p = sub.add_parser("finetune", help="continue training from a checkpoint")
-    train_opts(p)
+    train_opts(p, forecast_flags)
     p.add_argument("--base", required=True,
                    help="checkpoint whose task and geometry to continue")
     p.add_argument("--filter", default=None,
@@ -521,7 +528,8 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     def sampling_opts(p):
-        common(p)
+        seed_opt(p)
+        sport_opt(p)
         p.add_argument("--history", required=True, help="clip file; the whole file is the observed context")
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--window", type=float, default=0.2)
@@ -543,7 +551,7 @@ def build_parser():
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("evaluate-traj", help="geometric + structural report")
-    common(p)
+    sport_opt(p)
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--k", type=int, default=20)
@@ -552,7 +560,7 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate_traj)
 
     p = sub.add_parser("evaluate-event", help="ground clips and score them")
-    common(p)
+    sport_opt(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
@@ -566,8 +574,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forecast_event)
 
+    # the generators draw soccer-scale geometry, so there is no --sport
     p = sub.add_parser("make-fixtures", help="generate synthetic clip sets")
-    common(p)
+    seed_opt(p)
     p.add_argument("--kind", required=True,
                    choices=sorted(fixtures.FIXTURE_KINDS))
     p.add_argument("--n", type=int, required=True)

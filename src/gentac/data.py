@@ -98,13 +98,6 @@ class TrajectoryClip:
     def __len__(self):
         return len(self.frames)
 
-    def roster(self, team: int) -> list:
-        """Sorted ids of every player that appears in any frame of `team`."""
-        ids = set()
-        for f in self.frames:
-            ids.update((f.team0 if team == 0 else f.team1).keys())
-        return sorted(ids)
-
     def has_unresolved_duplicates(self) -> bool:
         for f in self.frames:
             for team in (f.team0, f.team1):
@@ -354,15 +347,13 @@ def clip_to_segment(clip: TrajectoryClip) -> Segment:
     return Segment(coords, vis, clip.fps, n, roster0, roster1, normalized=False)
 
 
-def segment_to_clip(seg: Segment, pitch: PitchSpec | None = None,
-                    sport="soccer", metadata=None,
+def segment_to_clip(seg: Segment, sport="soccer", metadata=None,
                     start_index=0) -> TrajectoryClip:
-    """Inverse of clip_to_segment; denormalizes first when needed."""
+    """Inverse of clip_to_segment; a normalized segment is denormalized on
+    `sport`'s pitch first."""
     coords = seg.coords
     if seg.normalized:
-        if pitch is None:
-            pitch = PitchSpec.for_sport(sport)
-        coords = denormalize_xy(coords, pitch)
+        coords = denormalize_xy(coords, PitchSpec.for_sport(sport))
     n = seg.players_per_team
     frames = []
     for t in range(len(seg)):
@@ -458,12 +449,26 @@ def resample(clip: TrajectoryClip, target_fps: float) -> TrajectoryClip:
 @dataclass(frozen=True)
 class RefineParams:
     """Defaults sized for soccer at 25 fps; exposed because other sports may
-    need different gap and speed limits."""
+    need different gap and speed limits. Valid values: max_gap >= 0,
+    v_max > 0, anomaly_count >= 1 and ema_gamma in (0, 1]; any other raises
+    a one-line ValueError naming the field."""
 
     max_gap: int = 12          # frames (~0.5 s at 25 fps)
     v_max: float = 12.0        # m/s; faster than any sustained sprint
     anomaly_count: int = 3     # entities jumping together flag the frame pair
     ema_gamma: float = 0.85    # weight on the current sample; 1.0 disables
+
+    def __post_init__(self):
+        if self.max_gap < 0:
+            raise ValueError(f"RefineParams.max_gap must be >= 0, got {self.max_gap}")
+        if not self.v_max > 0:
+            raise ValueError(f"RefineParams.v_max must be > 0, got {self.v_max}")
+        if self.anomaly_count < 1:
+            raise ValueError(f"RefineParams.anomaly_count must be >= 1, "
+                             f"got {self.anomaly_count}")
+        if not 0 < self.ema_gamma <= 1:
+            raise ValueError(f"RefineParams.ema_gamma must lie in (0, 1], "
+                             f"got {self.ema_gamma}")
 
 
 def resolve_duplicates(clip: TrajectoryClip) -> TrajectoryClip:
@@ -526,15 +531,10 @@ def _fill_gaps(coords, vis, max_gap):
 
 
 def _anomalous_pairs(coords, vis, fps, v_max, anomaly_count):
-    F = coords.shape[0]
-    flags = np.zeros(max(F - 1, 0), dtype=bool)
-    for t in range(F - 1):
-        both = vis[t] & vis[t + 1]
-        if not both.any():
-            continue
-        d = np.linalg.norm(coords[t + 1, both] - coords[t, both], axis=-1)
-        flags[t] = int((d * fps > v_max).sum()) >= anomaly_count
-    return flags
+    """[frames - 1] flags: at least `anomaly_count` (>= 1) entities visible
+    in both frames of the pair move faster than `v_max` between them."""
+    fast = np.linalg.norm(coords[1:] - coords[:-1], axis=-1) * fps > v_max
+    return (fast & vis[1:] & vis[:-1]).sum(axis=1) >= anomaly_count
 
 
 def _reconstruct_spans(coords, vis, pair_flags):
@@ -642,13 +642,6 @@ def window(source, start: int, history_len: int, future_len: int):
     fut = replace(seg, coords=seg.coords[mid:end].copy(),
                   visibility=seg.visibility[mid:end].copy())
     return hist, fut
-
-
-def count_windows(clip_len: int, history_len: int, future_len: int, stride: int) -> int:
-    usable = clip_len - history_len - future_len
-    if usable < 0:
-        return 0
-    return usable // stride + 1
 
 
 def flip_augment(seg: Segment, p_horizontal: float, p_vertical: float,

@@ -102,14 +102,12 @@ def diffusion_loss(model: TrajectoryModel, batch, schedule: DiffusionSchedule,
         s = int(r.child("step").integers(1, schedule.steps + 1))
         grid = build_token_grid(history, future, task, target_side)
         H = grid.history_len
-        eps = r.child("noise").normal((len(future), grid.n_entities, 2))
         mask = grid.noise_target[H:]
         x0 = np.zeros_like(grid.coords)
         x0[H:][mask] = to_displacement(grid.coords[H:], grid.anchor)[mask]
-        ab = schedule.alpha_bar(s)
+        x_s, _ = forward_noise(x0[H:], s, schedule, r.child("noise"))
         noised = grid.coords.copy()
-        noised[H:][mask] = (math.sqrt(ab) * x0[H:][mask]
-                            + math.sqrt(1.0 - ab) * eps[mask])
+        noised[H:][mask] = x_s[mask]
         grids.append(replace(grid, coords=noised))
         x0_all.append(x0)
         steps.append(s)
@@ -225,11 +223,10 @@ class FutureSampleSet:
     def k(self):
         return len(self.samples)
 
-    def to_clips(self, pitch=None, sport="soccer", metadata=None):
+    def to_clips(self, sport="soccer", metadata=None):
         from .data import segment_to_clip
 
-        return [segment_to_clip(s, pitch=pitch, sport=sport,
-                                metadata=dict(metadata or {}))
+        return [segment_to_clip(s, sport=sport, metadata=dict(metadata or {}))
                 for s in self.samples]
 
 
@@ -242,19 +239,24 @@ def _clamp_implied_signal(x0_hat, anchor):
     return clipped, int(np.count_nonzero(clipped != x0_hat))
 
 
-def sample_windows_batch(histories, conditioning_futures, model, schedule,
-                         rngs, task="forecast_joint", target_side=None,
-                         window_frames=None):
+def sample_windows_batch(histories, futures, model, schedule, rngs,
+                         task="forecast_joint", target_side=None):
     """Reverse diffusion for several same-shape chains in one model batch.
 
-    Each chain keeps its own RNG stream, so a chain's output is a function of
-    its own (history, rng) alone. The state of a target slot is its scaled
-    displacement from its entity's anchor. At each step the network predicts
-    the clean displacement x0, and that estimate is clipped so the position
-    it implies stays inside the normalized pitch square. The clipped
-    estimate is converted to the noise it implies,
-    (x_s - sqrt(alpha_bar) x0) / sqrt(1 - alpha_bar), for the unchanged
-    ancestral update `denoise_step`. The output holds
+    `futures` holds one window future per chain, which sets the window
+    length and fills the future rows of its grid (`build_token_grid`): the
+    true window Segment in single-team mode, whose opponent and ball slots
+    condition the chain, or a zero [w x E x 2] placeholder in joint mode,
+    where every future slot is a target. Each chain keeps its own RNG
+    stream, so a chain's output is a function of its own (history, future,
+    rng) alone.
+
+    The state of a target slot is its scaled displacement from its entity's
+    anchor. At each step the network predicts the clean displacement x0,
+    and that estimate is clipped so the position it implies stays inside
+    the normalized pitch square. The clipped estimate is converted to the
+    noise it implies, (x_s - sqrt(alpha_bar) x0) / sqrt(1 - alpha_bar), for
+    the unchanged ancestral update `denoise_step`. The output holds
     `anchor + state / ANCHOR_SCALE` in target slots; every other slot is
     copied bit for bit. Conditioning slots (the history plus, in single-team
     mode, the opponent and ball futures) are frozen at every step, and the
@@ -267,24 +269,11 @@ def sample_windows_batch(histories, conditioning_futures, model, schedule,
     """
     B = len(histories)
     E = histories[0].n_entities
-    if task == "forecast_single":
-        if conditioning_futures is None:
-            raise ValueError("single-team sampling needs the opponent future")
-        w = len(conditioning_futures[0])
-    else:
-        if window_frames is None:
-            raise ValueError("joint sampling needs window_frames")
-        w = window_frames
+    w = len(futures[0])
 
     grids = []
     for i in range(B):
-        if task == "forecast_single":
-            grid = build_token_grid(histories[i], conditioning_futures[i],
-                                    task, target_side)
-        else:
-            placeholder = np.zeros((w, E, 2))
-            grid = build_token_grid(histories[i], placeholder, task,
-                                    target_side)
+        grid = build_token_grid(histories[i], futures[i], task, target_side)
         fut_target = grid.noise_target[grid.history_len:]
         init = rngs[i].child("init").normal((w, E, 2))
         coords = grid.coords.copy()
@@ -355,15 +344,16 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
     clamped = 0
 
     for step in range(q):
-        cond = None
         if config.single_team:
             lo, hi = step * w, (step + 1) * w
-            cond = [replace(history, coords=truth_future.coords[lo:hi].copy(),
-                            visibility=truth_future.visibility[lo:hi].copy())] * K
+            future = replace(history, coords=truth_future.coords[lo:hi].copy(),
+                             visibility=truth_future.visibility[lo:hi].copy())
+        else:
+            future = np.zeros((w, history.n_entities, 2))
         windows, n_clipped = sample_windows_batch(
-            chains, cond, model, schedule,
+            chains, [future] * K, model, schedule,
             [r.child("window", step) for r in sample_rngs],
-            task=config.task, target_side=config.target_side, window_frames=w)
+            task=config.task, target_side=config.target_side)
         clamped += n_clipped
         chains = [
             replace(c, coords=np.concatenate([c.coords, win.coords]),

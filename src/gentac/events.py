@@ -5,6 +5,9 @@ attention pooling over the visible tokens, and classified twice: a 5-way
 type head and, routed by the type, one of five subtype heads. Grounding
 classifies an observed clip; forecasting classifies each of K generated
 futures and summarizes the induced distribution over outcomes.
+
+`event_grid` owns the event model's input: the history alone, truncated to
+its most recent `l_max` frames or padded up to them with masked frames.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import (MASK_SCORE, Backbone, ModelConfig, _uniform_fan_in,
-                       build_token_grid)
+from .backbone import MASK_SCORE, Backbone, ModelConfig, TokenGrid, _uniform_fan_in
 from .data import PitchSpec, Segment, TrajectoryClip, clip_to_segment, normalize
 from .diffusion import DiffusionSchedule, RolloutConfig, rollout
 from .rng import Rng
@@ -35,12 +37,6 @@ class EventTaxonomy:
     }
     types = tuple(subtypes)
     all_subtypes = sum(subtypes.values(), ())  # in type order
-
-    def type_of(self, subtype: str) -> str:
-        for t in self.types:
-            if subtype in self.subtypes[t]:
-                return t
-        raise KeyError(f"unknown subtype '{subtype}'")
 
     def type_index(self, t: str) -> int:
         return self.types.index(t)
@@ -92,9 +88,6 @@ class EventModel:
     @property
     def config(self):
         return self.backbone.config
-
-    def parameters(self):
-        return list(self.params.values())
 
     def attention_pool(self, latent_h: ad.Tensor, visibility: np.ndarray) -> ad.Tensor:
         """z = sum of a[t,n] h[t,n]; weights softmax scalar scores of visible
@@ -177,17 +170,30 @@ def hierarchical_loss_batch(type_logits: ad.Tensor, sub_logits: dict,
     return ad.mul(total, ad.as_tensor(1.0 / B))
 
 
-def event_grid(segment: Segment, l_max: int):
-    return build_token_grid(segment, None, "event", l_max=l_max)
+def event_grid(segment: Segment, l_max: int) -> TokenGrid:
+    """The event model's input for one normalized segment: its most recent
+    `l_max` frames, padded at the end with masked zero frames when shorter.
+    Event grids hold no noise target and no anchor."""
+    if not segment.normalized:
+        raise ValueError("token grids are built from normalized coordinates")
+    H, E = segment.visibility.shape
+    recent = slice(max(H - l_max, 0), None)
+    coords, vis = segment.coords[recent], segment.visibility[recent]
+    pad = l_max - coords.shape[0]
+    if pad > 0:
+        coords = np.concatenate([coords, np.zeros((pad, E, 2))])
+        vis = np.concatenate([vis, np.zeros((pad, E), dtype=bool)])
+    return TokenGrid(coords.copy(), vis.copy(), np.zeros((l_max, E), dtype=bool),
+                     history_len=min(H, l_max))
 
 
-def ground_event(clip, model: EventModel, pitch: PitchSpec | None = None) -> EventPrediction:
-    """Encode, pool, classify one observed clip (or normalized Segment)."""
+def ground_event(clip, model: EventModel) -> EventPrediction:
+    """Encode, pool, classify one observed clip, normalized on its sport's
+    pitch, or one normalized Segment."""
     if isinstance(clip, TrajectoryClip):
         if len(clip) == 0:
             raise ValueError("cannot ground an empty clip")
-        seg = normalize(clip_to_segment(clip),
-                        pitch or PitchSpec.for_sport(clip.sport))
+        seg = normalize(clip_to_segment(clip), PitchSpec.for_sport(clip.sport))
     else:
         seg = clip
         if len(seg) == 0:
@@ -223,10 +229,6 @@ class EventForecastSummary:
     minimum: np.ndarray
     maximum: np.ndarray
     routed: list                 # (type, subtype) per sample
-
-    def top(self, n=5):
-        order = np.argsort(-self.median)
-        return [(self.subtype_labels[i], float(self.median[i])) for i in order[:n]]
 
 
 def summarize_predictions(per_sample: np.ndarray, routed):

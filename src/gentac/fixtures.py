@@ -44,9 +44,13 @@ def _clamp_to_pitch(positions, pitch: PitchSpec, margin=0.25):
     return positions
 
 
+SPEED_RANGE = (2.0, 8.0)   # m/s, constant-velocity entities
+STYLE_RATE = 0.35          # 1/s, formation contraction/expansion after the history
+
+
 def constant_velocity_clips(n_clips, seed=0, n_players=3, fps=25.0,
-                            duration_s=3.0, speed_range=(2.0, 8.0),
-                            jitter=0.15, sport="soccer", league=None):
+                            duration_s=3.0, jitter=0.15, sport="soccer",
+                            league=None):
     """Straight-line motion plus iid Gaussian jitter per observation.
 
     Starts and headings are drawn so the whole noiseless path stays inside
@@ -69,7 +73,7 @@ def constant_velocity_clips(n_clips, seed=0, n_players=3, fps=25.0,
                                                     pitch.length / 2 - 2),
                     re.child("sy", attempt).uniform(-pitch.width / 2 + 2,
                                                     pitch.width / 2 - 2)])
-                speed = re.child("speed", attempt).uniform(*speed_range)
+                speed = re.child("speed", attempt).uniform(*SPEED_RANGE)
                 angle = re.child("angle", attempt).uniform(0, 2 * np.pi)
                 vel = speed * np.array([np.cos(angle), np.sin(angle)])
                 end = start + vel * duration_s
@@ -121,8 +125,8 @@ def circular_motion_clips(n_clips, seed=0, n_players=3, fps=25.0,
 
 
 def two_style_league_clips(n_clips, seed=0, n_players=3, fps=25.0,
-                           history_s=1.0, future_s=2.0, style_rate=0.35,
-                           jitter=0.05, sport="soccer"):
+                           history_s=1.0, future_s=2.0, jitter=0.05,
+                           sport="soccer"):
     """Half "alpha" clips (formations contract after the history) and half
     "beta" (they expand). The history segments are statistically identical
     across leagues, so the style is only learnable from the future."""
@@ -149,7 +153,7 @@ def two_style_league_clips(n_clips, seed=0, n_players=3, fps=25.0,
             t = np.arange(F)[:, None, None] / fps
             scale = np.ones(F)
             future_t = (np.arange(F) - H + 1).clip(min=0) / fps
-            scale = 1.0 + sign * style_rate * future_t
+            scale = 1.0 + sign * STYLE_RATE * future_t
             pos = (center[None, None] + drift[None, None] * t
                    + offsets[None] * scale[:, None, None])
             entities.append(pos)
@@ -172,8 +176,7 @@ EVENT_CLASS_LABELS = {
 
 
 def event_class_clips(n_clips, seed=0, n_players=3, fps=25.0,
-                      duration_s=2.0, jitter=0.05, sport="soccer",
-                      classes=("converge", "spread", "sweep")):
+                      duration_s=2.0, jitter=0.05, sport="soccer"):
     """Separable motion classes with taxonomy labels for classifier tests.
 
     converge: a scattered scene collapses onto one focus point in the box.
@@ -185,11 +188,12 @@ def event_class_clips(n_clips, seed=0, n_players=3, fps=25.0,
     """
     pitch = PitchSpec.for_sport(sport)
     rng = Rng(seed, ("fixtures", "event_classes"))
+    kinds = tuple(EVENT_CLASS_LABELS)
     F = int(round(duration_s * fps))
     E = 2 * n_players + 1
     clips = []
     for c in range(n_clips):
-        kind = classes[c % len(classes)]
+        kind = kinds[c % len(kinds)]
         r = rng.child("clip", c)
         starts = np.stack([
             r.child("sx").uniform(-pitch.length / 2 + 8, pitch.length / 2 - 8, (E,)),
@@ -203,7 +207,7 @@ def event_class_clips(n_clips, seed=0, n_players=3, fps=25.0,
             positions = starts[None] * (1 - lam) + focus[None, None] * lam
         elif kind == "spread":
             positions = np.broadcast_to(starts[None], (F, E, 2)).copy()
-        elif kind == "sweep":
+        else:  # sweep
             anchor_x = r.child("ax").uniform(-35, 10)
             line = np.stack([
                 np.full(E, anchor_x) + r.child("lx").uniform(-1, 1, (E,)),
@@ -213,8 +217,6 @@ def event_class_clips(n_clips, seed=0, n_players=3, fps=25.0,
             vel = np.array([r.child("vx").uniform(6.0, 9.0),
                             r.child("vy").uniform(-0.5, 0.5)])
             positions = line[None] + vel[None, None] * t
-        else:
-            raise ValueError(f"unknown event class '{kind}'")
         positions = positions + jitter * r.child("noise").normal((F, E, 2))
         positions = _clamp_to_pitch(positions, pitch)
         etype, esub = EVENT_CLASS_LABELS[kind]

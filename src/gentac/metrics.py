@@ -41,38 +41,46 @@ KURAMOTO_SPEED_EPS = 0.1   # m/s; slower players carry no heading
 ARRIVAL_ACCEL = 3.0        # m/s^2 toward the target cell
 ARRIVAL_VMAX = 8.0         # m/s speed cap
 TIE_EPS = 1e-9             # m; compared against distances, not squared ones
+SYNTHETIC_EPV_SCALE = 20.0  # m; decay length of the stand-in EPV grid
 
 
 # ---------------------------------------------------------------------------
 # geometric accuracy
 # ---------------------------------------------------------------------------
 
-def ade(pred: np.ndarray, truth: np.ndarray, entity_mask=None) -> float:
-    """Mean Euclidean distance over all forecast steps, averaged over the
-    predicted entities. pred/truth are [T x E x 2] in meters."""
+def _checked(pred, truth, entity_mask):
+    """(pred, truth, entity selector): the checks `ade` and `fde` share. The
+    selector keeps every entity, or those `entity_mask` flags, one per entity
+    and at least one."""
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
     if pred.shape[0] == 0:
         raise ValueError("empty prediction")
+    if entity_mask is None:
+        return pred, truth, slice(None)
+    mask = np.asarray(entity_mask, dtype=bool)
+    if mask.shape != pred.shape[1:2]:
+        raise ValueError(f"entity_mask must hold one flag per entity "
+                         f"{pred.shape[1:2]}, got shape {mask.shape}")
+    if not mask.any():
+        raise ValueError("entity_mask selects no entity")
+    return pred, truth, mask
+
+
+def ade(pred: np.ndarray, truth: np.ndarray, entity_mask=None) -> float:
+    """Mean Euclidean distance over all forecast steps, averaged over the
+    predicted entities. pred/truth are [T x E x 2] in meters."""
+    pred, truth, entities = _checked(pred, truth, entity_mask)
     d = np.linalg.norm(pred - truth, axis=-1)      # [T x E]
-    per_entity = d.mean(axis=0)
-    if entity_mask is not None:
-        per_entity = per_entity[np.asarray(entity_mask, dtype=bool)]
-    return float(per_entity.mean())
+    return float(d.mean(axis=0)[entities].mean())
 
 
 def fde(pred: np.ndarray, truth: np.ndarray, entity_mask=None) -> float:
     """Euclidean distance at the final forecast step, entity-averaged."""
-    pred, truth = np.asarray(pred), np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    if pred.shape[0] == 0:
-        raise ValueError("empty prediction")
+    pred, truth, entities = _checked(pred, truth, entity_mask)
     d = np.linalg.norm(pred[-1] - truth[-1], axis=-1)
-    if entity_mask is not None:
-        d = d[np.asarray(entity_mask, dtype=bool)]
-    return float(d.mean())
+    return float(d[entities].mean())
 
 
 @dataclass
@@ -209,7 +217,7 @@ def _norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _structure_rows(pts, prev=None, vel=None, v_eps=KURAMOTO_SPEED_EPS) -> dict:
+def _structure_rows(pts, prev=None, vel=None) -> dict:
     """The seven indicators of B teams at once, {name: [B] array}, plus the
     two degenerate flags. pts and vel are [B x N x 2], prev [B x M x 2];
     displacement needs prev and Kuramoto needs vel. Each row adds in the
@@ -230,7 +238,7 @@ def _structure_rows(pts, prev=None, vel=None, v_eps=KURAMOTO_SPEED_EPS) -> dict:
         rows["centroid_displacement"] = _norm_rows(c - prev.mean(axis=1))
     if vel is not None:
         speed = np.linalg.norm(vel, axis=2)
-        moving = speed >= v_eps
+        moving = speed >= KURAMOTO_SPEED_EPS
         headings = np.divide(vel, speed[..., None], out=np.zeros_like(vel),
                              where=moving[..., None])
         n_moving = moving.sum(axis=1)
@@ -242,14 +250,15 @@ def _structure_rows(pts, prev=None, vel=None, v_eps=KURAMOTO_SPEED_EPS) -> dict:
 
 
 def structure(positions: np.ndarray, prev_positions: np.ndarray | None = None,
-              velocities: np.ndarray | None = None, fps: float | None = None,
-              v_eps: float = KURAMOTO_SPEED_EPS) -> StructureVector:
+              velocities: np.ndarray | None = None,
+              fps: float | None = None) -> StructureVector:
     """All seven shape indicators for one team at one instant.
 
     positions is [N x 2] for the visible players. Velocities come either
     directly or as finite differences from `prev_positions` (requires fps).
-    Kuramoto averages unit heading vectors of players moving at least v_eps;
-    a fully static team reports R = 1 with the degenerate flag set.
+    Kuramoto averages unit heading vectors of players moving at least
+    KURAMOTO_SPEED_EPS; a fully static team reports R = 1 with the
+    degenerate flag set.
     """
     pts = np.asarray(positions, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -261,7 +270,7 @@ def structure(positions: np.ndarray, prev_positions: np.ndarray | None = None,
         velocities = (pts - prev) * fps
     vel = None if velocities is None else np.asarray(velocities, dtype=np.float64)
     rows = _structure_rows(pts[None], None if prev is None else prev[None],
-                           None if vel is None else vel[None], v_eps)
+                           None if vel is None else vel[None])
     value = {m: float(rows[m][0]) if m in rows else None for m in STRUCTURE_METRICS}
     return StructureVector(**value, degenerate_hull=bool(rows["degenerate_hull"][0]),
                            degenerate_kuramoto=vel is not None
@@ -402,15 +411,15 @@ def load_epv(path, pitch: PitchSpec, resolution: float = 1.0) -> EpvGrid:
     return epv_from_matrix(load_epv_grid(path), pitch, resolution)
 
 
-def synthetic_epv(pitch: PitchSpec, resolution: float = 1.0,
-                  scale: float = 20.0) -> EpvGrid:
+def synthetic_epv(pitch: PitchSpec, resolution: float = 1.0) -> EpvGrid:
     """Stand-in grid for tests and demos when no real EPV file is supplied:
-    exp(-distance to the +x goal / scale), normalized to [0, 1]. This is a
-    synthetic placeholder, not fitted to any possession data."""
+    exp(-distance to the +x goal / SYNTHETIC_EPV_SCALE), normalized to
+    [0, 1]. This is a synthetic placeholder, not fitted to any possession
+    data."""
     cells = lattice(pitch, resolution)
     gx, gy = pitch.length / 2, 0.0
     d = np.hypot(cells[..., 0] - gx, cells[..., 1] - gy)
-    v = np.exp(-d / scale)
+    v = np.exp(-d / SYNTHETIC_EPV_SCALE)
     v = (v - v.min()) / (v.max() - v.min())
     return EpvGrid(v, pitch, resolution)
 
@@ -506,9 +515,9 @@ def defensive_disruption(area_before: float, area_after: float,
 # dominant region
 # ---------------------------------------------------------------------------
 
-def arrival_time(distance, v_along, accel=ARRIVAL_ACCEL, vmax=ARRIVAL_VMAX):
+def arrival_time(distance, v_along):
     """Time to cover `distance` starting at signed speed `v_along` toward
-    the target, accelerating at `accel` up to `vmax`.
+    the target, accelerating at ARRIVAL_ACCEL up to ARRIVAL_VMAX.
 
     A player moving away first brakes to a stop (drifting further away),
     then accelerates toward the target from rest. Vectorized over arrays;
@@ -520,12 +529,11 @@ def arrival_time(distance, v_along, accel=ARRIVAL_ACCEL, vmax=ARRIVAL_VMAX):
     t, v0, w1, w2, w3 = (np.empty(shape) for _ in range(5))
     np.copyto(v0, v)
     _arrival_into(t.reshape(-1), np.broadcast_to(D, shape).reshape(-1),
-                  v0.reshape(-1), accel, vmax,
-                  w1.reshape(-1), w2.reshape(-1), w3.reshape(-1))
+                  v0.reshape(-1), w1.reshape(-1), w2.reshape(-1), w3.reshape(-1))
     return t[()]
 
 
-def _arrival_into(t, D, v0, accel, vmax, w1, w2, w3):
+def _arrival_into(t, D, v0, w1, w2, w3):
     """t <- arrival_time(D, v0), in place on 1-D arrays: v0 is overwritten,
     w1..w3 are work arrays.
 
@@ -534,6 +542,7 @@ def _arrival_into(t, D, v0, accel, vmax, w1, w2, w3):
     D + b ** 2 / (2 accel) are the braking time and the effective distance
     bit for bit; the short-sprint time is computed on the cells that take
     it only."""
+    accel, vmax = ARRIVAL_ACCEL, ARRIVAL_VMAX
     np.maximum(v0, -vmax, out=v0)
     np.minimum(v0, vmax, out=v0)
     np.negative(v0, out=w1)
@@ -583,7 +592,7 @@ def _min_arrival(cells, players, velocities):
             np.multiply(w2, vy, out=w2)
         np.add(w1, w2, out=v_along)
         np.copyto(v_along, 0.0, where=dist == 0)
-        _arrival_into(t, dist, v_along, ARRIVAL_ACCEL, ARRIVAL_VMAX, w1, w2, w3)
+        _arrival_into(t, dist, v_along, w1, w2, w3)
         np.minimum(best, t, out=best)
     return best
 

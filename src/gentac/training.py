@@ -26,6 +26,11 @@ from .diffusion import diffusion_loss, make_schedule
 from .events import TAXONOMY, EventModel, event_grid, hierarchical_loss_batch
 from .rng import Rng
 
+# event task: per-axis mirror probability of a training clip, and the weight
+# of the true type's subtype cross-entropy in the hierarchical loss
+EVENT_FLIP_PROB = 0.5
+EVENT_LAMBDA_SUB = 1.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -58,10 +63,6 @@ class TrainConfig:
     beta_end: float = 0.02
     forecast_task: str = "forecast_joint"  # or forecast_single
     fixed_start: bool = False  # windows anchored at frame 0 (style fixtures)
-
-    # event task
-    flip_prob: float = 0.5
-    lambda_sub: float = 1.0
 
     sport: str = "soccer"
 
@@ -134,11 +135,16 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """Step count and first/second moments by parameter name."""
+
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -149,7 +155,7 @@ def optimizer_step(params, config: TrainConfig, state: AdamState, lr: float):
     decoupled weight-decay term. The event task runs plain Adam."""
     clip_gradients(params, config.grad_clip)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     decay = config.weight_decay if config.task == "forecast" else 0.0
@@ -161,7 +167,7 @@ def optimizer_step(params, config: TrainConfig, state: AdamState, lr: float):
         v = b2 * v + (1 - b2) * g * g if v is not None else (1 - b2) * g * g
         state.m[p.name] = m
         state.v[p.name] = v
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if decay:
             update = update + decay * p.data
         p.data = p.data - lr * update
@@ -346,11 +352,11 @@ def _event_loss(model, items, config, rng=None):
     """(type logits, hierarchical loss) on `items`; with `rng`, each item is
     flip-augmented first."""
     segs = [seg if rng is None else flip_augment(
-                seg, config.flip_prob, config.flip_prob, rng.child("flip", i))
+                seg, EVENT_FLIP_PROB, EVENT_FLIP_PROB, rng.child("flip", i))
             for i, (seg, _) in enumerate(items)]
     type_logits, sub_logits = model.logits([event_grid(s, config.l_max) for s in segs])
     loss = hierarchical_loss_batch(type_logits, sub_logits, [lab for _, lab in items],
-                                   config.lambda_sub)
+                                   EVENT_LAMBDA_SUB)
     return type_logits, loss
 
 

@@ -31,7 +31,7 @@ def oracle_sampler_mse(S, n_chains=20000, seed=0):
 def fd_check_model(model, loss_fn, h=1e-5):
     """Worst relative error between analytic and central-difference
     gradients over every coordinate of every parameter."""
-    params = model.parameters()
+    params = list(model.params.values())
     for p in params:
         p.zero_grad()
     import gentac.autodiff as ad

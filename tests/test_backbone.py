@@ -13,6 +13,7 @@ from gentac.backbone import (MASK_SCORE, Backbone, ModelConfig, TokenGrid,
                              load_checkpoint, save_checkpoint,
                              sinusoidal_embedding)
 from gentac.data import Segment
+from gentac.events import event_grid
 from gentac.rng import Rng
 
 
@@ -53,7 +54,7 @@ def test_single_team_grid_targets_one_team_only():
 
 def test_event_grid_pads_and_masks():
     hist = make_segment(80, rng=Rng(0))
-    grid = build_token_grid(hist, None, "event", l_max=250)
+    grid = event_grid(hist, 250)
     assert grid.coords.shape == (250, 23, 2)
     assert grid.visibility[:80].all()
     assert not grid.visibility[80:].any()
@@ -62,7 +63,7 @@ def test_event_grid_pads_and_masks():
 
 def test_event_grid_truncates_to_most_recent():
     hist = make_segment(300, rng=Rng(0))
-    grid = build_token_grid(hist, None, "event", l_max=250)
+    grid = event_grid(hist, 250)
     assert grid.coords.shape == (250, 23, 2)
     np.testing.assert_array_equal(grid.coords, hist.coords[-250:])
 
@@ -100,7 +101,7 @@ CFG = ModelConfig(d=16, layers=2, heads=4, n_players=3, l_max=32)
 def test_embed_additivity_with_zero_inputs():
     backbone = Backbone(CFG, Rng(1))
     hist = make_segment(6, n_players=3)
-    grid = build_token_grid(hist, None, "event", l_max=8)
+    grid = event_grid(hist, 8)
     backbone.params["embed.proj_b"].data[:] = 0.0
     latent = backbone.embed(grid)
     p = backbone.params
@@ -113,7 +114,7 @@ def test_embed_additivity_with_zero_inputs():
 def test_embed_same_group_entities_differ_only_by_entity_row():
     backbone = Backbone(CFG, Rng(1))
     hist = make_segment(4, n_players=3)
-    grid = build_token_grid(hist, None, "event", l_max=6)
+    grid = event_grid(hist, 6)
     latent = backbone.embed(grid)
     p = backbone.params
     delta = latent.h.data[0, 2, 0] - latent.h.data[0, 2, 1]
@@ -141,7 +142,7 @@ def test_embed_rejects_overlong_grid():
 def test_step_embedding_shifts_every_token_globally():
     backbone = Backbone(CFG, Rng(1))
     hist = make_segment(4, n_players=3, rng=Rng(7))
-    grid = build_token_grid(hist, None, "event", l_max=6)
+    grid = event_grid(hist, 6)
     base = backbone.embed(grid).h.data
     stepped = backbone.embed(grid, diffusion_step=11).h.data
     emb = sinusoidal_embedding(11, CFG.d)
@@ -157,7 +158,7 @@ def test_single_visible_entity_attends_to_itself():
     backbone = Backbone(CFG, Rng(3))
     hist = make_segment(3, n_players=3, rng=Rng(4))
     hist.visibility[:, 1:] = False
-    grid = build_token_grid(hist, None, "event", l_max=4)
+    grid = event_grid(hist, 4)
     latent = backbone.embed(grid)
     # reproduce the spatial scores by hand for frame 0
     p = backbone.params
@@ -180,13 +181,13 @@ def test_mask_isolation_is_bit_exact():
     hist = make_segment(6, n_players=3, rng=Rng(8))
     hist.visibility[:, 2] = False          # entity 2 invisible everywhere
     hist.visibility[4, :] = False          # frame 4 fully masked
-    grid = build_token_grid(hist, None, "event", l_max=8)
+    grid = event_grid(hist, 8)
     out1 = backbone.encode(grid).h.data
 
     perturbed = hist.copy()
     perturbed.coords[:, 2] += 123.456      # arbitrary perturbation, masked
     perturbed.coords[4, :] -= 77.7
-    grid2 = build_token_grid(perturbed, None, "event", l_max=8)
+    grid2 = event_grid(perturbed, 8)
     out2 = backbone.encode(grid2).h.data
 
     visible = grid.visibility
@@ -197,7 +198,7 @@ def test_attention_rows_sum_to_one_over_visible_keys():
     backbone = Backbone(CFG, Rng(9))
     hist = make_segment(5, n_players=3, rng=Rng(10))
     hist.visibility[:, 3] = False
-    grid = build_token_grid(hist, None, "event", l_max=8)
+    grid = event_grid(hist, 8)
     latent = backbone.embed(grid)
 
     p = backbone.params
@@ -220,7 +221,7 @@ def test_attention_rows_sum_to_one_over_visible_keys():
 def test_single_frame_temporal_attention_feeds_through():
     backbone = Backbone(CFG, Rng(11))
     hist = make_segment(1, n_players=3, rng=Rng(12))
-    grid = build_token_grid(hist, None, "event", l_max=1)
+    grid = event_grid(hist, 1)
     latent = backbone.embed(grid)
     out = backbone.temporal_attention(latent, 0)
     # one token: attention output equals the value projection of itself
@@ -237,7 +238,7 @@ def test_encode_with_zero_layers_equals_embed():
     cfg = ModelConfig(d=16, layers=0, heads=4, n_players=3, l_max=8)
     backbone = Backbone(cfg, Rng(13))
     hist = make_segment(4, n_players=3, rng=Rng(14))
-    grid = build_token_grid(hist, None, "event", l_max=8)
+    grid = event_grid(hist, 8)
     np.testing.assert_array_equal(backbone.encode(grid).h.data,
                                   backbone.embed(grid).h.data)
 
@@ -253,7 +254,7 @@ def test_encode_output_shape():
 def test_permutation_covariance_within_team():
     backbone = Backbone(CFG, Rng(18))
     hist = make_segment(5, n_players=3, rng=Rng(19))
-    grid = build_token_grid(hist, None, "event", l_max=8)
+    grid = event_grid(hist, 8)
     out = backbone.encode(grid).h.data[0]
 
     # swap player slots 0 and 1 of team0 in both the input and the entity table
@@ -263,7 +264,7 @@ def test_permutation_covariance_within_team():
     original = entity.data.copy()
     entity.data[[0, 1]] = entity.data[[1, 0]]
     try:
-        grid2 = build_token_grid(swapped, None, "event", l_max=8)
+        grid2 = event_grid(swapped, 8)
         out2 = backbone.encode(grid2).h.data[0]
     finally:
         entity.data = original
@@ -275,7 +276,7 @@ def test_batched_encode_matches_individual():
     grids = []
     for i in range(3):
         hist = make_segment(5, n_players=3, rng=Rng(30 + i))
-        grids.append(build_token_grid(hist, None, "event", l_max=8))
+        grids.append(event_grid(hist, 8))
     batched = backbone.encode(grids).h.data
     for i, g in enumerate(grids):
         single = backbone.encode(g).h.data[0]
@@ -402,7 +403,7 @@ def test_latent_grid_carries_key_mask_biases_through_encode():
     backbone = Backbone(CFG, Rng(35))
     hist = make_segment(4, n_players=3, rng=Rng(36))
     hist.visibility[1, 2] = False
-    grid = build_token_grid(hist, None, "event", l_max=6)
+    grid = event_grid(hist, 6)
     embedded = backbone.embed(grid)
     encoded = backbone.encode(grid)
     vis = embedded.visibility
@@ -496,16 +497,16 @@ def test_predict_noise_rows_match_the_full_row_computation(make_grids):
 @pytest.mark.parametrize("make_grids", [_forecast_grids, _mixed_history_grids])
 def test_predict_noise_gradients_match_the_full_row_computation(make_grids):
     model = _model_with_live_head(42)
-    for j, prm in enumerate(model.parameters()):   # no zero-initialized layer
+    for j, prm in enumerate(model.params.values()):   # no zero-initialized layer
         prm.data = prm.data + 0.05 * Rng(43, ("jitter", j)).normal(prm.data.shape)
     grids = make_grids(44)
     steps = [3, 11, 20][:len(grids)]
 
     def grads(forward):
-        for prm in model.parameters():
+        for prm in model.params.values():
             prm.zero_grad()
         ad.backward(_masked_loss(forward(grids, steps), grids, 45))
-        return {prm.name: prm.grad.copy() for prm in model.parameters()}
+        return {prm.name: prm.grad.copy() for prm in model.params.values()}
 
     oracle = grads(lambda g, s: _full_row_output(model, g, s))
     fast = grads(lambda g, s: model.predict_noise(g, step=s))

@@ -177,7 +177,7 @@ def test_evaluate_traj_produces_report(tmp_path):
             pred = data.segment_to_clip(
                 data.Segment(fut, seg.visibility[-T:], clip.fps,
                              clip.players_per_team,
-                             tuple(clip.roster(0)), tuple(clip.roster(1)),
+                             seg.roster0, seg.roster1,
                              normalized=False),
                 metadata={"players_per_team": clip.players_per_team})
             data.save_clip(pred, pred_dir / f"clip{i}_k{k}.json")
@@ -503,6 +503,42 @@ def cli_chain(tmp_path_factory):
                                  if p.name != "manifest.json"}
                                 if out.is_dir() else set(), argv)
     return written
+
+
+@pytest.mark.parametrize("command", ["ingest", "resample", "refine",
+                                     "evaluate-traj", "evaluate-event"])
+def test_commands_that_draw_no_random_numbers_take_no_seed(cli_chain, command):
+    code, manifest_path, _, argv = cli_chain[command]
+    assert code == 0
+    assert json.loads(manifest_path.read_text())["seed"] is None
+    assert run([command, *argv, "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--history-frames", "--window-frames",
+                                  "--max-history-frames", "--diffusion-steps"])
+def test_train_event_takes_no_forecast_geometry(cli_chain, flag):
+    assert run(["train-event", *cli_chain["train-event"][3], flag, "10"]) == 2
+
+
+def test_make_fixtures_takes_no_sport(tmp_path):
+    # the generators draw soccer geometry: --sport basketball used to exit 0
+    # and write clips that normalize rejects on a basketball court
+    out = tmp_path / "fx"
+    assert run(["make-fixtures", "--kind", "constant-velocity", "--n", "2",
+                "--sport", "basketball", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_refine_rejects_gamma_outside_its_range(tmp_path, capsys):
+    # --gamma 0 used to fail inside the smoother with "float division by zero"
+    raw = tmp_path / "raw"
+    assert run(["make-fixtures", "--kind", "constant-velocity", "--n", "1",
+                "--out", str(raw)]) == 0
+    capsys.readouterr()
+    assert run(["refine", "--input", str(raw), "--out", str(tmp_path / "ref"),
+                "--gamma", "0"]) == 1
+    assert capsys.readouterr().err == \
+        "gentac: error: RefineParams.ema_gamma must lie in (0, 1], got 0.0\n"
 
 
 @pytest.mark.parametrize("command", sorted(_subcommands()))

@@ -7,11 +7,10 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gentac import data
 from gentac.data import (Frame, PitchSpec, RefineParams, TrajectoryClip,
-                         clip_to_segment, count_windows, flip_augment,
+                         clip_to_segment, flip_augment,
                          normalize, parse_clip, refine, resample,
                          serialize_clip, window, with_players_per_team)
 from gentac.rng import Rng
@@ -443,6 +442,37 @@ def test_refine_reconstructs_anomalous_runs(shifts, expected):
                                rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_gap", -1), ("v_max", 0.0), ("v_max", -12.0), ("anomaly_count", 0),
+    ("ema_gamma", 0.0), ("ema_gamma", -0.5), ("ema_gamma", 1.5)])
+def test_refine_params_reject_values_that_break_refine(field, value):
+    # ema_gamma = 0 used to divide by zero, -0.5 to move positions by
+    # kilometres, and anomaly_count = 0 or v_max = 0 to freeze the clip
+    with pytest.raises(ValueError, match=rf"^RefineParams\.{field} must"):
+        RefineParams(**{field: value})
+
+
+def test_anomalous_pair_flags_match_the_per_frame_loop():
+    def loop(coords, vis, fps, v_max, anomaly_count):
+        flags = np.zeros(max(len(coords) - 1, 0), dtype=bool)
+        for t in range(len(coords) - 1):
+            both = vis[t] & vis[t + 1]
+            if both.any():
+                d = np.linalg.norm(coords[t + 1, both] - coords[t, both], axis=-1)
+                flags[t] = int((d * fps > v_max).sum()) >= anomaly_count
+        return flags
+
+    rng = Rng(60, ("anomaly",))
+    for case in range(200):
+        r = rng.child(case)
+        shape = (int(r.child("F").integers(0, 12)), int(r.child("E").integers(1, 6)))
+        coords = 0.6 * r.child("xy").normal(shape + (2,))
+        vis = r.child("vis").uniform(shape=shape) < 0.8
+        count = int(r.child("count").integers(1, 4))
+        got = data._anomalous_pairs(coords, vis, 25.0, 12.0, count)
+        assert np.array_equal(got, loop(coords, vis, 25.0, 12.0, count)), case
+
+
 def test_refine_duplicate_resolution_prefers_track_continuity():
     clip = const_velocity_clip(frames=6)
     true_pos = clip.frames[3].team0["A1"]
@@ -523,15 +553,6 @@ def test_window_rejects_overrun():
     clip = const_velocity_clip(frames=30)
     with pytest.raises(ValueError):
         window(clip, 0, 25, 10)
-
-
-@given(st.integers(10, 400), st.integers(1, 40), st.integers(0, 40),
-       st.integers(1, 20))
-@settings(max_examples=200, deadline=None)
-def test_window_counting_matches_enumeration(clip_len, h, f, stride):
-    expected = len([s for s in range(0, clip_len + 1, stride)
-                    if s + h + f <= clip_len])
-    assert count_windows(clip_len, h, f, stride) == expected
 
 
 # ---------------------------------------------------------------------------

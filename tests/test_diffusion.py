@@ -223,11 +223,11 @@ def test_untrained_model_loss_near_one_and_decreases():
     losses = []
     for step in range(200):
         batch = [clips[i] for i in Rng(1, ("pick", step)).integers(0, 32, (8,))]
-        for p in model.parameters():
+        for p in model.params.values():
             p.zero_grad()
         loss = diffusion_loss(model, batch, schedule, Rng(0, ("t", step)))
         ad.backward(loss)
-        optimizer_step(model.parameters(), config, state, 3e-3)
+        optimizer_step(list(model.params.values()), config, state, 3e-3)
         losses.append(float(loss.data))
     smoothed = np.convolve(losses, np.ones(25) / 25, mode="valid")
     assert smoothed[-1] < smoothed[0]
@@ -289,9 +289,9 @@ def test_sample_window_runs_S_network_calls_and_freezes_conditioning():
     schedule = make_schedule(25)
     hist = make_segment(6, rng=Rng(1))
     before = hist.coords.copy()
-    (out,), _ = sample_windows_batch([hist], None, model, schedule,
-                                     [Rng(2, ("w",))], task="forecast_joint",
-                                     window_frames=3)
+    (out,), _ = sample_windows_batch([hist], [np.zeros((3, 5, 2))], model,
+                                     schedule, [Rng(2, ("w",))],
+                                     task="forecast_joint")
     assert model.calls == 25
     assert out.coords.shape == (3, 5, 2)
     assert np.isfinite(out.coords).all()
@@ -434,8 +434,8 @@ def test_sampler_non_finite_network_output_names_predict_noise():
     model = TrajectoryModel(CFG, Rng(0))
     model.params["head.b"].data[:] = np.nan
     with pytest.raises(ad.NonFiniteError, match="predict_noise"):
-        sample_windows_batch([make_segment(6, rng=Rng(14))], None, model,
-                             make_schedule(3), [Rng(15, ("w",))],
-                             task="forecast_joint", window_frames=2)
+        sample_windows_batch([make_segment(6, rng=Rng(14))],
+                             [np.zeros((2, 5, 2))], model, make_schedule(3),
+                             [Rng(15, ("w",))], task="forecast_joint")
     # the sampler's inference context is closed again after the error
     assert ad.add(ad.Tensor([1.0]), ad.Tensor([2.0])).parents != ()

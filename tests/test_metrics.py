@@ -69,6 +69,17 @@ def test_entity_mask_restricts_the_average():
     assert ade(pred, truth, entity_mask=[False, True]) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("mask", [[False, False], [True], [True, False, True]],
+                         ids=["selects-none", "too-short", "too-long"])
+@pytest.mark.parametrize("metric", [ade, fde])
+def test_entity_mask_needs_one_flag_per_entity_and_a_selection(metric, mask):
+    # an all-False mask used to return NaN with a "Mean of empty slice"
+    # warning, and a mask of the wrong length failed in numpy's indexing
+    truth = np.zeros((4, 2, 2))
+    with pytest.raises(ValueError, match="^entity_mask"):
+        metric(truth + 1.0, truth, entity_mask=mask)
+
+
 # ---------------------------------------------------------------------------
 # aggregation over K
 # ---------------------------------------------------------------------------
@@ -740,7 +751,8 @@ def test_control_cache_follows_new_players_on_the_same_grid():
 def test_control_caches_are_per_grid():
     # one lattice shape, different values: neither the control field nor
     # the zone tables of one grid may leak into the other
-    steep, flat = synthetic_epv(PITCH, scale=5.0), synthetic_epv(PITCH, scale=80.0)
+    steep = synthetic_epv(PITCH)
+    flat = EpvGrid(np.sqrt(steep.values), PITCH)
     att = np.array([[10.0, 5.0], [30.0, -8.0]])
     dfn = np.array([[20.0, 0.0], [-5.0, 12.0]])
     for epv in (steep, flat, steep):
