@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import pathlib
 import sys
@@ -268,6 +269,11 @@ def cmd_evaluate_traj(args):
     pred_dir = pathlib.Path(args.pred)
     truth_dir = pathlib.Path(args.truth)
     horizons = _float_list(args.horizons)
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
+    if not horizons:
+        raise ValueError(f"--horizons must list at least one horizon, "
+                         f"got '{args.horizons}'")
     out = pathlib.Path(args.out or pred_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -429,13 +435,17 @@ def cmd_forecast_event(args):
 
 
 def cmd_make_fixtures(args):
+    """A flag the kind's generator has no parameter for is an error."""
+    accepted = inspect.signature(fixtures.FIXTURE_KINDS[args.kind]).parameters
     kwargs = {}
-    if args.players is not None:
-        kwargs["n_players"] = args.players
-    if args.duration is not None and args.kind != "two-style-league":
-        kwargs["duration_s"] = args.duration
-    if args.jitter is not None and args.kind != "circular":
-        kwargs["jitter"] = args.jitter
+    for flag, key in (("players", "n_players"), ("duration", "duration_s"),
+                      ("jitter", "jitter")):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if key not in accepted:
+            raise ValueError(f"--{flag} does not apply to --kind {args.kind}")
+        kwargs[key] = value
     paths = fixtures.make_fixture_set(args.kind, args.n, args.out,
                                       seed=args.seed, **kwargs)
     out = pathlib.Path(args.out)

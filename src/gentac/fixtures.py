@@ -46,11 +46,12 @@ def _clamp_to_pitch(positions, pitch: PitchSpec, margin=0.25):
 
 SPEED_RANGE = (2.0, 8.0)   # m/s, constant-velocity entities
 STYLE_RATE = 0.35          # 1/s, formation contraction/expansion after the history
+STYLE_HISTORY_S = 1.0      # s of steady formation in a two-style league clip
+STYLE_FUTURE_S = 2.0       # s of contraction/expansion after it
 
 
 def constant_velocity_clips(n_clips, seed=0, n_players=3, fps=25.0,
-                            duration_s=3.0, jitter=0.15, sport="soccer",
-                            league=None):
+                            duration_s=3.0, jitter=0.15, sport="soccer"):
     """Straight-line motion plus iid Gaussian jitter per observation.
 
     Starts and headings are drawn so the whole noiseless path stays inside
@@ -87,10 +88,9 @@ def constant_velocity_clips(n_clips, seed=0, n_players=3, fps=25.0,
         clean = starts[None] + vels[None] * t
         noise = jitter * r.child("noise").normal((F, E, 2))
         positions = _clamp_to_pitch(clean + noise, pitch)
-        meta = {"kind": "constant_velocity", "jitter": jitter}
-        if league:
-            meta["league"] = league
-        clips.append(_clip_from_positions(positions, fps, n_players, sport, meta))
+        clips.append(_clip_from_positions(
+            positions, fps, n_players, sport,
+            {"kind": "constant_velocity", "jitter": jitter}))
     return clips
 
 
@@ -125,15 +125,15 @@ def circular_motion_clips(n_clips, seed=0, n_players=3, fps=25.0,
 
 
 def two_style_league_clips(n_clips, seed=0, n_players=3, fps=25.0,
-                           history_s=1.0, future_s=2.0, jitter=0.05,
-                           sport="soccer"):
-    """Half "alpha" clips (formations contract after the history) and half
-    "beta" (they expand). The history segments are statistically identical
-    across leagues, so the style is only learnable from the future."""
+                           jitter=0.05, sport="soccer"):
+    """Half "alpha" clips (formations contract after the STYLE_HISTORY_S
+    history) and half "beta" (they expand) for STYLE_FUTURE_S. The history
+    segments are statistically identical across leagues, so the style is
+    only learnable from the future."""
     pitch = PitchSpec.for_sport(sport)
     rng = Rng(seed, ("fixtures", "two_style"))
-    H = int(round(history_s * fps))
-    F = H + int(round(future_s * fps))
+    H = int(round(STYLE_HISTORY_S * fps))
+    F = H + int(round(STYLE_FUTURE_S * fps))
     clips = []
     for c in range(n_clips):
         league = "alpha" if c % 2 == 0 else "beta"
@@ -151,7 +151,6 @@ def two_style_league_clips(n_clips, seed=0, n_players=3, fps=25.0,
                 rt.child("oy").uniform(-7, 7, (n_players,)),
             ], axis=1)
             t = np.arange(F)[:, None, None] / fps
-            scale = np.ones(F)
             future_t = (np.arange(F) - H + 1).clip(min=0) / fps
             scale = 1.0 + sign * STYLE_RATE * future_t
             pos = (center[None, None] + drift[None, None] * t

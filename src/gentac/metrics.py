@@ -10,17 +10,18 @@ per frame and time-averaged per horizon; `structure_deviation` computes the
 suite in one pass over the truth and the K samples x frames x teams, and
 `structure` is the one-frame call into the same kernel. Offense/defense
 metrics weight spatial control by an expected-possession-value (EPV) grid:
-off-ball expected threat, depth/width threat over 32 zones, defensive shape
-disruption, and the velocity-aware defensive dominant region.
+off-ball expected threat, depth/width threat over N_ZONES zones, defensive
+shape disruption, and the velocity-aware defensive dominant region.
 
 Conventions: the attacking team plays toward +x. Every control metric runs
-on one cell lattice, `lattice(pitch, resolution)`: 1 m cells over the pitch by
-default, cell centers at half-cell offsets. The EPV grid file is bilinearly
-resampled onto that lattice on load, and `EpvGrid.values` is read-only. The
-nearest-player control field is computed once per grid and player set and
-shared by OBET and the depth/width zone threats; TIE_EPS compares distances.
-The dominant region's arrival kernel works in place on a few [cells] work
-arrays per side.
+on one cell lattice per pitch, `lattice(pitch)`: the nearest whole number of
+cells to one per metre along each axis, stretched to tile the pitch exactly
+(1 m x 1 m on a 105 x 68 m soccer pitch), cell centers at half-cell offsets.
+The EPV grid file is bilinearly resampled onto that lattice on load, and
+`EpvGrid.values` is read-only. The nearest-player control field is computed
+once per grid and player set and shared by OBET and the depth/width zone
+threats; TIE_EPS compares distances. The dominant region's arrival kernel
+works in place on a few [cells] work arrays per side.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ ARRIVAL_ACCEL = 3.0        # m/s^2 toward the target cell
 ARRIVAL_VMAX = 8.0         # m/s speed cap
 TIE_EPS = 1e-9             # m; compared against distances, not squared ones
 SYNTHETIC_EPV_SCALE = 20.0  # m; decay length of the stand-in EPV grid
+N_ZONES = 32               # strips per axis of the depth/width zone threats
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +280,17 @@ def structure(positions: np.ndarray, prev_positions: np.ndarray | None = None,
 
 
 def structure_deviation(samples, truth, fps, n_players,
-                        horizons=(1, 2, 3, 4, 5), teams=(0, 1),
-                        history_last=None):
+                        horizons=(1, 2, 3, 4, 5), history_last=None):
     """|metric(pred) - metric(truth)| per frame, time-averaged per horizon,
     then min/avg over the K samples.
 
     Returns {horizon: {metric: (min_over_k, avg_over_k)}}. Each sample must
-    have the truth's [T x E x 2] shape. Deviations are averaged over the
-    evaluated teams. `history_last` is the [E x 2] frame preceding the
-    future, so displacement is defined at the first frame; a horizon of one
-    frame needs it, and one shorter than a frame raises. The truth and the
-    samples run through one `_structure_rows` pass.
+    have the truth's [T x E x 2] shape, whose first 2 x n_players entities
+    are the two teams; deviations are averaged over both. `history_last` is
+    the [E x 2] frame preceding the future, so displacement is defined at
+    the first frame; a horizon of one frame needs it, and one shorter than a
+    frame raises. The truth and the samples run through one `_structure_rows`
+    pass.
     """
     truth = np.asarray(truth, dtype=np.float64)
     if len(samples) == 0:
@@ -296,10 +298,9 @@ def structure_deviation(samples, truth, fps, n_players,
     if truth.ndim != 3 or truth.shape[0] < 1 or truth.shape[2] != 2:
         raise ValueError(f"truth must be [T x E x 2] with T >= 1, got {truth.shape}")
     T, E = truth.shape[:2]
-    if n_players < 1 or not teams or min(teams) < 0 \
-            or (max(teams) + 1) * n_players > E:
-        raise ValueError(f"teams {tuple(teams)} of {n_players} players do not "
-                         f"fit the truth's {E} entities")
+    if n_players < 1 or 2 * n_players > E:
+        raise ValueError(f"two teams of {n_players} players do not fit the "
+                         f"truth's {E} entities")
     if history_last is not None and np.shape(history_last) != (E, 2):
         raise ValueError(f"history_last must be [E x 2] = ({E}, 2), "
                          f"got {np.shape(history_last)}")
@@ -318,8 +319,8 @@ def structure_deviation(samples, truth, fps, n_players,
     first = coords[:, 0] if history_last is None else np.broadcast_to(
         np.asarray(history_last, dtype=np.float64), coords[:, 0].shape)
     prev = np.concatenate([first[:, None], coords[:, :-1]], axis=1)
-    players = np.add.outer(np.asarray(teams) * n_players, np.arange(n_players))
-    pts, prev = coords[:, :, players], prev[:, :, players]   # [K+1, T, teams, N, 2]
+    players = np.arange(2 * n_players).reshape(2, n_players)
+    pts, prev = coords[:, :, players], prev[:, :, players]   # [K+1, T, 2, N, 2]
     vel = (pts - prev) * fps
     flat = (-1, n_players, 2)
     rows = _structure_rows(pts.reshape(flat), prev.reshape(flat), vel.reshape(flat))
@@ -344,14 +345,16 @@ def structure_deviation(samples, truth, fps, n_players,
 # EPV grids and control
 # ---------------------------------------------------------------------------
 
-def lattice(pitch: PitchSpec, resolution: float = 1.0) -> np.ndarray:
-    """Centers of the control cells, [ny x nx x 2] as (x, y) in meters: cell
-    [iy, ix] is centered at (-L/2 + (ix + 0.5) res, -W/2 + (iy + 0.5) res)."""
-    ny = int(round(pitch.width / resolution))
-    nx = int(round(pitch.length / resolution))
-    xs = -pitch.length / 2 + (np.arange(nx) + 0.5) * resolution
-    ys = -pitch.width / 2 + (np.arange(ny) + 0.5) * resolution
-    return np.stack(np.meshgrid(xs, ys), axis=-1)
+def lattice(pitch: PitchSpec) -> np.ndarray:
+    """Centers of the control cells, [ny x nx x 2] as (x, y) in meters. The
+    nx = max(1, round(L / 1 m)) cells along x are L / nx wide, so their edges
+    run from -L/2 to +L/2, and cell [iy, ix] is centered at
+    (-L/2 + (ix + 0.5) L / nx, -W/2 + (iy + 0.5) W / ny); likewise along y."""
+    centers = []
+    for span in (pitch.length, pitch.width):
+        n = max(1, round(span))
+        centers.append(-span / 2 + (np.arange(n) + 0.5) * (span / n))
+    return np.stack(np.meshgrid(*centers), axis=-1)
 
 
 @dataclass
@@ -359,14 +362,13 @@ class EpvGrid:
     """EPV sampled on the metric control lattice.
 
     values[iy, ix] holds the EPV of the cell centered at cells[iy, ix], the
-    `lattice` of the pitch at this resolution. The attacking team plays
-    toward +x, so threat should grow with ix. `values` is a read-only copy of
-    the array given, so the control field and zone tables cached here stay valid.
+    `lattice` of the pitch. The attacking team plays toward +x, so threat
+    should grow with ix. `values` is a read-only copy of the array given, so
+    the control field and zone tables cached here stay valid.
     """
 
     values: np.ndarray
     pitch: PitchSpec
-    resolution: float = 1.0
     cells: np.ndarray = field(init=False, repr=False)
     _control: tuple = field(init=False, repr=False, compare=False, default=None)
     _zones: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -376,7 +378,7 @@ class EpvGrid:
         self.values.flags.writeable = False
         if (self.values < 0).any() or not np.isfinite(self.values).all():
             raise ValueError("EPV values must be finite and non-negative")
-        self.cells = lattice(self.pitch, self.resolution)
+        self.cells = lattice(self.pitch)
         if self.values.shape != self.cells.shape[:2]:
             raise ValueError(f"EPV grid shape {self.values.shape} does not match "
                              f"the pitch's {self.cells.shape[:2]} lattice")
@@ -395,33 +397,32 @@ def _bilinear(values, yq, xq):
     return top * (1 - fy) + bot * fy
 
 
-def epv_from_matrix(matrix: np.ndarray, pitch: PitchSpec,
-                    resolution: float = 1.0) -> EpvGrid:
+def epv_from_matrix(matrix: np.ndarray, pitch: PitchSpec) -> EpvGrid:
     """Resample a raw (rows = y cells, cols = x cells) matrix onto the
     control lattice with bilinear interpolation."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    ny, nx = lattice(pitch, resolution).shape[:2]
+    ny, nx = lattice(pitch).shape[:2]
     xs = (np.arange(nx) + 0.5) / nx * matrix.shape[1] - 0.5
     ys = (np.arange(ny) + 0.5) / ny * matrix.shape[0] - 0.5
     xq, yq = np.meshgrid(xs, ys)
-    return EpvGrid(_bilinear(matrix, yq, xq), pitch, resolution)
+    return EpvGrid(_bilinear(matrix, yq, xq), pitch)
 
 
-def load_epv(path, pitch: PitchSpec, resolution: float = 1.0) -> EpvGrid:
-    return epv_from_matrix(load_epv_grid(path), pitch, resolution)
+def load_epv(path, pitch: PitchSpec) -> EpvGrid:
+    return epv_from_matrix(load_epv_grid(path), pitch)
 
 
-def synthetic_epv(pitch: PitchSpec, resolution: float = 1.0) -> EpvGrid:
+def synthetic_epv(pitch: PitchSpec) -> EpvGrid:
     """Stand-in grid for tests and demos when no real EPV file is supplied:
     exp(-distance to the +x goal / SYNTHETIC_EPV_SCALE), normalized to
     [0, 1]. This is a synthetic placeholder, not fitted to any possession
     data."""
-    cells = lattice(pitch, resolution)
+    cells = lattice(pitch)
     gx, gy = pitch.length / 2, 0.0
     d = np.hypot(cells[..., 0] - gx, cells[..., 1] - gy)
     v = np.exp(-d / SYNTHETIC_EPV_SCALE)
     v = (v - v.min()) / (v.max() - v.min())
-    return EpvGrid(v, pitch, resolution)
+    return EpvGrid(v, pitch)
 
 
 def _nearest_distance(cells, players):
@@ -466,40 +467,39 @@ def obet(attackers, defenders, epv: EpvGrid) -> float:
     return float(atk / total)
 
 
-def _zone_threat(attackers, defenders, epv: EpvGrid, axis: int,
-                 n_zones: int = 32) -> float:
-    """Sum over zones along `axis` (0 = x, 1 = y) of the attacker-held share
-    of the zone's cells times the zone's share of the EPV mass. The zone
-    tables are built once per grid, axis and zone count."""
+def _zone_threat(attackers, defenders, epv: EpvGrid, axis: int) -> float:
+    """Sum over the N_ZONES zones along `axis` (0 = x, 1 = y) of the
+    attacker-held share of the zone's cells times the zone's share of the
+    EPV mass. The zone tables are built once per grid and axis."""
     control = _nearest_control(attackers, defenders, epv)
-    if (axis, n_zones) not in epv._zones:
+    if axis not in epv._zones:
         span = (epv.pitch.length, epv.pitch.width)[axis]
         coord = epv.cells[..., axis]
-        zone = np.minimum(((coord + span / 2) / span * n_zones).astype(int), n_zones - 1)
+        zone = np.minimum(((coord + span / 2) / span * N_ZONES).astype(int), N_ZONES - 1)
         total_epv = epv.values.sum()
         if total_epv <= 0:
             raise ValueError("EPV grid has no mass")
-        n_cells = np.bincount(zone.ravel(), minlength=n_zones)
+        n_cells = np.bincount(zone.ravel(), minlength=N_ZONES)
         # a weighted bincount would add the zone's cells in another order
-        epv._zones[axis, n_zones] = zone, [
+        epv._zones[axis] = zone, [
             (z, n_cells[z], epv.values[zone == z].sum() / total_epv)
             for z in np.flatnonzero(n_cells)]
-    zone, table = epv._zones[axis, n_zones]
-    n_atk = np.bincount(zone[control == 1], minlength=n_zones)
+    zone, table = epv._zones[axis]
+    n_atk = np.bincount(zone[control == 1], minlength=N_ZONES)
     value = 0.0
     for z, n_z, share in table:
         value += (n_atk[z] / n_z) * share
     return float(value)
 
 
-def depth_threat(attackers, defenders, epv: EpvGrid, n_zones: int = 32) -> float:
-    """Attacking control weighted by zone EPV across 32 strips along x."""
-    return _zone_threat(attackers, defenders, epv, 0, n_zones)
+def depth_threat(attackers, defenders, epv: EpvGrid) -> float:
+    """Attacking control weighted by zone EPV across N_ZONES strips along x."""
+    return _zone_threat(attackers, defenders, epv, 0)
 
 
-def width_threat(attackers, defenders, epv: EpvGrid, n_zones: int = 32) -> float:
-    """Same weighting across 32 strips along y."""
-    return _zone_threat(attackers, defenders, epv, 1, n_zones)
+def width_threat(attackers, defenders, epv: EpvGrid) -> float:
+    """Same weighting across N_ZONES strips along y."""
+    return _zone_threat(attackers, defenders, epv, 1)
 
 
 def defensive_disruption(area_before: float, area_after: float,
@@ -515,27 +515,12 @@ def defensive_disruption(area_before: float, area_after: float,
 # dominant region
 # ---------------------------------------------------------------------------
 
-def arrival_time(distance, v_along):
-    """Time to cover `distance` starting at signed speed `v_along` toward
-    the target, accelerating at ARRIVAL_ACCEL up to ARRIVAL_VMAX.
-
-    A player moving away first brakes to a stop (drifting further away),
-    then accelerates toward the target from rest. Vectorized over arrays;
-    scalars in give a scalar out.
-    """
-    D = np.asarray(distance, dtype=np.float64)
-    v = np.asarray(v_along, dtype=np.float64)
-    shape = np.broadcast_shapes(D.shape, v.shape)
-    t, v0, w1, w2, w3 = (np.empty(shape) for _ in range(5))
-    np.copyto(v0, v)
-    _arrival_into(t.reshape(-1), np.broadcast_to(D, shape).reshape(-1),
-                  v0.reshape(-1), w1.reshape(-1), w2.reshape(-1), w3.reshape(-1))
-    return t[()]
-
-
 def _arrival_into(t, D, v0, w1, w2, w3):
-    """t <- arrival_time(D, v0), in place on 1-D arrays: v0 is overwritten,
-    w1..w3 are work arrays.
+    """t <- the time to cover distance D starting at signed speed v0 toward
+    the target, accelerating at ARRIVAL_ACCEL up to ARRIVAL_VMAX; a player
+    moving away first brakes to a stop (drifting further away), then
+    accelerates from rest. In place on 1-D arrays: v0 is overwritten, w1..w3
+    are work arrays.
 
     max then min is np.clip in two fast passes. b = max(-v0, 0) is -v0
     where the player moves away and a zero elsewhere, so b / accel and
@@ -610,30 +595,24 @@ def _side(players, velocities, name):
     return p, v
 
 
-def dominant_partition(defenders, attackers, def_velocities, atk_velocities,
-                       pitch: PitchSpec, grid_res: float = 1.0):
-    """(defensive cells, attacking cells, tie cells, cell area).
+def dominant_region(defenders, attackers, def_velocities=None,
+                    atk_velocities=None, pitch: PitchSpec = PitchSpec()) -> float:
+    """Pitch area (m^2) the defending team reaches before any attacker: the
+    dominant region of Taki & Hasegawa (2000), "Visualization of dominant
+    region in team games", with the arrival model of `_arrival_into`.
 
-    A cell belongs to the side whose earliest arrival beats the other by
-    more than the tie tolerance; exact ties belong to neither."""
+    A cell of `lattice(pitch)` counts when the defenders' earliest arrival
+    beats the attackers' by more than TIE_EPS; ties belong to neither side.
+    Each counted cell adds (L / nx)(W / ny), so the cells of the pitch add
+    up to its area. None velocities are zero."""
     defenders, def_velocities = _side(defenders, def_velocities, "defender")
     attackers, atk_velocities = _side(attackers, atk_velocities, "attacker")
-    cells = lattice(pitch, grid_res).reshape(-1, 2)
+    cells = lattice(pitch)
+    ny, nx = cells.shape[:2]
+    cells = cells.reshape(-1, 2)
     td = _min_arrival(cells, defenders, def_velocities)
     ta = _min_arrival(cells, attackers, atk_velocities)
-    n_def = int((td < ta - TIE_EPS).sum())
-    n_atk = int((ta < td - TIE_EPS).sum())
-    n_tie = len(cells) - n_def - n_atk
-    return n_def, n_atk, n_tie, grid_res ** 2
-
-
-def dominant_region(defenders, attackers, def_velocities=None,
-                    atk_velocities=None, pitch: PitchSpec = PitchSpec(),
-                    grid_res: float = 1.0) -> float:
-    """Pitch area (m^2) the defending team reaches before any attacker."""
-    n_def, _, _, cell_area = dominant_partition(
-        defenders, attackers, def_velocities, atk_velocities, pitch, grid_res)
-    return n_def * cell_area
+    return int((td < ta - TIE_EPS).sum()) * ((pitch.length / nx) * (pitch.width / ny))
 
 
 # ---------------------------------------------------------------------------

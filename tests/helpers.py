@@ -56,3 +56,10 @@ def fd_check_model(model, loss_fn, h=1e-5):
             if rel > worst:
                 worst, worst_name = rel, f"{p.name}{i}"
     return worst, worst_name
+
+
+def league_clips(clips, league):
+    """The clips, each tagged with `league` in its metadata."""
+    for clip in clips:
+        clip.metadata["league"] = league
+    return clips

@@ -30,8 +30,7 @@ from gentac.events import (TAXONOMY, EventModel, classify, forecast_event,
                            ground_event, hierarchical_loss)
 from gentac.fixtures import (constant_velocity_clips, event_class_clips,
                              two_style_league_clips)
-from gentac.metrics import (ade, arrival_time, dominant_region, fde,
-                            hull_area, structure)
+from gentac.metrics import ade, dominant_region, fde, hull_area, structure
 from gentac.rng import Rng
 from gentac.training import (TrainSplit, desk_event_config,
                              desk_forecast_config, finetune, split_clips,
@@ -202,8 +201,7 @@ def test_criterion_06_league_conditioning_direction(tmp_path):
     for its own league (direction only)."""
     from gentac.diffusion import condition_tagging
 
-    clips = two_style_league_clips(400, seed=31, n_players=3,
-                                   history_s=1.0, future_s=2.0)
+    clips = two_style_league_clips(400, seed=31, n_players=3)
     split = split_clips(clips, 0.1, seed=0)
     config = desk_forecast_config(epochs=12, seed=6, fixed_start=True,
                                   early_stop_patience=12)
@@ -285,7 +283,7 @@ def test_criterion_07_metric_oracles():
     # static dominant region vs brute-force nearest-neighbor Voronoi scan
     defenders = np.array([[-20.0, 5.0], [-5.0, -10.0], [10.0, 12.0]])
     attackers = np.array([[15.0, -5.0], [-30.0, -20.0], [40.0, 8.0]])
-    area = dominant_region(defenders, attackers, pitch=PITCH, grid_res=1.0)
+    area = dominant_region(defenders, attackers, pitch=PITCH)
     xs = -PITCH.length / 2 + (np.arange(105) + 0.5)
     ys = -PITCH.width / 2 + (np.arange(68) + 0.5)
     count = 0
@@ -297,7 +295,7 @@ def test_criterion_07_metric_oracles():
     assert abs(area - count) <= 68.0
 
     sym = dominant_region(np.array([[-10.0, 0.25]]), np.array([[10.0, 0.25]]),
-                          pitch=PITCH, grid_res=1.0)
+                          pitch=PITCH)
     assert abs(sym - 3570.0) <= 68.0
     passed(7, f"hull MC within 1%; loop oracles within 1e-12; Voronoi "
               f"|{area:.0f} - {count}| <= 68; symmetric case {sym:.0f} m^2")

@@ -12,6 +12,7 @@ from gentac.cli import main, run
 from gentac.fixtures import constant_velocity_clips
 from gentac.rng import Rng
 from gentac.training import TrainSplit, desk_forecast_config, split_clips, train
+from helpers import league_clips
 
 
 def make_checkpoint(tmp_path, clips=None, epochs=1):
@@ -529,6 +530,39 @@ def test_make_fixtures_takes_no_sport(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, flag", [("two-style-league", "--duration"),
+                                        ("circular", "--jitter")])
+def test_make_fixtures_rejects_a_flag_its_kind_ignores(tmp_path, capsys, kind, flag):
+    # --duration 9 on a two-style league used to exit 0 and write 3 s clips
+    out = tmp_path / "fx"
+    assert run(["make-fixtures", "--kind", kind, "--n", "1", flag, "9",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"gentac: error: {flag} does not apply to --kind {kind}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "0"], "--k must be at least 1, got 0"),
+    (["--horizons", ""], "--horizons must list at least one horizon, got ''"),
+], ids=["k-zero", "no-horizons"])
+def test_evaluate_traj_rejects_an_empty_selection(tmp_path, capsys, argv, message):
+    # --k 0 used to fail with "list index out of range"; --horizons "" exited
+    # 0 with a header-only report
+    truth = tmp_path / "truth"
+    for d in (truth, tmp_path / "pred"):
+        d.mkdir()
+    data.save_clip(constant_velocity_clips(1, seed=18, duration_s=0.4)[0],
+                   truth / "clip0.json")
+    data.save_clip(constant_velocity_clips(1, seed=19, duration_s=0.4)[0],
+                   tmp_path / "pred" / "clip0_k0.json")
+    out = tmp_path / "report"
+    assert run(["evaluate-traj", "--pred", str(tmp_path / "pred"), "--truth",
+                str(truth), "--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err == f"gentac: error: {message}\n"
+    assert not out.exists()
+
+
 def test_refine_rejects_gamma_outside_its_range(tmp_path, capsys):
     # --gamma 0 used to fail inside the smoother with "float division by zero"
     raw = tmp_path / "raw"
@@ -597,9 +631,8 @@ def test_finetune_reads_task_and_geometry_from_base(tmp_path):
 
     clips_dir = tmp_path / "clips"
     clips_dir.mkdir()
-    clips = (constant_velocity_clips(4, seed=20, duration_s=1.0, league="alpha")
-             + constant_velocity_clips(4, seed=21, duration_s=1.0,
-                                       league="beta"))
+    clips = (league_clips(constant_velocity_clips(4, seed=20, duration_s=1.0), "alpha")
+             + league_clips(constant_velocity_clips(4, seed=21, duration_s=1.0), "beta"))
     for i, clip in enumerate(clips):
         data.save_clip(clip, clips_dir / f"clip{i}.json")
     base = tmp_path / "base.ckpt"

@@ -15,7 +15,7 @@ from gentac.diffusion import (DiffusionSchedule, RolloutConfig,
                               sample_windows_batch)
 from gentac.fixtures import constant_velocity_clips, event_class_clips
 from gentac.rng import Rng
-from helpers import oracle_sampler_mse
+from helpers import league_clips, oracle_sampler_mse
 
 # value computed by an independent pure-python running-product loop over the
 # linearly spaced betas (1e-4 .. 0.02, 100 steps)
@@ -392,8 +392,8 @@ def test_rollout_opponent_conditioning_passes_truth_through():
 # ---------------------------------------------------------------------------
 
 def test_condition_tagging_league_filter():
-    a = constant_velocity_clips(4, seed=0, league="alpha")
-    b = constant_velocity_clips(4, seed=1, league="beta")
+    a = league_clips(constant_velocity_clips(4, seed=0), "alpha")
+    b = league_clips(constant_velocity_clips(4, seed=1), "beta")
     subset = condition_tagging(a + b, "league", "alpha")
     assert len(subset) == 4
     assert all(c.metadata["league"] == "alpha" for c in subset)

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from gentac import metrics
-from gentac.data import PitchSpec
+from gentac.data import SPORTS, PitchSpec
 from gentac.events import TAXONOMY, classify
 from gentac.metrics import (EpvGrid, GeometricReport, StructureVector, ade,
-                            aggregate_over_k, arrival_time, convex_hull,
+                            aggregate_over_k, convex_hull,
                             defensive_disruption, depth_threat,
-                            dominant_partition, dominant_region,
-                            event_metrics, fde, hull_area, obet,
+                            dominant_region, event_metrics, fde, hull_area, obet,
                             polygon_area, structure, structure_deviation,
                             synthetic_epv, width_threat)
 from gentac.rng import Rng
@@ -309,21 +308,24 @@ def test_deviation_matches_manual_two_sample_computation():
     s1 = truth + rng.child("a").normal((4, 5, 2))
     s2 = truth + rng.child("b").normal((4, 5, 2))
     report = structure_deviation([s1, s2], truth, fps=25.0, n_players=2,
-                                 horizons=(4 / 25.0,), teams=(0,))
-    sl = slice(0, 2)
+                                 horizons=(4 / 25.0,))
+    teams = (slice(0, 2), slice(2, 4))
 
     def manual(sample):
         devs = []
-        prev_s, prev_t = None, None
         for t in range(4):
-            a = structure(sample[t, sl], prev_s, fps=25.0)
-            b = structure(truth[t, sl], prev_t, fps=25.0)
             row = {}
             for m in metrics.STRUCTURE_METRICS:
-                va, vb = getattr(a, m), getattr(b, m)
-                row[m] = abs(va - vb) if va is not None and vb is not None else np.nan
+                per_team = []
+                for sl in teams:
+                    prev_s = sample[t - 1, sl] if t else None
+                    prev_t = truth[t - 1, sl] if t else None
+                    va = getattr(structure(sample[t, sl], prev_s, fps=25.0), m)
+                    vb = getattr(structure(truth[t, sl], prev_t, fps=25.0), m)
+                    per_team.append(abs(va - vb) if va is not None and vb is not None
+                                    else np.nan)
+                row[m] = np.mean(per_team)
             devs.append(row)
-            prev_s, prev_t = sample[t, sl], truth[t, sl]
         return {m: np.nanmean([d[m] for d in devs])
                 for m in metrics.STRUCTURE_METRICS}
 
@@ -345,8 +347,9 @@ def test_deviation_rejects_a_sample_shaped_unlike_the_truth(shape):
 
 
 @pytest.mark.parametrize("case, message", [
-    ({"n_players": 4}, r"^teams \(0, 1\) of 4 players do not fit the truth's 7 entities$"),
-    ({"n_players": 3, "teams": (2,)}, r"^teams \(2,\) of 3 players do not fit"),
+    ({"n_players": 4}, r"^two teams of 4 players do not fit the truth's 7 entities$"),
+    ({"truth": np.zeros((4, 5, 2)), "samples": [np.zeros((4, 5, 2))]},
+     r"^two teams of 3 players do not fit the truth's 5 entities$"),
     ({"samples": []}, r"^need at least one sample$"),
     ({"history_last": np.zeros((6, 2))}, r"^history_last must be \[E x 2\] = \(7, 2\), got \(6, 2\)$"),
     ({"history_last": np.zeros(14)}, r"^history_last must be \[E x 2\]"),
@@ -431,9 +434,9 @@ def oracle_structure(positions, prev_positions=None, velocities=None, fps=None,
 
 
 def oracle_structure_deviation(samples, truth, fps, n_players, horizons,
-                               teams=(0, 1), history_last=None):
+                               history_last=None):
     truth = np.asarray(truth)
-    slices = [slice(team * n_players, (team + 1) * n_players) for team in teams]
+    slices = [slice(team * n_players, (team + 1) * n_players) for team in (0, 1)]
 
     def per_frame_metrics(coords):
         prevs = [history_last, *coords[:-1]]
@@ -496,15 +499,13 @@ def test_structure_suite_matches_the_per_frame_oracle_bit_for_bit(n_players, k,
     truth, samples = shape_scene(kind, n_players, k, 25)
     fps, horizons = 25.0, (0.08, 0.2, 1)
     for history in (None, truth[0] - 0.3):
-        for teams in ((0, 1), (1,)):
-            got = structure_deviation(samples, truth, fps, n_players, horizons,
-                                      teams, history)
-            want = oracle_structure_deviation(samples, truth, fps, n_players,
-                                              horizons, teams, history)
-            assert got.keys() == want.keys()
-            for h in horizons:
-                for m in metrics.STRUCTURE_METRICS:
-                    assert all(map(same_bits, got[h][m], want[h][m])), (h, m)
+        got = structure_deviation(samples, truth, fps, n_players, horizons, history)
+        want = oracle_structure_deviation(samples, truth, fps, n_players,
+                                          horizons, history)
+        assert got.keys() == want.keys()
+        for h in horizons:
+            for m in metrics.STRUCTURE_METRICS:
+                assert all(map(same_bits, got[h][m], want[h][m])), (h, m)
     team = slice(0, n_players)
     for t in range(len(truth)):
         frame, prev = truth[t, team], truth[t - 1, team]
@@ -520,10 +521,33 @@ def test_structure_suite_matches_the_per_frame_oracle_bit_for_bit(n_players, k,
 # EPV-weighted control metrics
 # ---------------------------------------------------------------------------
 
-def uniform_epv(resolution=1.0):
-    ny = int(round(PITCH.width / resolution))
-    nx = int(round(PITCH.length / resolution))
-    return EpvGrid(np.ones((ny, nx)), PITCH, resolution)
+@pytest.mark.parametrize("sport", sorted(SPORTS))
+def test_lattice_tiles_the_pitch(sport):
+    # the outer cell edges sit on the pitch's edges, and the cells' areas add
+    # up to the pitch's: a defender alone on the pitch holds all of it
+    pitch = PitchSpec.for_sport(sport)
+    cells = metrics.lattice(pitch)
+    for span, centers in ((pitch.length, cells[0, :, 0]), (pitch.width, cells[:, 0, 1])):
+        n = len(centers)
+        assert n == max(1, round(span))
+        width = span / n
+        assert -span / 2 + n * width == span / 2    # n cells end on the end line
+        np.testing.assert_allclose(np.diff(centers), width, rtol=0, atol=1e-12)
+        assert centers[0] - width / 2 == pytest.approx(-span / 2, rel=0, abs=1e-12)
+        assert centers[-1] + width / 2 == pytest.approx(span / 2, rel=0, abs=1e-12)
+    area = dominant_region(np.zeros((1, 2)), np.array([[1e4, 1e4]]), pitch=pitch)
+    assert area == pytest.approx(pitch.area, rel=1e-12)
+
+
+def test_soccer_lattice_is_the_whole_metre_grid_bit_for_bit():
+    xs = -52.5 + (np.arange(105) + 0.5) * 1.0
+    ys = -34.0 + (np.arange(68) + 0.5) * 1.0
+    expected = np.stack(np.meshgrid(xs, ys), axis=-1)
+    assert metrics.lattice(PitchSpec.for_sport("soccer")).tobytes() == expected.tobytes()
+
+
+def uniform_epv():
+    return EpvGrid(np.ones((68, 105)), PITCH)
 
 
 def test_obet_mirror_symmetric_teams_is_half():
@@ -541,7 +565,7 @@ def test_obet_is_one_when_attackers_own_every_cell():
 
 def test_obet_four_cell_toy_manual():
     pitch = PitchSpec(2.0, 2.0)
-    epv = EpvGrid(np.array([[1.0, 2.0], [3.0, 4.0]]), pitch, 1.0)
+    epv = EpvGrid(np.array([[1.0, 2.0], [3.0, 4.0]]), pitch)
     # attacker sits in the cell worth 4, defender in the cell worth 1;
     # the cells worth 2 and 3 split by distance
     attackers = np.array([[0.5, 0.5]])     # cell centers: (+-0.5, +-0.5)
@@ -584,16 +608,33 @@ def test_zone_threat_no_control_is_zero():
     assert depth_threat(attackers, defenders, epv) == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("n_zones", [2, 4, 8])
-def test_zone_threat_two_zone_manual(n_zones):
+@pytest.mark.parametrize("cells_per_zone", [2, 4, 8])
+def test_zone_threat_two_zone_manual(cells_per_zone):
+    m = cells_per_zone
+    pitch = PitchSpec(32.0 * m, 1.0)   # 32m x 1 m cells, m per strip along x
+    values = np.where(np.arange(32 * m) < 16 * m, 1.0, 3.0)[None]
+    epv = EpvGrid(values, pitch)       # left half worth 1 a cell, right 3
+    # the players' midpoint x = 1 m is a cell edge, so no cell ties: the
+    # defender owns the left half plus the first cell of strip 16, the
+    # attacker the other m - 1 cells of strip 16 and strips 17..31
+    attackers = np.array([[8.0 * m + 1.0, 0.0]])
+    defenders = np.array([[-8.0 * m + 1.0, 0.0]])
+    # a right strip holds 3m of the 64m EPV mass
+    expected = (15 * 1.0 + (m - 1) / m) * 3 / 64
+    assert depth_threat(attackers, defenders, epv) == pytest.approx(expected, abs=1e-12)
+    # the one cell row falls in one strip along y, all of the mass
+    assert width_threat(attackers, defenders, epv) == pytest.approx(
+        (16 * m - 1) / (32 * m), abs=1e-12)
+
+
+def test_zone_threat_leaves_empty_zones_out():
     pitch = PitchSpec(4.0, 1.0)
-    epv = EpvGrid(np.array([[1.0, 1.0, 2.0, 4.0]]), pitch, 1.0)
+    epv = EpvGrid(np.array([[1.0, 1.0, 2.0, 4.0]]), pitch)
     attackers = np.array([[1.5, 0.0]])   # owns the two right cells
     defenders = np.array([[-1.5, 0.0]])  # owns the two left cells
-    # two zones along x: left zone epv 2 (cells 1+1), right zone epv 6
-    # attacker controls all of the right zone, none of the left; finer
-    # zones split the same cells (8 zones leave every other zone empty)
-    value = depth_threat(attackers, defenders, epv, n_zones=n_zones)
+    # each cell falls in its own strip of the 32 along x (28 stay empty): the
+    # attacker holds the cells worth 2 and 4 of the 8
+    value = depth_threat(attackers, defenders, epv)
     assert value == pytest.approx((0 * 2 / 8) + (1.0 * 6 / 8), abs=1e-12)
     # the one cell row falls in one of the 32 strips along y; 31 stay empty
     assert width_threat(attackers, defenders, epv) == pytest.approx(0.5, abs=1e-12)
@@ -601,14 +642,14 @@ def test_zone_threat_two_zone_manual(n_zones):
 
 def test_epv_grid_rejects_a_shape_unlike_its_pitch_lattice():
     with pytest.raises(ValueError, match=r"\(10, 10\).*\(68, 105\)"):
-        EpvGrid(np.ones((10, 10)), PitchSpec(), 1.0)
-    with pytest.raises(ValueError, match=r"\(68, 105\).*\(34, 52\)"):
-        EpvGrid(np.ones((68, 105)), PitchSpec(), 2.0)
+        EpvGrid(np.ones((10, 10)), PitchSpec())
+    with pytest.raises(ValueError, match=r"\(68, 105\).*\(15, 29\)"):
+        EpvGrid(np.ones((68, 105)), PitchSpec.for_sport("basketball"))
 
 
 def test_epv_resampling_preserves_constant_grids():
     raw = np.full((34, 52), 3.7)
-    grid = metrics.epv_from_matrix(raw, PITCH, 1.0)
+    grid = metrics.epv_from_matrix(raw, PITCH)
     assert grid.values.shape == (68, 105)
     np.testing.assert_allclose(grid.values, 3.7, atol=1e-12)
 
@@ -619,10 +660,10 @@ def test_load_epv_round_trips_through_the_grid_file(tmp_path):
     matrix = np.round(Rng(41, ("epv",)).uniform(0.0, 1.0, (12, 16)), 4)
     path = tmp_path / "epv.txt"
     save_epv_grid(matrix, path)
-    loaded = metrics.load_epv(path, PITCH, 2.0)
-    direct = metrics.epv_from_matrix(matrix, PITCH, 2.0)
+    loaded = metrics.load_epv(path, PITCH)
+    direct = metrics.epv_from_matrix(matrix, PITCH)
     assert loaded.values.tobytes() == direct.values.tobytes()
-    assert (loaded.pitch, loaded.resolution) == (direct.pitch, direct.resolution)
+    assert loaded.pitch == direct.pitch
     assert loaded.cells.tobytes() == direct.cells.tobytes()
 
 
@@ -631,6 +672,18 @@ def test_load_epv_round_trips_through_the_grid_file(tmp_path):
 
 def batched_nearest_distance(cells, players):
     return np.linalg.norm(cells[:, None, :] - players[None, :, :], axis=-1).min(axis=1)
+
+
+def arrival_time(distance, v_along):
+    """The in-place arrival kernel on arrays of any broadcastable shapes, on
+    copies of its inputs; scalars in give a scalar out."""
+    D, v = np.broadcast_arrays(np.asarray(distance, dtype=np.float64),
+                               np.asarray(v_along, dtype=np.float64))
+    t, v0, w1, w2, w3 = (np.empty(D.shape) for _ in range(5))
+    np.copyto(v0, v)
+    metrics._arrival_into(t.reshape(-1), D.reshape(-1), v0.reshape(-1),
+                          w1.reshape(-1), w2.reshape(-1), w3.reshape(-1))
+    return t[()]
 
 
 def oracle_arrival_time(distance, v_along, accel=metrics.ARRIVAL_ACCEL,
@@ -674,7 +727,8 @@ def oracle_obet(attackers, defenders, epv):
     return float(atk / (atk + dfn))
 
 
-def oracle_zone_threat(attackers, defenders, epv, axis, n_zones=32):
+def oracle_zone_threat(attackers, defenders, epv, axis):
+    n_zones = metrics.N_ZONES
     control = batched_control(attackers, defenders, epv)
     span = (epv.pitch.length, epv.pitch.width)[axis]
     coord = epv.cells[..., axis]
@@ -689,40 +743,40 @@ def oracle_zone_threat(attackers, defenders, epv, axis, n_zones=32):
 
 
 def control_cases():
-    """(name, pitch, resolution, attackers, defenders, atk vel, def vel):
-    fuzzed players on and off the pitch, players on cell centres, mirrored
-    teams (exact distance ties), and None, zero and random velocities."""
+    """(name, pitch, attackers, defenders, atk vel, def vel): fuzzed players
+    on and off the pitch, players on cell centres, mirrored teams (exact
+    distance ties), and None, zero and random velocities. "1.0" in a name is
+    the lattice's nominal 1 m cell."""
     for sport in ("soccer", "basketball", "american_football", "ice_hockey"):
         pitch = PitchSpec.for_sport(sport)
         half = np.array([pitch.length, pitch.width]) / 2
-        for res in (0.5, 1.0, 2.0):
-            rng = Rng(40, (sport, res))
-            cells = metrics.lattice(pitch, res).reshape(-1, 2)
-            atk = rng.child("a").uniform(-1.1, 1.1, (5, 2)) * half
-            dfn = rng.child("d").uniform(-1.1, 1.1, (4, 2)) * half
-            vel = rng.child("v").normal((5, 2)) * 4.0
-            yield f"{sport}-{res}-fuzzed", pitch, res, atk, dfn, vel, vel[:4]
-            yield (f"{sport}-{res}-mirrored", pitch, res, atk,
-                   atk * np.array([-1.0, 1.0]), None, np.zeros((5, 2)))
-            idx = rng.child("i").integers(0, len(cells), (6,))
-            yield (f"{sport}-{res}-cell-centres", pitch, res, cells[idx[:3]],
-                   cells[idx[3:]], vel[:3], None)
+        rng = Rng(40, (sport, 1.0))
+        cells = metrics.lattice(pitch).reshape(-1, 2)
+        atk = rng.child("a").uniform(-1.1, 1.1, (5, 2)) * half
+        dfn = rng.child("d").uniform(-1.1, 1.1, (4, 2)) * half
+        vel = rng.child("v").normal((5, 2)) * 4.0
+        yield f"{sport}-1.0-fuzzed", pitch, atk, dfn, vel, vel[:4]
+        yield (f"{sport}-1.0-mirrored", pitch, atk,
+               atk * np.array([-1.0, 1.0]), None, np.zeros((5, 2)))
+        idx = rng.child("i").integers(0, len(cells), (6,))
+        yield (f"{sport}-1.0-cell-centres", pitch, cells[idx[:3]],
+               cells[idx[3:]], vel[:3], None)
     # dx * dx underflows to 0 at the (0, 0.5) cell centre: a zero distance
     # whose offset is not zero still has no heading toward that cell
     near = np.array([[1e-170, 0.5], [-3e-160, 0.5]])
-    yield ("soccer-1.0-underflow", PitchSpec.for_sport("soccer"), 1.0, near,
+    yield ("soccer-1.0-underflow", PitchSpec.for_sport("soccer"), near,
            np.array([[5.0, 5.0]]), np.array([[3.0, 1.0], [-2.0, 4.0]]), None)
     # both offsets underflow at the (0, 0) centre of a 105 x 67 m pitch: the
     # quotients are -inf there, yet the speed toward that cell is still 0
-    yield ("odd-1.0-underflow", PitchSpec(105.0, 67.0), 1.0,
+    yield ("odd-1.0-underflow", PitchSpec(105.0, 67.0),
            np.array([[1e-170, 1e-170]]), np.array([[5.0, 5.0]]),
            np.array([[3.0, 1.0]]), None)
 
 
 @pytest.mark.parametrize("case", list(control_cases()), ids=lambda c: c[0])
 def test_control_kernels_match_the_batched_oracles_bit_for_bit(case):
-    _, pitch, res, atk, dfn, v_atk, v_dfn = case
-    epv = synthetic_epv(pitch, res)
+    _, pitch, atk, dfn, v_atk, v_dfn = case
+    epv = synthetic_epv(pitch)
     cells = epv.cells.reshape(-1, 2)
     for players, vel in ((atk, v_atk), (dfn, v_dfn)):
         assert np.array_equal(metrics._nearest_distance(epv.cells, players).ravel(),
@@ -733,8 +787,11 @@ def test_control_kernels_match_the_batched_oracles_bit_for_bit(case):
                           batched_control(atk, dfn, epv))
     td = batched_min_arrival(cells, dfn, v_dfn)
     ta = batched_min_arrival(cells, atk, v_atk)
-    assert dominant_partition(dfn, atk, v_dfn, v_atk, pitch, res)[:2] == (
-        int((td < ta - metrics.TIE_EPS).sum()), int((ta < td - metrics.TIE_EPS).sum()))
+    cell_area = pitch.area / len(cells)
+    for region, first, second in ((dominant_region(dfn, atk, v_dfn, v_atk, pitch), td, ta),
+                                  (dominant_region(atk, dfn, v_atk, v_dfn, pitch), ta, td)):
+        n_cells = int((first < second - metrics.TIE_EPS).sum())
+        assert region == pytest.approx(n_cells * cell_area, rel=1e-12)
 
 
 def test_control_cache_follows_new_players_on_the_same_grid():
@@ -745,7 +802,7 @@ def test_control_cache_follows_new_players_on_the_same_grid():
     for att, dfn in frames + frames[:1]:
         assert obet(att, dfn, epv) == oracle_obet(att, dfn, epv)
         assert depth_threat(att, dfn, epv) == oracle_zone_threat(att, dfn, epv, 0)
-        assert width_threat(att, dfn, epv, 7) == oracle_zone_threat(att, dfn, epv, 1, 7)
+        assert width_threat(att, dfn, epv) == oracle_zone_threat(att, dfn, epv, 1)
 
 
 def test_control_caches_are_per_grid():
@@ -780,7 +837,7 @@ def test_control_field_is_read_only():
 
 def test_epv_grid_keeps_a_read_only_copy_of_its_values():
     raw = synthetic_epv(PITCH).values.copy()
-    epv = EpvGrid(raw, PITCH, 1.0)
+    epv = EpvGrid(raw, PITCH)
     att, dfn = np.array([[10.0, 5.0]]), np.array([[20.0, 0.0]])
     before = obet(att, dfn, epv)
     raw[:, 60:] = 0.0                     # the caller's array stays writeable
@@ -856,27 +913,29 @@ def test_arrival_time_monotone_in_distance():
 def test_dominant_region_mirror_symmetric_split():
     defenders = np.array([[-10.0, 0.25]])
     attackers = np.array([[10.0, 0.25]])
-    area = dominant_region(defenders, attackers, pitch=PITCH, grid_res=1.0)
+    area = dominant_region(defenders, attackers, pitch=PITCH)
     assert abs(area - 3570.0) <= 68.0  # within one boundary cell row
 
 
 def test_dominant_region_identical_position_ties_excluded():
+    # every cell is a tie, so neither side holds any
     p = np.array([[3.0, 1.0]])
-    n_def, n_atk, n_tie, cell = dominant_partition(p, p, None, None, PITCH, 1.0)
-    assert n_def == 0 and n_atk == 0
-    assert n_tie == 105 * 68
+    v = np.array([[2.0, -1.0]])
     assert dominant_region(p, p, pitch=PITCH) == 0.0
+    assert dominant_region(p, p, v, v, pitch=PITCH) == 0.0
 
 
 def test_dominant_partition_covers_the_pitch():
+    # random players tie on no cell, so the two regions share the pitch
     rng = Rng(20)
-    defenders = np.stack([rng.child("dx").uniform(-50, 50, (5,)),
-                          rng.child("dy").uniform(-32, 32, (5,))], axis=1)
-    attackers = np.stack([rng.child("ax").uniform(-50, 50, (5,)),
-                          rng.child("ay").uniform(-32, 32, (5,))], axis=1)
-    n_def, n_atk, n_tie, cell = dominant_partition(
-        defenders, attackers, None, None, PITCH, 1.0)
-    assert (n_def + n_atk + n_tie) * cell == PITCH.area
+    for sport in sorted(SPORTS):
+        pitch = PitchSpec.for_sport(sport)
+        half = np.array([pitch.length, pitch.width]) / 2
+        defenders = rng.child("d", sport).uniform(-1.0, 1.0, (5, 2)) * half
+        attackers = rng.child("a", sport).uniform(-1.0, 1.0, (5, 2)) * half
+        total = (dominant_region(defenders, attackers, pitch=pitch)
+                 + dominant_region(attackers, defenders, pitch=pitch))
+        assert total == pytest.approx(pitch.area, rel=1e-12), sport
 
 
 def test_static_dominant_region_matches_voronoi_oracle():
@@ -886,7 +945,7 @@ def test_static_dominant_region_matches_voronoi_oracle():
                               rng.child("dy", trial).uniform(-30, 30, (4,))], axis=1)
         attackers = np.stack([rng.child("ax", trial).uniform(-45, 45, (4,)),
                               rng.child("ay", trial).uniform(-30, 30, (4,))], axis=1)
-        area = dominant_region(defenders, attackers, pitch=PITCH, grid_res=1.0)
+        area = dominant_region(defenders, attackers, pitch=PITCH)
 
         # brute-force nearest-neighbor scan over the same lattice
         xs = -PITCH.length / 2 + (np.arange(105) + 0.5)
@@ -912,10 +971,9 @@ def test_static_dominant_region_matches_voronoi_oracle():
 def test_dominant_region_rejects_malformed_players_in_one_line(
         defenders, attackers, def_vel, atk_vel, side):
     message = rf"^{side} positions and velocities must be \[N x 2\] with one row per player"
-    for call in (dominant_region, dominant_partition):
-        with pytest.raises(ValueError, match=message) as err:
-            call(defenders, attackers, def_vel, atk_vel, PITCH)
-        assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match=message) as err:
+        dominant_region(defenders, attackers, def_vel, atk_vel, PITCH)
+    assert "\n" not in str(err.value)
 
 
 def test_velocity_shifts_the_contested_boundary():
@@ -940,11 +998,10 @@ def test_velocity_shifts_the_contested_boundary():
     lambda a: structure(a["pos"], velocities=a["vel"]),
     lambda a: structure_deviation(a["samples"], a["truth"], 25.0, 3, (0.2,),
                                   history_last=a["history"]),
-    lambda a: arrival_time(a["dist"], a["v"]),
     lambda a: dominant_region(a["pos"], a["prev"], a["vel"], a["v"][:6].reshape(3, 2),
                               PITCH),
 ], ids=["structure-prev", "structure-velocities", "structure_deviation",
-        "arrival_time", "dominant_region"])
+        "dominant_region"])
 def test_public_metrics_leave_their_arguments_unchanged(call):
     # the kernels write into work arrays of their own, never into the caller's
     rng = Rng(26)
@@ -953,7 +1010,6 @@ def test_public_metrics_leave_their_arguments_unchanged(call):
                                         for k in range(2)],
             "history": truth[0] - 0.5, "pos": truth[1, :3].copy(),
             "prev": truth[0, :3].copy(), "vel": rng.child("u").normal((3, 2)) * 5,
-            "dist": rng.child("d").uniform(0.0, 40.0, (50,)),
             "v": rng.child("v").normal((50,)) * 6}
     before = {k: [x.copy() for x in v] if isinstance(v, list) else v.copy()
               for k, v in args.items()}

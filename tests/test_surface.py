@@ -1,9 +1,13 @@
 """The public surface is what the program uses: every public top-level
 function, class and method of `gentac` is referenced by name from the
 package itself (outside its own definition), `perfbench/`, `demos/` or the
-console-script entry in pyproject.toml. A name only tests call is deleted."""
+console-script entry in pyproject.toml. A name only tests call is deleted.
+The number of values a caller can set is capped and can only go down."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
 import tomllib
 
@@ -17,10 +21,11 @@ UNREFERENCED_ALLOWED = {
     # the EPV grid file format that README documents: read and write
     "metrics.load_epv",
     "data.save_epv_grid",
-    # the array entry to the arrival kernel that `dominant_partition` runs in
-    # place on its own work arrays; the kinematics tests read it
-    "metrics.arrival_time",
 }
+
+# defaulted parameters of public functions and methods plus defaulted init
+# fields of public dataclasses; a change may lower this, never raise it
+SETTABLE_VALUES_MAX = 124
 
 
 def _public_definitions():
@@ -155,3 +160,35 @@ def test_every_public_name_has_a_caller_in_the_program():
 
 def test_the_allowed_exceptions_still_exist():
     assert UNREFERENCED_ALLOWED <= set(_public_definitions())
+
+
+def _settable_values():
+    """"module.function(param)", "module.Class.method(param)" and
+    "module.Class.field" for every defaulted parameter or init field."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"gentac.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            functions = [(f"{path.stem}.{name}", obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    names += [f"{path.stem}.{name}.{f.name}" for f in dataclasses.fields(obj)
+                              if f.init and (f.default is not dataclasses.MISSING
+                                             or f.default_factory is not dataclasses.MISSING)]
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        functions.append((f"{path.stem}.{name}.{attr}", member))
+            names += [f"{qualified}({p.name})" for qualified, function in functions
+                      for p in inspect.signature(function).parameters.values()
+                      if p.default is not p.empty]
+    return names
+
+
+def test_settable_values_do_not_grow():
+    names = _settable_values()
+    assert len(names) <= SETTABLE_VALUES_MAX, \
+        f"{len(names)} settable values, at most {SETTABLE_VALUES_MAX}: {names}"

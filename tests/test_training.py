@@ -14,6 +14,7 @@ from gentac.training import (AdamState, TrainConfig, TrainSplit, finetune,
                              clip_gradients, desk_event_config,
                              desk_forecast_config, lr_at, optimizer_step,
                              split_clips, train)
+from helpers import league_clips
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +224,8 @@ def test_finetune_rejects_incompatible_config(tmp_path):
 
 def test_finetune_trains_only_on_filtered_subset(tmp_path):
     from gentac.diffusion import condition_tagging
-    alpha = constant_velocity_clips(6, seed=9, duration_s=1.0, league="alpha")
-    beta = constant_velocity_clips(6, seed=10, duration_s=1.0, league="beta")
+    alpha = league_clips(constant_velocity_clips(6, seed=9, duration_s=1.0), "alpha")
+    beta = league_clips(constant_velocity_clips(6, seed=10, duration_s=1.0), "beta")
     subset = condition_tagging(alpha + beta, "league", "alpha")
     assert all(c.metadata["league"] == "alpha" for c in subset)
     split = split_clips(subset, 0.3, seed=0)
