@@ -13,6 +13,10 @@ loop; `train-traj`, `train-event` and `finetune` share one train command,
 and finetune takes its task and geometry from the `--base` checkpoint; every
 command that reads a checkpoint loads it through `training.load_model`.
 
+A forecaster's checkpoint carries the noise schedule and window it was
+trained on (`training.SAMPLING_CONTRACT`): `sample` and `forecast-event` use
+them and take no flag for either, and `finetune` keeps them.
+
 Exit codes: 0 success, 1 runtime failure (single-line diagnostic on stderr),
 2 usage error.
 """
@@ -29,12 +33,11 @@ import sys
 import numpy as np
 
 from . import __version__, data, fixtures, metrics
-from .backbone import ModelConfig, load_checkpoint, save_checkpoint
-from .diffusion import RolloutConfig, condition_tagging, make_schedule, rollout
+from .diffusion import RolloutConfig, condition_tagging, rollout
 from .events import TAXONOMY, forecast_event, ground_event
 from .rng import Rng
-from .training import MODELS, TrainConfig, desk_event_config, \
-    desk_forecast_config, finetune, load_model, split_clips, train
+from .training import TrainConfig, desk_event_config, desk_forecast_config, \
+    finetune, load_model, save_model, split_clips, train
 
 
 def git_blob_hash(path) -> str:
@@ -44,12 +47,6 @@ def git_blob_hash(path) -> str:
     h.update(f"blob {len(blob)}\0".encode("ascii"))
     h.update(blob)
     return h.hexdigest()
-
-
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
 
 
 def _sha256(path) -> str:
@@ -66,7 +63,8 @@ def write_manifest(target, command, seed, config, inputs, outputs,
         "command": command,
         "seed": seed,
         "config": config,
-        "config_hash": _config_hash(config),
+        "config_hash": hashlib.sha256(json.dumps(
+            config, sort_keys=True, default=str).encode("utf-8")).hexdigest(),
         "inputs": {pathlib.Path(p).name: git_blob_hash(p) for p in inputs},
         "outputs": {pathlib.Path(p).name: _sha256(p) for p in outputs},
     }
@@ -103,11 +101,12 @@ def _with_sidecars(clip_paths):
     return paths
 
 
-def _train_config(args, task, base_geometry=None) -> TrainConfig:
-    """The task's desk config, then the base checkpoint's geometry, then the
-    `--config` file, then the flags given on the command line."""
+def _train_config(args, fixed) -> TrainConfig:
+    """The task's desk config, then the fields a base checkpoint `fixed`
+    (at least the task), then the `--config` file, then the flags given."""
+    task = fixed["task"]
     desk = desk_forecast_config() if task == "forecast" else desk_event_config()
-    merged = {**desk.__dict__, **(base_geometry or {})}
+    merged = {**desk.__dict__, **fixed}
     if args.config is not None:
         file_config = json.loads(pathlib.Path(args.config).read_text("utf-8"))
         if not isinstance(file_config, dict):
@@ -122,10 +121,6 @@ def _train_config(args, task, base_geometry=None) -> TrainConfig:
             merged[key] = value
     merged["task"] = task
     return TrainConfig(**merged)
-
-
-def _float_list(text):
-    return tuple(float(v) for v in text.split(",") if v)
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +166,12 @@ def cmd_refine(args):
 
 
 def cmd_train(args):
-    """`train-traj`, `train-event` and `finetune`; finetune reads its task
-    and model geometry from the `--base` checkpoint."""
+    """`train-traj`, `train-event` and `finetune`; finetune reads its task,
+    geometry and a forecaster's schedule and window from `--base`."""
     finetuning = args.command == "finetune"
-    if finetuning:
-        header, extra, _ = load_checkpoint(args.base)
-        task = extra.get("task")
-        if task not in MODELS:
-            raise ValueError(f"{args.base} records no task; finetune needs a "
-                             f"checkpoint written by train-traj or train-event")
-        cfg = _train_config(args, task, ModelConfig.from_dict(header).to_dict())
-    else:
-        cfg = _train_config(args, args.task)
+    base, fixed = load_model(args.base, None) if finetuning else \
+        (None, {"task": args.task})
+    cfg = _train_config(args, fixed)
     clip_paths = _clip_paths(args.data)
     clips = [data.load_clip(p, sport=cfg.sport) for p in clip_paths]
     inputs = _with_sidecars(clip_paths)
@@ -194,7 +183,7 @@ def cmd_train(args):
     split = split_clips(clips, args.valid_fraction, seed=cfg.seed)
     manifest_config = dict(cfg.__dict__)
     if finetuning:
-        model, result = finetune(args.base, split, cfg)
+        model, result = finetune(base, fixed, split, cfg)
         inputs.append(pathlib.Path(args.base))
         manifest_config["filter"] = args.filter
     else:
@@ -202,8 +191,7 @@ def cmd_train(args):
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, model.params, model.config.to_dict(),
-                    extra={"task": cfg.task, "best_epoch": result.best_epoch})
+    save_model(out, model, result)
     log_path = out.with_name(out.stem + ".log.csv")
     log_path.write_text(result.log_csv(), "utf-8")
     write_manifest(out, args.command, cfg.seed, manifest_config, inputs,
@@ -211,10 +199,14 @@ def cmd_train(args):
     return 0
 
 
-def _rollout_inputs(args, model):
+def _rollout_inputs(args, model, fixed):
     """(history, truth future or None, RolloutConfig, schedule, manifest
     config, input paths) from the sampling options shared by `sample` and
-    `forecast-event`."""
+    `forecast-event`, and the schedule and window the checkpoint `fixed`."""
+    if "task" not in fixed:
+        raise ValueError(f"{args.checkpoint} records no task, so no schedule or "
+                         f"window; sampling needs one written by train-traj")
+    trained = TrainConfig(**fixed)
     n_players = model.config.n_players
     pitch = data.PitchSpec.for_sport(args.sport)
     history_path = pathlib.Path(args.history)
@@ -222,9 +214,9 @@ def _rollout_inputs(args, model):
         data.load_clip(history_path, sport=args.sport), n_players)
     hist = data.normalize(clip, pitch)
     config = RolloutConfig(
-        window=args.window, history=len(clip) / clip.fps, horizon=args.horizon,
-        samples=args.k, setting=args.setting, target_side=args.target_side,
-        fps=clip.fps).validate()
+        window=trained.window_frames / clip.fps, history=len(clip) / clip.fps,
+        horizon=args.horizon, samples=args.k, setting=args.setting,
+        target_side=args.target_side, fps=clip.fps).validate()
     truth = None
     inputs = [history_path]
     if config.single_team:
@@ -233,18 +225,19 @@ def _rollout_inputs(args, model):
         truth = data.normalize(data.with_players_per_team(
             data.load_clip(args.truth, sport=args.sport), n_players), pitch)
         inputs.append(pathlib.Path(args.truth))
-    schedule = make_schedule(args.steps, args.beta_start, args.beta_end)
-    manifest_config = {**config.__dict__, "steps": args.steps,
-                       "beta_start": args.beta_start, "beta_end": args.beta_end}
-    return hist, truth, config, schedule, manifest_config, _with_sidecars(inputs)
+    manifest_config = {**config.__dict__, "steps": trained.diffusion_steps,
+                       "beta_start": trained.beta_start,
+                       "beta_end": trained.beta_end}
+    return (hist, truth, config, trained.schedule(), manifest_config,
+            _with_sidecars(inputs))
 
 
 def cmd_sample(args):
-    model = load_model(args.checkpoint, "forecast")
+    model, fixed = load_model(args.checkpoint, "forecast")
     hist, truth, config, schedule, manifest_config, inputs = \
-        _rollout_inputs(args, model)
-    rng = Rng(args.seed, ("sample",))
-    sample_set = rollout(hist, config, model, schedule, rng, truth_future=truth)
+        _rollout_inputs(args, model, fixed)
+    sample_set = rollout(hist, config, model, schedule,
+                         Rng(args.seed, ("sample",)), truth_future=truth)
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,17 +260,13 @@ def _fmt10(v):
 
 def cmd_evaluate_traj(args):
     pred_dir = pathlib.Path(args.pred)
-    truth_dir = pathlib.Path(args.truth)
-    horizons = _float_list(args.horizons)
+    horizons = tuple(float(v) for v in args.horizons.split(",") if v)
     if args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
     if not horizons:
         raise ValueError(f"--horizons must list at least one horizon, "
                          f"got '{args.horizons}'")
-    out = pathlib.Path(args.out or pred_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    truth_paths = {p.stem: p for p in _clip_paths(truth_dir)}
+    truth_paths = {p.stem: p for p in _clip_paths(args.truth)}
     groups = {}
     for p in _clip_paths(pred_dir):
         stem, _, k = p.stem.rpartition("_k")
@@ -291,38 +280,36 @@ def cmd_evaluate_traj(args):
     struct_reports = []
     inputs = []
     for stem, entries in sorted(groups.items()):
-        entries.sort()
-        samples = []
-        for _, p in entries[: args.k]:
-            clip = data.load_clip(p, sport=args.sport)
-            samples.append(data.clip_to_segment(clip))
-            inputs.append(p)
+        if len(entries) < args.k:
+            raise ValueError(f"{stem} has {len(entries)} predictions, "
+                             f"fewer than --k {args.k}")
+        paths = [p for _, p in sorted(entries)[:args.k]]
+        sample_coords = [data.clip_to_segment(
+            data.load_clip(p, sport=args.sport)).coords for p in paths]
         truth_clip = data.load_clip(truth_paths[stem], sport=args.sport)
-        inputs.append(truth_paths[stem])
+        inputs += [*paths, truth_paths[stem]]
         truth_seg = data.clip_to_segment(truth_clip)
-        T = len(samples[0])
+        T = len(sample_coords[0])
         truth_coords = truth_seg.coords[-T:]
         history_last = truth_seg.coords[-T - 1] if len(truth_seg) > T else None
-        fps = truth_clip.fps
-        sample_coords = [s.coords for s in samples]
         geo_reports.append(metrics.aggregate_over_k(
-            sample_coords, truth_coords, fps, horizons))
+            sample_coords, truth_coords, truth_clip.fps, horizons))
         struct_reports.append(metrics.structure_deviation(
-            sample_coords, truth_coords, fps, truth_clip.players_per_team,
+            sample_coords, truth_coords, truth_clip.fps,
+            truth_clip.players_per_team,
             horizons, history_last=history_last))
 
     geo = metrics.average_geometric_reports(geo_reports)
     rows = ["horizon_s,aggregate,ADE,FDE,dSI,dSA,dTW,dTL,dFN,dCD,dSO"]
     for h in horizons:
-        for agg, geo_idx in (("min", 0), ("avg", 1)):
-            g = geo.row(h)
-            ade_v, fde_v = (g[0], g[2]) if agg == "min" else (g[1], g[3])
-            struct_avg = []
-            for m in metrics.STRUCTURE_METRICS:
-                vals = [r[h][m][geo_idx] for r in struct_reports]
-                struct_avg.append(float(np.mean(vals)))
-            rows.append(",".join([_fmt10(h), agg, _fmt10(ade_v), _fmt10(fde_v),
-                                  *(_fmt10(v) for v in struct_avg)]))
+        g = geo.row(h)  # minADE, avgADE, minFDE, avgFDE
+        for agg, i in (("min", 0), ("avg", 1)):
+            struct_avg = [float(np.mean([r[h][m][i] for r in struct_reports]))
+                          for m in metrics.STRUCTURE_METRICS]
+            rows.append(",".join([_fmt10(h), agg, _fmt10(g[i]), _fmt10(g[i + 2]),
+                                  *map(_fmt10, struct_avg)]))
+    out = pathlib.Path(args.out or pred_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "trajectory_report.csv"
     report_path.write_text("\n".join(rows) + "\n", "utf-8")
     write_manifest(out, "evaluate-traj", None,
@@ -333,7 +320,7 @@ def cmd_evaluate_traj(args):
 
 
 def cmd_evaluate_event(args):
-    model = load_model(args.checkpoint, "event")
+    model, _ = load_model(args.checkpoint, "event")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs = _clip_paths(args.data)
@@ -341,13 +328,12 @@ def cmd_evaluate_event(args):
                                         model.config.n_players)
              for p in inputs]
 
-    predictions, labels, rows, records = [], [], [], []
-    header = (["clip", "true_type", "true_subtype"]
-              + [f"p_type_{t}" for t in TAXONOMY.types]
-              + [f"p_{s}" for s in TAXONOMY.all_subtypes]
-              + ["pred_type", "pred_subtype", "type_hit@1", "subtype_hit@1",
-                 "subtype_hit@3", "subtype_hit@5"])
-    rows.append(",".join(header))
+    predictions, labels, records = [], [], []
+    rows = [",".join(["clip", "true_type", "true_subtype",
+                      *(f"p_type_{t}" for t in TAXONOMY.types),
+                      *(f"p_{s}" for s in TAXONOMY.all_subtypes),
+                      "pred_type", "pred_subtype", "type_hit@1",
+                      "subtype_hit@1", "subtype_hit@3", "subtype_hit@5"])]
     for path, clip in zip(inputs, clips):
         pred = ground_event(clip, model)
         true_type = clip.metadata.get("event_type", "")
@@ -359,11 +345,6 @@ def cmd_evaluate_event(args):
             si = TAXONOMY.combined_index(true_sub)
             hits = [str(int(pred.predicted_type == true_type))] + [
                 str(metrics.topk_hit(pred.combined, si, k)) for k in (1, 3, 5)]
-        rows.append(",".join(
-            [path.stem, true_type, true_sub]
-            + [_fmt10(v) for v in pred.type_probs]
-            + [_fmt10(v) for v in pred.combined]
-            + [pred.predicted_type, pred.predicted_subtype] + hits))
         records.append({
             "clip": path.stem, "true_type": true_type, "true_subtype": true_sub,
             "type_probs": [float(v) for v in pred.type_probs],
@@ -371,6 +352,9 @@ def cmd_evaluate_event(args):
             "predicted_type": pred.predicted_type,
             "predicted_subtype": pred.predicted_subtype,
         })
+        probs = records[-1]["type_probs"] + records[-1]["combined_probs"]
+        rows.append(",".join([path.stem, true_type, true_sub, *map(_fmt10, probs),
+                              pred.predicted_type, pred.predicted_subtype, *hits]))
 
     pred_csv = out / "predictions.csv"
     pred_csv.write_text("\n".join(rows) + "\n", "utf-8")
@@ -385,15 +369,14 @@ def cmd_evaluate_event(args):
                            ("subtype_accuracy", report.subtype_accuracy)):
             lines += [f"{name},@{k},{_fmt10(v)}" for k, v in by_k.items()]
         # a subtype with no labelled clip has no recall row; a type keeps its nan
-        for name, by_k, macro, skip_nan in (
-                ("type_recall", report.type_recall, report.type_macro_recall,
-                 False),
+        for name, by_k, macro in (
+                ("type_recall", report.type_recall, report.type_macro_recall),
                 ("subtype_recall", report.subtype_recall,
-                 report.subtype_macro_recall, True)):
+                 report.subtype_macro_recall)):
             for k, per_class in by_k.items():
                 lines += [f"{name}@{k},{c},{_fmt10(v)}"
                           for c, v in per_class.items()
-                          if not (skip_nan and np.isnan(v))]
+                          if name == "type_recall" or not np.isnan(v)]
                 lines.append(f"{name}@{k},macro,{_fmt10(macro[k])}")
         lines.append(f"type_precision@1,macro,{_fmt10(report.type_macro_precision)}")
         lines.append(f"type_f1@1,macro,{_fmt10(report.type_macro_f1)}")
@@ -408,22 +391,21 @@ def cmd_evaluate_event(args):
 
 
 def cmd_forecast_event(args):
-    traj_model = load_model(args.checkpoint, "forecast")
-    event_model = load_model(args.event_checkpoint, "event")
+    traj_model, fixed = load_model(args.checkpoint, "forecast")
+    event_model, _ = load_model(args.event_checkpoint, "event")
     hist, truth, config, schedule, manifest_config, inputs = \
-        _rollout_inputs(args, traj_model)
+        _rollout_inputs(args, traj_model, fixed)
     summary = forecast_event(hist, config, traj_model, schedule, event_model,
                              Rng(args.seed, ("forecast-event",)),
                              truth_future=truth,
                              event_input_frames=args.event_frames)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["subtype,median,p10,p90,min,max"]
-    for j, name in enumerate(summary.subtype_labels):
-        lines.append(",".join([name, _fmt10(summary.median[j]),
-                               _fmt10(summary.p10[j]), _fmt10(summary.p90[j]),
-                               _fmt10(summary.minimum[j]),
-                               _fmt10(summary.maximum[j])]))
+    columns = (summary.median, summary.p10, summary.p90, summary.minimum,
+               summary.maximum)
+    lines = ["subtype,median,p10,p90,min,max"] + [
+        ",".join([name, *(_fmt10(c[j]) for c in columns)])
+        for j, name in enumerate(summary.subtype_labels)]
     summary_path = out / "event_forecast.csv"
     summary_path.write_text("\n".join(lines) + "\n", "utf-8")
     write_manifest(out, "forecast-event", args.seed,
@@ -435,7 +417,8 @@ def cmd_forecast_event(args):
 
 
 def cmd_make_fixtures(args):
-    """A flag the kind's generator has no parameter for is an error."""
+    """A flag the kind's generator has no parameter for is an error, and so
+    is an empty scene: no players here, no frames in `make_fixture_set`."""
     accepted = inspect.signature(fixtures.FIXTURE_KINDS[args.kind]).parameters
     kwargs = {}
     for flag, key in (("players", "n_players"), ("duration", "duration_s"),
@@ -446,6 +429,9 @@ def cmd_make_fixtures(args):
         if key not in accepted:
             raise ValueError(f"--{flag} does not apply to --kind {args.kind}")
         kwargs[key] = value
+    if kwargs.get("n_players", 1) < 1:
+        raise ValueError(f"{args.out}: --players {args.players} leaves the "
+                         f"teams with no players")
     paths = fixtures.make_fixture_set(args.kind, args.n, args.out,
                                       seed=args.seed, **kwargs)
     out = pathlib.Path(args.out)
@@ -466,6 +452,13 @@ def build_parser():
         description="generative multi-agent trajectory engine for team sports")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, help, *option_groups):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for add in option_groups:
+            add(p)
+        return p
+
     # --seed only where random numbers are drawn: fixtures, training, sampling
     def seed_opt(p):
         p.add_argument("--seed", type=int, default=0)
@@ -473,37 +466,28 @@ def build_parser():
     def sport_opt(p):
         p.add_argument("--sport", default="soccer", choices=sorted(data.SPORTS))
 
-    p = sub.add_parser("ingest", help="canonicalize raw clip files")
-    sport_opt(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
+    def clip_io(p):
+        p.add_argument("--input", required=True)
+        p.add_argument("--out", required=True)
+
+    p = command("ingest", cmd_ingest, "canonicalize raw clip files", sport_opt,
+                clip_io)
     p.add_argument("--fps", type=float, default=25.0)
     p.add_argument("--repair-duplicates", action="store_true")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("resample", help="linear temporal resampling")
-    sport_opt(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
+    p = command("resample", cmd_resample, "linear temporal resampling",
+                sport_opt, clip_io)
     p.add_argument("--fps", type=float, required=True)
     p.add_argument("--fps-in", type=float, default=None)
-    p.set_defaults(func=cmd_resample)
 
-    p = sub.add_parser("refine", help="repair and smooth tracking")
-    sport_opt(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
+    p = command("refine", cmd_refine, "repair and smooth tracking", sport_opt,
+                clip_io)
     p.add_argument("--max-gap", type=int, default=12)
     p.add_argument("--v-max", type=float, default=12.0)
     p.add_argument("--anomaly-count", type=int, default=3)
     p.add_argument("--gamma", type=float, default=0.85)
-    p.set_defaults(func=cmd_refine)
 
-    # the forecaster's window geometry and schedule; the event task reads none
-    forecast_flags = (("history_frames", int), ("window_frames", int),
-                      ("max_history_frames", int), ("diffusion_steps", int))
-
-    def train_opts(p, flags):
+    def train_opts(p, *flags):
         seed_opt(p)
         sport_opt(p)
         p.set_defaults(seed=None, sport=None)  # unset: the config's value
@@ -520,29 +504,32 @@ def build_parser():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                            default=None)
 
-    p = sub.add_parser("train-traj", help="train the diffusion forecaster")
-    train_opts(p, forecast_flags)
-    p.set_defaults(func=cmd_train, task="forecast")
+    # the forecaster's history lengths; the event task reads none, and a
+    # finetune keeps its base's window and schedule
+    history_flags = (("history_frames", int), ("max_history_frames", int))
+    p = command("train-traj", cmd_train, "train the diffusion forecaster")
+    train_opts(p, *history_flags, ("window_frames", int),
+               ("diffusion_steps", int))
+    p.set_defaults(task="forecast")
 
-    p = sub.add_parser("train-event", help="train the event classifier")
-    train_opts(p, ())
-    p.set_defaults(func=cmd_train, task="event")
+    p = command("train-event", cmd_train, "train the event classifier",
+                train_opts)
+    p.set_defaults(task="event")
 
-    # the task comes from --base after parsing, so the forecast flags stay
-    p = sub.add_parser("finetune", help="continue training from a checkpoint")
-    train_opts(p, forecast_flags)
+    # the task comes from --base after parsing, so the history flags stay
+    p = command("finetune", cmd_train, "continue training from a checkpoint")
+    train_opts(p, *history_flags)
     p.add_argument("--base", required=True,
-                   help="checkpoint whose task and geometry to continue")
+                   help="checkpoint whose task, geometry, schedule and window "
+                        "to continue")
     p.add_argument("--filter", default=None,
                    help="subset filter, e.g. league=alpha or objective=offense")
-    p.set_defaults(func=cmd_train)
 
     def sampling_opts(p):
         seed_opt(p)
         sport_opt(p)
         p.add_argument("--history", required=True, help="clip file; the whole file is the observed context")
         p.add_argument("--checkpoint", required=True)
-        p.add_argument("--window", type=float, default=0.2)
         p.add_argument("--horizon", type=float, required=True)
         p.add_argument("--k", type=int, default=20)
         p.add_argument("--setting", default="unconditioned",
@@ -551,42 +538,34 @@ def build_parser():
         p.add_argument("--target-side", type=int, default=None)
         p.add_argument("--truth", default=None,
                        help="aligned future clip for single-team settings")
-        p.add_argument("--steps", type=int, default=100)
-        p.add_argument("--beta-start", type=float, default=1e-4)
-        p.add_argument("--beta-end", type=float, default=0.02)
 
-    p = sub.add_parser("sample", help="roll out K stochastic futures")
-    sampling_opts(p)
+    p = command("sample", cmd_sample, "roll out K stochastic futures",
+                sampling_opts)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("evaluate-traj", help="geometric + structural report")
-    sport_opt(p)
+    p = command("evaluate-traj", cmd_evaluate_traj,
+                "geometric + structural report", sport_opt)
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--horizons", default="1,2,3,4,5")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_evaluate_traj)
 
-    p = sub.add_parser("evaluate-event", help="ground clips and score them")
-    sport_opt(p)
+    p = command("evaluate-event", cmd_evaluate_event,
+                "ground clips and score them", sport_opt)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate_event)
 
-    p = sub.add_parser("forecast-event",
-                       help="sample futures and classify each one")
-    sampling_opts(p)
+    p = command("forecast-event", cmd_forecast_event,
+                "sample futures and classify each one", sampling_opts)
     p.add_argument("--event-checkpoint", required=True)
     p.add_argument("--event-frames", type=int, default=100)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_forecast_event)
 
     # the generators draw soccer-scale geometry, so there is no --sport
-    p = sub.add_parser("make-fixtures", help="generate synthetic clip sets")
-    seed_opt(p)
+    p = command("make-fixtures", cmd_make_fixtures,
+                "generate synthetic clip sets", seed_opt)
     p.add_argument("--kind", required=True,
                    choices=sorted(fixtures.FIXTURE_KINDS))
     p.add_argument("--n", type=int, required=True)
@@ -594,7 +573,6 @@ def build_parser():
     p.add_argument("--players", type=int, default=None)
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--jitter", type=float, default=None)
-    p.set_defaults(func=cmd_make_fixtures)
 
     return parser
 

@@ -259,7 +259,8 @@ def sidecar_path(path):
 
 
 def load_clip(path, fps=None, sport="soccer", on_duplicate="error") -> TrajectoryClip:
-    """Read a clip file plus its optional `<stem>.meta.json` sidecar."""
+    """Read a clip file plus its optional `<stem>.meta.json` sidecar; an
+    empty scene is rejected (`check_scene`)."""
     import pathlib
 
     path = pathlib.Path(path)
@@ -275,7 +276,19 @@ def load_clip(path, fps=None, sport="soccer", on_duplicate="error") -> Trajector
         if "players_per_team" in clip.metadata:
             clip = with_players_per_team(
                 clip, int(clip.metadata["players_per_team"]))
+    check_scene(clip, path)
     return clip
+
+
+def check_scene(clip: TrajectoryClip, name):
+    """Reject a clip with no frames, which holds no window, or with a team
+    that never has a player, which the entity layout and the metrics' team
+    split cannot hold: one line naming `name` and what is missing."""
+    if not clip.frames:
+        raise ValueError(f"{name} holds no frames")
+    for team, ids in enumerate(_entity_ids(clip)):
+        if not ids:
+            raise ValueError(f"{name}: team{team} has no players")
 
 
 def with_players_per_team(clip: TrajectoryClip, n: int) -> TrajectoryClip:

@@ -236,20 +236,21 @@ FIXTURE_KINDS = {
 
 def make_fixture_set(kind, n_clips, out_dir, seed=0, **kwargs):
     """Generate `n_clips` of `kind` and write them (plus metadata sidecars)
-    under out_dir as fixture_0000.json, ... Returns the written paths."""
+    under out_dir as fixture_0000.json, ... Returns the written paths. An
+    empty scene (`data.check_scene`) is rejected before any file is written."""
     import pathlib
 
-    from .data import save_clip
+    from .data import check_scene, save_clip
 
     if kind not in FIXTURE_KINDS:
         raise ValueError(f"unknown fixture kind '{kind}'; "
                          f"choose from {sorted(FIXTURE_KINDS)}")
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     clips = FIXTURE_KINDS[kind](n_clips, seed=seed, **kwargs)
-    paths = []
-    for i, clip in enumerate(clips):
-        path = out / f"fixture_{i:04d}.json"
+    paths = [out / f"fixture_{i:04d}.json" for i in range(len(clips))]
+    for clip, path in zip(clips, paths):
+        check_scene(clip, path)
+    out.mkdir(parents=True, exist_ok=True)
+    for clip, path in zip(clips, paths):
         save_clip(clip, path)
-        paths.append(path)
     return paths

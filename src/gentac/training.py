@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import ModelConfig, TrajectoryModel, assign_parameters, load_checkpoint
+from .backbone import (ModelConfig, TrajectoryModel, assign_parameters,
+                       load_checkpoint, save_checkpoint)
 from .data import (PitchSpec, flip_augment, normalize, window,
                    with_players_per_team)
 from .diffusion import diffusion_loss, make_schedule
@@ -77,8 +78,7 @@ class TrainConfig:
             raise ValueError("patience must be non-negative")
 
     def model_config(self):
-        return ModelConfig(d=self.d, layers=self.layers, heads=self.heads,
-                           n_players=self.n_players, l_max=self.l_max)
+        return ModelConfig.from_dict(self.__dict__)
 
     def schedule(self):
         return make_schedule(self.diffusion_steps, self.beta_start, self.beta_end)
@@ -115,19 +115,13 @@ def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
     warmup = config.warmup_ratio * total_steps
     if step < warmup:
         return config.lr_peak * step / warmup
-    if total_steps == warmup:
-        return config.lr_peak
     phase = (step - warmup) / (total_steps - warmup)
     return config.lr_peak * 0.5 * (1.0 + math.cos(math.pi * phase))
 
 
-def global_grad_norm(params) -> float:
-    return math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
-
-
 def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm."""
-    norm = global_grad_norm(params)
+    norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for p in params:
@@ -269,11 +263,9 @@ def _normalized(clip, config):
 
 
 def _forecast_segments(clips, config):
-    out = []
-    for clip in clips:
-        side = clip.metadata.get("target_side")
-        out.append((_normalized(clip, config), None if side is None else int(side)))
-    return out
+    sides = [clip.metadata.get("target_side") for clip in clips]
+    return [(_normalized(clip, config), None if side is None else int(side))
+            for clip, side in zip(clips, sides)]
 
 
 def _forecast_batch(segments, config: TrainConfig, rng: Rng, n_items: int):
@@ -292,10 +284,9 @@ def _forecast_batch(segments, config: TrainConfig, rng: Rng, n_items: int):
                 f"clip of {len(seg)} frames too short for history {hl} + window {w}")
         start = 0 if config.fixed_start else int(r.child("start").integers(0, max_start + 1))
         hist, fut = window(seg, start, hl, w)
+        target = None
         if config.forecast_task == "forecast_single":
             target = side if side is not None else int(r.child("side").integers(0, 2))
-        else:
-            target = None
         batch.append((hist, fut, config.forecast_task, target))
     return batch
 
@@ -378,10 +369,9 @@ def _fit_event(model, split: TrainSplit, config: TrainConfig, rng: Rng):
             chunk = valid_items[start:start + config.batch_size]
             type_logits, loss = _event_loss(model, chunk, config)
             losses.append(float(loss.data))
-            pred_idx = np.argmax(type_logits.data, axis=1)
-            for k, (_, lab) in enumerate(chunk):
-                if TAXONOMY.types[pred_idx[k]] == lab[0]:
-                    correct += 1
+            predicted = np.argmax(type_logits.data, axis=1)
+            correct += sum(TAXONOMY.types[j] == lab[0]
+                           for j, (_, lab) in zip(predicted, chunk))
         acc = correct / len(valid_items)
         return acc, (acc, -float(np.mean(losses)))
 
@@ -410,24 +400,55 @@ def train(split: TrainSplit, config: TrainConfig, model=None):
     return fit_task(model, split, config, rng)
 
 
-def load_model(path, task):
-    """The `task` model (`MODELS` key) held in the checkpoint at `path`.
+# the TrainConfig fields a forecaster's futures depend on beyond its weights:
+# the noise schedule it learned to reverse and the frames of one window
+SAMPLING_CONTRACT = ("diffusion_steps", "beta_start", "beta_end", "window_frames")
 
-    A checkpoint that records another task is rejected; one that records no
-    task (as `save_checkpoint` writes by default) is taken as `task`."""
+
+def save_model(path, model, result: TrainResult):
+    """Write `model` and, from its `result`, its task, best epoch and, for a
+    forecaster, the `SAMPLING_CONTRACT` values it was trained under."""
+    config = result.config
+    extra = {"task": config.task, "best_epoch": result.best_epoch}
+    if config.task == "forecast":
+        extra.update((key, getattr(config, key)) for key in SAMPLING_CONTRACT)
+    save_checkpoint(path, model.params, model.config.to_dict(), extra=extra)
+
+
+def load_model(path, task):
+    """(model, fixed): the `task` model (`MODELS` key, None for the recorded
+    one) in the checkpoint at `path`, and the `TrainConfig` fields it fixes:
+    geometry, task and, for a forecaster, `SAMPLING_CONTRACT`.
+
+    A checkpoint of another task is rejected, and so is a forecaster that
+    records its task but no contract: its schedule is never guessed. One that
+    records no task (a library `save_checkpoint`) fixes only the geometry."""
     config, extra, arrays = load_checkpoint(path)
     recorded = extra.get("task", task)
-    if recorded != task:
+    if recorded is None:
+        raise ValueError(f"{path} records no task; finetune needs a "
+                         f"checkpoint written by train-traj or train-event")
+    if task is not None and recorded != task:
         raise ValueError(f"{path} holds a {recorded} model, not a {task} model")
-    model = MODELS[task](ModelConfig.from_dict(config), Rng(0, ("load",)))
+    geometry = ModelConfig.from_dict(config)
+    fixed = geometry.to_dict()
+    if "task" in extra:
+        fixed["task"] = recorded
+        for key in SAMPLING_CONTRACT if recorded == "forecast" else ():
+            if key not in extra:
+                raise ValueError(f"{path} records no '{key}'; it was written "
+                                 f"before checkpoints carried their schedule")
+            fixed[key] = extra[key]
+    model = MODELS[recorded](geometry, Rng(0, ("load",)))
     assign_parameters(model.params, arrays)
-    return model
+    return model, fixed
 
 
-def finetune(base_checkpoint: str, split: TrainSplit, config: TrainConfig):
-    """Continue training from a checkpoint on a condition-filtered subset."""
-    model = load_model(base_checkpoint, config.task)
-    if model.config != config.model_config():
-        raise ValueError(f"checkpoint config {model.config.to_dict()} "
-                         f"incompatible with {config.model_config().to_dict()}")
+def finetune(model, fixed, split: TrainSplit, config: TrainConfig):
+    """Continue training `model` and its checkpoint's `fixed` fields, as
+    `load_model` returns them, on a subset; `config` must not contradict them."""
+    for key, value in fixed.items():
+        if getattr(config, key) != value:
+            raise ValueError(f"config {key}={getattr(config, key)!r} is "
+                             f"incompatible with the base checkpoint's {value!r}")
     return train(split, config, model=model)

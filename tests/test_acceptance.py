@@ -33,8 +33,8 @@ from gentac.fixtures import (constant_velocity_clips, event_class_clips,
 from gentac.metrics import ade, dominant_region, fde, hull_area, structure
 from gentac.rng import Rng
 from gentac.training import (TrainSplit, desk_event_config,
-                             desk_forecast_config, finetune, split_clips,
-                             train, _forecast_segments)
+                             desk_forecast_config, finetune, load_model,
+                             split_clips, train, _forecast_segments)
 from helpers import oracle_sampler_mse
 
 pytestmark = pytest.mark.acceptance
@@ -211,7 +211,8 @@ def test_criterion_06_league_conditioning_direction(tmp_path):
 
     alpha_clips = condition_tagging(split.train, "league", "alpha")
     tuned_model, _ = finetune(
-        str(ckpt), split_clips(alpha_clips, 0.1, seed=1),
+        *load_model(str(ckpt), "forecast"),
+        split_clips(alpha_clips, 0.1, seed=1),
         desk_forecast_config(epochs=8, seed=7, fixed_start=True,
                              lr_peak=2e-4, early_stop_patience=8))
 
@@ -457,7 +458,7 @@ def test_criterion_12_reproducibility(tmp_path):
                         "--heads", "2", "--n-players", "3", "--l-max", "32",
                         "--history-frames", "10", "--window-frames", "5",
                         "--max-history-frames", "10", "--batch-size", "4",
-                        "--seed", "5"]) == 0
+                        "--diffusion-steps", "4", "--seed", "5"]) == 0
         hist = root / "history.json"
         clip = data.load_clip(sorted(fx.glob("fixture_*.json"))[0])
         head = data.TrajectoryClip(clip.frames[:10], clip.fps,
@@ -466,9 +467,8 @@ def test_criterion_12_reproducibility(tmp_path):
         data.save_clip(head, hist)
         samples = root / "samples"
         assert cli_run(["sample", "--history", str(hist), "--checkpoint",
-                        str(ckpt), "--window", "0.2", "--horizon", "0.4",
-                        "--k", "2", "--steps", "4", "--out", str(samples),
-                        "--seed", "5"]) == 0
+                        str(ckpt), "--horizon", "0.4", "--k", "2",
+                        "--out", str(samples), "--seed", "5"]) == 0
         truth = root / "truth"
         truth.mkdir()
         tail = data.TrajectoryClip(clip.frames[:20], clip.fps,

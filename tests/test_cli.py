@@ -9,21 +9,26 @@ import pytest
 from gentac import data
 from gentac.backbone import ModelConfig, TrajectoryModel, save_checkpoint
 from gentac.cli import main, run
+from gentac.diffusion import RolloutConfig, rollout
 from gentac.fixtures import constant_velocity_clips
 from gentac.rng import Rng
-from gentac.training import TrainSplit, desk_forecast_config, split_clips, train
+from gentac.training import (TrainConfig, desk_forecast_config, load_model,
+                             save_model, split_clips, train)
 from helpers import league_clips
 
 
-def make_checkpoint(tmp_path, clips=None, epochs=1):
-    clips = clips or constant_velocity_clips(8, seed=1, duration_s=2.0)
+def make_checkpoint(tmp_path, steps=4, drop=None):
+    """A small forecaster trained one epoch on a `steps`-step desk schedule
+    and saved with its sampling contract, without parameter `drop`."""
+    clips = constant_velocity_clips(8, seed=1, duration_s=2.0)
     cfg = desk_forecast_config(d=8, layers=1, heads=2, n_players=3, l_max=64,
-                               epochs=epochs, batch_size=4, history_frames=10,
-                               window_frames=5, max_history_frames=10, seed=2)
+                               epochs=1, batch_size=4, history_frames=10,
+                               window_frames=5, max_history_frames=10, seed=2,
+                               diffusion_steps=steps)
     model, result = train(split_clips(clips, 0.25, seed=0), cfg)
-    path = tmp_path / "base.ckpt"
-    save_checkpoint(path, model.params, model.config.to_dict(),
-                    extra={"task": "forecast"})
+    model.params.pop(drop, None)
+    path = tmp_path / f"base{steps}.ckpt"
+    save_model(path, model, result)
     return path
 
 
@@ -86,8 +91,8 @@ def test_sample_writes_k_futures_and_manifest(tmp_path):
 
     out = tmp_path / "samples"
     code = run(["sample", "--history", str(hist_path), "--checkpoint",
-                str(ckpt), "--window", "0.2", "--horizon", "0.4", "--k", "3",
-                "--steps", "5", "--out", str(out), "--seed", "11"])
+                str(ckpt), "--horizon", "0.4", "--k", "3",
+                "--out", str(out), "--seed", "11"])
     assert code == 0
     files = sorted(out.glob("history_k*.json"))
     files = [f for f in files if not f.name.endswith(".meta.json")]
@@ -111,9 +116,8 @@ def test_sample_is_deterministic_across_runs(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert run(["sample", "--history", str(hist_path), "--checkpoint",
-                    str(ckpt), "--window", "0.2", "--horizon", "0.2",
-                    "--k", "2", "--steps", "4", "--out", str(out),
-                    "--seed", "3"]) == 0
+                    str(ckpt), "--horizon", "0.2", "--k", "2",
+                    "--out", str(out), "--seed", "3"]) == 0
         outs.append(out)
     for k in range(2):
         a = (outs[0] / f"history_k{k}.json").read_bytes()
@@ -125,17 +129,13 @@ def test_sample_is_deterministic_across_runs(tmp_path):
 
 
 def test_sample_rejects_a_horizon_shorter_than_one_window(tmp_path, capsys):
-    config = ModelConfig(d=8, layers=1, heads=2, n_players=3, l_max=64)
-    model = TrajectoryModel(config, Rng(4))
-    ckpt = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, model.params, config.to_dict(), extra={"task": "forecast"})
+    ckpt = make_checkpoint(tmp_path, steps=2)
     hist_path = tmp_path / "history.json"
     data.save_clip(constant_velocity_clips(1, seed=10, duration_s=0.4)[0],
                    hist_path)
     out = tmp_path / "out"
     code = run(["sample", "--history", str(hist_path), "--checkpoint",
-                str(ckpt), "--window", "0.2", "--horizon", "0", "--k", "1",
-                "--steps", "2", "--out", str(out)])
+                str(ckpt), "--horizon", "0", "--k", "1", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert err == ("gentac: error: horizon of 0 frames is shorter than the "
@@ -145,21 +145,93 @@ def test_sample_rejects_a_horizon_shorter_than_one_window(tmp_path, capsys):
 
 def test_sample_rejects_checkpoint_without_anchor_embedding(tmp_path, capsys):
     # a forecaster saved before futures were anchored has no anchor embedding
-    config = ModelConfig(d=8, layers=1, heads=2, n_players=3, l_max=64)
-    params = dict(TrajectoryModel(config, Rng(4)).params)
-    del params["embed.anchor_w"]
-    ckpt = tmp_path / "old.ckpt"
-    save_checkpoint(ckpt, params, config.to_dict(), extra={"task": "forecast"})
+    ckpt = make_checkpoint(tmp_path, steps=2, drop="embed.anchor_w")
     hist_path = tmp_path / "history.json"
     data.save_clip(constant_velocity_clips(1, seed=10, duration_s=0.4)[0],
                    hist_path)
     code = run(["sample", "--history", str(hist_path), "--checkpoint",
-                str(ckpt), "--window", "0.2", "--horizon", "0.2", "--k", "1",
-                "--steps", "2", "--out", str(tmp_path / "out")])
+                str(ckpt), "--horizon", "0.2", "--k", "1",
+                "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert err == ("gentac: error: checkpoint is missing parameter "
                    "'embed.anchor_w'")
+
+
+def test_sample_uses_the_schedule_and_window_train_traj_recorded(tmp_path):
+    # sample used to rebuild its schedule and window from its own flag
+    # defaults (beta_end 0.02, 0.2 s), not the desk schedule (beta_end 0.2)
+    # and the 10-frame window this model was trained on; three epochs give
+    # futures that move, so the window shows in their bytes
+    fx = tiny_fixtures(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    argv = [*TINY_TRAJ]
+    argv[argv.index("--epochs") + 1] = "3"
+    argv[argv.index("--window-frames") + 1] = "10"
+    assert run(["train-traj", "--data", str(fx), "--out", str(ckpt),
+                *argv]) == 0
+    trained = TrainConfig(**json.loads(
+        (tmp_path / "model.ckpt.manifest.json").read_text())["config"])
+    assert (trained.diffusion_steps, trained.beta_end) == (100, 0.2)
+    hist_path = tmp_path / "history.json"
+    data.save_clip(constant_velocity_clips(1, seed=10, duration_s=0.4)[0],
+                   hist_path)
+    out = tmp_path / "samples"
+    assert run(["sample", "--history", str(hist_path), "--checkpoint",
+                str(ckpt), "--horizon", "0.4", "--k", "2", "--out", str(out),
+                "--seed", "6"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["steps"], config["beta_start"], config["beta_end"],
+            config["window"]) == (100, 1e-4, 0.2, 0.4)
+
+    # the library rollout under that run's schedule and window
+    model, _ = load_model(ckpt, "forecast")
+    clip = data.load_clip(hist_path)
+    rollout_cfg = RolloutConfig(
+        window=trained.window_frames / clip.fps, history=len(clip) / clip.fps,
+        horizon=0.4, samples=2, fps=clip.fps).validate()
+    hist = data.normalize(clip, data.PitchSpec.for_sport("soccer"))
+    sample_set = rollout(hist, rollout_cfg, model, trained.schedule(),
+                         Rng(6, ("sample",)))
+    library = tmp_path / "library"
+    library.mkdir()
+    for i, future in enumerate(sample_set.to_clips(
+            sport="soccer", metadata={"players_per_team": 3,
+                                      "stem": "history"})):
+        future.metadata["sample_index"] = i
+        data.save_clip(future, library / f"history_k{i}.json")
+    for name in ("history_k0.json", "history_k0.meta.json",
+                 "history_k1.json", "history_k1.meta.json"):
+        assert (out / name).read_bytes() == (library / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sample", "forecast-event"])
+@pytest.mark.parametrize("extra, missing", [
+    ({"task": "forecast", "best_epoch": 0},
+     "records no 'diffusion_steps'; it was written before checkpoints "
+     "carried their schedule"),
+    (None, "records no task, so no schedule or window; sampling needs one "
+           "written by train-traj"),
+], ids=["pre-contract", "library"])
+def test_sampling_rejects_a_checkpoint_without_its_schedule(
+        tmp_path, capsys, command, extra, missing):
+    # train-traj used to record only the task and best epoch; the library
+    # records nothing: sampling either under a guessed schedule is refused
+    model = TrajectoryModel(ModelConfig(d=8, layers=1, heads=2, n_players=3,
+                                        l_max=64), Rng(4))
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, model.params, model.config.to_dict(), extra=extra)
+    paths = {"history": tmp_path / "history.json",
+             "event": event_checkpoint(tmp_path)}
+    data.save_clip(constant_velocity_clips(1, seed=16, duration_s=0.4)[0],
+                   paths["history"])
+    argv = [command, "--checkpoint", str(ckpt), *ROLLOUT]
+    if command == "forecast-event":
+        argv += ["--event-checkpoint", "{event}"]
+    out = tmp_path / "out"
+    assert run([a.format(**paths) for a in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"gentac: error: {ckpt} {missing}\n"
+    assert not out.exists()
 
 
 def test_evaluate_traj_produces_report(tmp_path):
@@ -238,13 +310,13 @@ def test_evaluate_event_writes_predictions_and_metrics(tmp_path):
     assert (out / "event_metrics.csv").exists()
 
 
-def forecast_event_argv(tmp_path):
-    """forecast-event options for a small trained forecaster, an untrained
-    event head and a 0.4 s history clip; the caller adds --out."""
-    from gentac.backbone import ModelConfig
+def forecast_event_argv(tmp_path, steps=4):
+    """forecast-event options for a small forecaster trained on a
+    `steps`-step schedule, an untrained event head and a 0.4 s history clip;
+    the caller adds --out."""
     from gentac.events import EventModel
 
-    ckpt = make_checkpoint(tmp_path)
+    ckpt = make_checkpoint(tmp_path, steps)
     event_model = EventModel(ModelConfig(d=8, layers=1, heads=2, n_players=3,
                                          l_max=32), Rng(15))
     event_ckpt = tmp_path / "event.ckpt"
@@ -255,14 +327,12 @@ def forecast_event_argv(tmp_path):
     data.save_clip(clip, hist_path)
     return ["forecast-event", "--history", str(hist_path),
             "--checkpoint", str(ckpt), "--event-checkpoint", str(event_ckpt),
-            "--window", "0.2", "--horizon", "0.4", "--k", "3",
-            "--event-frames", "10"]
+            "--horizon", "0.4", "--k", "3", "--event-frames", "10"]
 
 
 def test_forecast_event_cli(tmp_path):
     out = tmp_path / "forecast"
-    assert run(forecast_event_argv(tmp_path)
-               + ["--steps", "4", "--out", str(out)]) == 0
+    assert run(forecast_event_argv(tmp_path) + ["--out", str(out)]) == 0
     lines = (out / "event_forecast.csv").read_text().splitlines()
     assert lines[0] == "subtype,median,p10,p90,min,max"
     assert len(lines) == 16  # 15 subtypes
@@ -280,21 +350,23 @@ def test_forecast_event_single_team_needs_truth(tmp_path, capsys):
 
 
 def test_forecast_event_rejects_zero_event_frames(tmp_path, capsys):
-    argv = forecast_event_argv(tmp_path)
+    argv = forecast_event_argv(tmp_path, steps=2)
     argv[argv.index("--event-frames") + 1] = "0"
     out = tmp_path / "forecast"
-    assert run(argv + ["--steps", "2", "--out", str(out)]) == 1
+    assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.strip()
     assert err == "gentac: error: event_input_frames must be at least 1, got 0"
     assert not (out / "event_forecast.csv").exists()
 
 
 def test_forecast_event_manifest_records_schedule_and_inputs(tmp_path):
-    argv = forecast_event_argv(tmp_path)
+    # two forecasters trained on 2 and 3 diffusion steps: each run records
+    # the schedule its checkpoint carries
     manifests = []
-    for steps in ("2", "3"):
+    for steps in (2, 3):
         out = tmp_path / f"steps{steps}"
-        assert run(argv + ["--steps", steps, "--out", str(out)]) == 0
+        argv = forecast_event_argv(tmp_path, steps)
+        assert run(argv + ["--out", str(out)]) == 0
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert manifests[0]["config"]["steps"] == 2
     assert manifests[1]["config"]["steps"] == 3
@@ -308,15 +380,15 @@ def test_forecast_event_manifest_records_schedule_and_inputs(tmp_path):
     data.save_clip(constant_velocity_clips(1, seed=17, duration_s=0.4)[0], truth)
     out = tmp_path / "single"
     assert run(argv + ["--setting", "team", "--target-side", "0", "--truth",
-                       str(truth), "--steps", "2", "--out", str(out)]) == 0
+                       str(truth), "--out", str(out)]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert set(inputs) == {"history.json", "history.meta.json", "truth.json",
                            "truth.meta.json", "event.ckpt"}
 
 
-def test_main_returns_int_when_given_argv():
+def test_main_returns_int_when_given_argv(tmp_path):
     assert isinstance(main(["make-fixtures", "--kind", "circular", "--n",
-                            "0", "--out", "/tmp/gentac-empty-fixture"]), int)
+                            "0", "--out", str(tmp_path / "empty")]), int)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +460,7 @@ def event_checkpoint(tmp_path):
     return path
 
 
-ROLLOUT = ["--history", "{history}", "--window", "0.2", "--horizon", "0.4",
-           "--k", "1", "--steps", "2"]
+ROLLOUT = ["--history", "{history}", "--horizon", "0.4", "--k", "1"]
 
 
 @pytest.mark.parametrize("argv, task, wanted", [
@@ -404,7 +475,7 @@ ROLLOUT = ["--history", "{history}", "--window", "0.2", "--horizon", "0.4",
         "forecast-event-event"])
 def test_wrong_task_checkpoint_fails_naming_file(tmp_path, capsys, argv, task,
                                                  wanted):
-    paths = {"forecast": make_checkpoint(tmp_path),
+    paths = {"forecast": make_checkpoint(tmp_path, steps=2),
              "event": event_checkpoint(tmp_path),
              "history": tmp_path / "history.json"}
     data.save_clip(constant_velocity_clips(1, seed=16, duration_s=0.4)[0],
@@ -451,11 +522,11 @@ def cli_chain(tmp_path_factory):
     argv)."""
     w = tmp_path_factory.mktemp("chain")
     small = ["--d", "8", "--layers", "1", "--heads", "2", "--n-players", "3"]
-    traj = ["--history-frames", "10", "--window-frames", "5",
-            "--max-history-frames", "10", "--batch-size", "4"]
+    history = ["--history-frames", "10", "--max-history-frames", "10",
+               "--batch-size", "4"]
     rollout_opts = ["--history", str(w / "hist" / "fixture_0000.json"),
-                    "--checkpoint", str(w / "traj" / "m.ckpt"), "--window",
-                    "0.2", "--horizon", "0.4", "--k", "2", "--steps", "2"]
+                    "--checkpoint", str(w / "traj" / "m.ckpt"),
+                    "--horizon", "0.4", "--k", "2"]
     chain = {
         "make-fixtures": ["--kind", "two-style-league", "--n", "6",
                           "--players", "3", "--out", str(w / "raw")],
@@ -465,14 +536,15 @@ def cli_chain(tmp_path_factory):
         "refine": ["--input", str(w / "res"), "--out", str(w / "ref")],
         "train-traj": ["--data", str(w / "canon"), "--out",
                        str(w / "traj" / "m.ckpt"), "--epochs", "1", *small,
-                       "--l-max", "64", *traj],
+                       "--l-max", "64", *history, "--window-frames", "5",
+                       "--diffusion-steps", "2"],
         "train-event": ["--data", str(w / "ev"), "--out",
                         str(w / "event" / "m.ckpt"), "--epochs", "1", *small,
                         "--l-max", "15", "--batch-size", "4"],
         "finetune": ["--data", str(w / "canon"), "--base",
                      str(w / "traj" / "m.ckpt"), "--filter", "league=alpha",
                      "--out", str(w / "tuned" / "m.ckpt"), "--epochs", "1",
-                     "--valid-fraction", "0.34", *traj],
+                     "--valid-fraction", "0.34", *history],
         "sample": [*rollout_opts, "--out", str(w / "samp")],
         "evaluate-traj": ["--pred", str(w / "samp"), "--truth",
                           str(w / "hist"), "--k", "2", "--horizons", "0.2",
@@ -563,6 +635,60 @@ def test_evaluate_traj_rejects_an_empty_selection(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
+def test_evaluate_traj_rejects_fewer_predictions_than_k(tmp_path, capsys):
+    # the default --k 20 over two predictions used to report minADE over K = 2
+    truth = tmp_path / "truth"
+    pred = tmp_path / "pred"
+    for d in (truth, pred):
+        d.mkdir()
+    data.save_clip(constant_velocity_clips(1, seed=18, duration_s=0.4)[0],
+                   truth / "clip0.json")
+    for k in range(2):
+        data.save_clip(constant_velocity_clips(1, seed=19 + k,
+                                               duration_s=0.4)[0],
+                       pred / f"clip0_k{k}.json")
+    out = tmp_path / "report"
+    assert run(["evaluate-traj", "--pred", str(pred), "--truth", str(truth),
+                "--horizons", "0.2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "gentac: error: clip0 has 2 predictions, fewer than --k 20\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--duration", "{out}/fixture_0000.json holds no frames"),
+    ("--players", "{out}: --players 0 leaves the teams with no players"),
+])
+def test_make_fixtures_rejects_an_empty_scene(tmp_path, capsys, flag, message):
+    # both used to exit 0: a file holding {} and clips with only a ball
+    out = tmp_path / "fx"
+    assert run(["make-fixtures", "--kind", "constant-velocity", "--n", "2",
+                flag, "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"gentac: error: {message.format(out=out)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "{clip} holds no frames"),
+    ('{"0": {"ball": [0.0, 0.0], "team0": {}, "team1": {}}, '
+     '"1": {"ball": [0.5, 0.0], "team0": {}, "team1": {}}}',
+     "{clip}: team0 has no players"),
+    ('{"0": {"ball": [0.0, 0.0], "team0": {"A": [1.0, 2.0]}, "team1": {}}}',
+     "{clip}: team1 has no players"),
+], ids=["no-frames", "no-players", "one-team"])
+def test_ingest_rejects_an_empty_scene(tmp_path, capsys, text, message):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    clip = raw / "empty.json"
+    clip.write_text(text)
+    out = tmp_path / "canon"
+    assert run(["ingest", "--input", str(raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"gentac: error: {message.format(clip=clip)}\n"
+    assert not (out / "empty.json").exists()
+
+
 def test_refine_rejects_gamma_outside_its_range(tmp_path, capsys):
     # --gamma 0 used to fail inside the smoother with "float division by zero"
     raw = tmp_path / "raw"
@@ -641,8 +767,7 @@ def test_finetune_reads_task_and_geometry_from_base(tmp_path):
 
     tuned = tmp_path / "tuned.ckpt"
     non_geometry = ["--epochs", "1", "--history-frames", "10",
-                    "--window-frames", "5", "--max-history-frames", "10",
-                    "--batch-size", "4"]
+                    "--max-history-frames", "10", "--batch-size", "4"]
     assert run(["finetune", "--data", str(clips_dir), "--base", str(base),
                 "--filter", "league=alpha", "--out", str(tuned),
                 *non_geometry]) == 0
@@ -659,10 +784,9 @@ def test_finetune_reads_task_and_geometry_from_base(tmp_path):
                                max_history_frames=10, batch_size=4)
     split = split_clips(condition_tagging(loaded, "league", "alpha"), 0.2,
                         seed=cfg.seed)
-    model, result = finetune(str(base), split, cfg)
+    model, result = finetune(*load_model(str(base), "forecast"), split, cfg)
     library = tmp_path / "library.ckpt"
-    save_checkpoint(library, model.params, model.config.to_dict(),
-                    extra={"task": "forecast", "best_epoch": result.best_epoch})
+    save_model(library, model, result)
     assert tuned.read_bytes() == library.read_bytes()
 
 
@@ -678,4 +802,58 @@ def test_finetune_rejects_base_without_task(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err == (f"gentac: error: {base} records no task; finetune needs a "
                    f"checkpoint written by train-traj or train-event")
+    assert not out.exists()
+
+
+def test_finetune_keeps_the_base_schedule_and_window(tmp_path):
+    fx = tiny_fixtures(tmp_path)
+    base = tmp_path / "base.ckpt"
+    assert run(["train-traj", "--data", str(fx), "--out", str(base),
+                *TINY_TRAJ, "--diffusion-steps", "3"]) == 0
+    tuned = tmp_path / "tuned.ckpt"
+    assert run(["finetune", "--data", str(fx), "--base", str(base),
+                "--out", str(tuned), "--epochs", "1", "--history-frames", "10",
+                "--max-history-frames", "10", "--batch-size", "4"]) == 0
+    _, fixed = load_model(tuned, "forecast")
+    assert (fixed["diffusion_steps"], fixed["window_frames"]) == (3, 5)
+    for flag in ("--diffusion-steps", "--window-frames"):
+        assert run(["finetune", "--data", str(fx), "--base", str(base),
+                    "--out", str(tuned), flag, "4"]) == 2
+
+
+@pytest.mark.parametrize("key, value, recorded", [
+    ("diffusion_steps", 50, 100), ("beta_end", 0.02, 0.2),
+    ("window_frames", 10, 5)])
+def test_finetune_rejects_a_config_that_contradicts_the_base(
+        tmp_path, capsys, key, value, recorded):
+    fx = tiny_fixtures(tmp_path)
+    base = tmp_path / "base.ckpt"
+    assert run(["train-traj", "--data", str(fx), "--out", str(base),
+                *TINY_TRAJ]) == 0
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "tuned.ckpt"
+    capsys.readouterr()
+    assert run(["finetune", "--data", str(fx), "--base", str(base),
+                "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"gentac: error: config {key}={value!r} is incompatible with the "
+        f"base checkpoint's {recorded!r}\n")
+    assert not out.exists()
+
+
+def test_finetune_rejects_a_pre_contract_base(tmp_path, capsys):
+    fx = tiny_fixtures(tmp_path)
+    model = TrajectoryModel(ModelConfig(d=8, layers=1, heads=2, n_players=3,
+                                        l_max=32), Rng(4))
+    base = tmp_path / "old.ckpt"
+    save_checkpoint(base, model.params, model.config.to_dict(),
+                    extra={"task": "forecast", "best_epoch": 0})
+    out = tmp_path / "tuned.ckpt"
+    capsys.readouterr()
+    assert run(["finetune", "--data", str(fx), "--base", str(base),
+                "--out", str(out), "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"gentac: error: {base} records no 'diffusion_steps'; it was written "
+        f"before checkpoints carried their schedule\n")
     assert not out.exists()

@@ -27,6 +27,9 @@ UNREFERENCED_ALLOWED = {
 # fields of public dataclasses; a change may lower this, never raise it
 SETTABLE_VALUES_MAX = 124
 
+# option strings of every `gentac` subcommand, help aside; likewise
+CLI_FLAGS_MAX = 109
+
 
 def _public_definitions():
     """{"module.name" or "module.Class.method": (kind, name)} from the AST
@@ -192,3 +195,15 @@ def test_settable_values_do_not_grow():
     names = _settable_values()
     assert len(names) <= SETTABLE_VALUES_MAX, \
         f"{len(names)} settable values, at most {SETTABLE_VALUES_MAX}: {names}"
+
+
+def test_cli_flags_do_not_grow():
+    from gentac.cli import build_parser
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = [f"{name} {option}" for name, sub in commands.items()
+             for action in sub._actions if action.dest != "help"
+             for option in action.option_strings]
+    assert len(flags) <= CLI_FLAGS_MAX, \
+        f"{len(flags)} CLI flags, at most {CLI_FLAGS_MAX}: {flags}"

@@ -12,8 +12,8 @@ from gentac.backbone import ModelConfig, save_checkpoint
 from gentac.fixtures import constant_velocity_clips, event_class_clips
 from gentac.training import (AdamState, TrainConfig, TrainSplit, finetune,
                              clip_gradients, desk_event_config,
-                             desk_forecast_config, lr_at, optimizer_step,
-                             split_clips, train)
+                             desk_forecast_config, load_model, lr_at,
+                             optimizer_step, split_clips, train)
 from helpers import league_clips
 
 
@@ -203,7 +203,7 @@ def test_finetune_zero_epochs_returns_base_weights(tmp_path):
     ckpt = tmp_path / "base.ckpt"
     save_checkpoint(ckpt, model.params, model.config.to_dict())
 
-    tuned, tuned_result = finetune(str(ckpt), split,
+    tuned, tuned_result = finetune(*load_model(str(ckpt), "forecast"), split,
                                    tiny_forecast_config(epochs=0))
     for name, p in model.params.items():
         assert tuned.params[name].data.tobytes() == p.data.tobytes()
@@ -219,7 +219,8 @@ def test_finetune_rejects_incompatible_config(tmp_path):
     ckpt = tmp_path / "base.ckpt"
     save_checkpoint(ckpt, model.params, model.config.to_dict())
     with pytest.raises(ValueError, match="incompatible"):
-        finetune(str(ckpt), split, tiny_forecast_config(epochs=1, d=16))
+        finetune(*load_model(str(ckpt), "forecast"), split,
+                 tiny_forecast_config(epochs=1, d=16))
 
 
 def test_finetune_trains_only_on_filtered_subset(tmp_path):
@@ -232,5 +233,6 @@ def test_finetune_trains_only_on_filtered_subset(tmp_path):
     model, _ = train(split, tiny_forecast_config(epochs=1))
     ckpt = tmp_path / "base.ckpt"
     save_checkpoint(ckpt, model.params, model.config.to_dict())
-    tuned, result = finetune(str(ckpt), split, tiny_forecast_config(epochs=1))
+    tuned, result = finetune(*load_model(str(ckpt), "forecast"), split,
+                             tiny_forecast_config(epochs=1))
     assert len(result.log) == 1
