@@ -27,7 +27,7 @@ for epoch, train_loss, val_loss, lr in result.log:
 
 # --- sample K futures from one held-out history ----------------------------
 pitch = PitchSpec.for_sport("soccer")
-seg, _ = _forecast_segments(split.valid[:1], config)[0]
+seg = _forecast_segments(split.valid[:1], config)[0]
 hist, fut = window(seg, 0, 25, 25)
 
 rollout_cfg = RolloutConfig(window=0.2, history=1.0, horizon=1.0, samples=4,

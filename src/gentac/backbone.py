@@ -157,15 +157,15 @@ def _last_visible(history: Segment) -> np.ndarray:
     return anchor
 
 
-def build_token_grid(history: Segment, future_or_noise, task: str,
+def build_token_grid(history: Segment, future_or_noise,
                      target_side: int | None = None) -> TokenGrid:
     """Assemble the forecaster's input for one window (`events.event_grid`
     builds the event model's).
 
-    task "forecast_joint": every tracked entity's future slots are noise
-    targets. task "forecast_single": only `target_side`'s player slots are
-    targets; the opponent's and the ball's future slots carry their ground
-    truth as conditioning.
+    `target_side` says which side the window predicts. None: every tracked
+    entity's future slots are noise targets. 0 or 1: only that side's player
+    slots are targets; the other side's and the ball's future slots carry
+    their ground truth as conditioning.
 
     `future_or_noise` supplies the values written into the future rows: the
     noised target (training), a placeholder array (sampling start), or the
@@ -174,6 +174,8 @@ def build_token_grid(history: Segment, future_or_noise, task: str,
     """
     if not history.normalized:
         raise ValueError("token grids are built from normalized coordinates")
+    if target_side not in (None, 0, 1):
+        raise ValueError(f"target_side must be None, 0 or 1, got {target_side!r}")
     H, E = history.visibility.shape
 
     if isinstance(future_or_noise, Segment):
@@ -182,25 +184,16 @@ def build_token_grid(history: Segment, future_or_noise, task: str,
     else:
         fut_coords = np.asarray(future_or_noise, dtype=np.float64)
         fut_vis = np.ones(fut_coords.shape[:2], dtype=bool)
-    w = fut_coords.shape[0]
     if fut_coords.shape[1] != E:
         raise ValueError("history and future cover different entity rosters")
     tracked = history.visibility.any(axis=0)
     if isinstance(future_or_noise, Segment):
-        tracked = tracked | future_or_noise.visibility.any(axis=0)
+        tracked = tracked | fut_vis.any(axis=0)
+    if target_side is not None:  # slot // n: 0 team0, 1 team1, 2 the ball
+        tracked = tracked & (np.arange(E) // ((E - 1) // 2) == target_side)
 
-    target = np.zeros((H + w, E), dtype=bool)
-    n = (E - 1) // 2
-    if task == "forecast_joint":
-        target[H:, :] = tracked
-    elif task == "forecast_single":
-        if target_side not in (0, 1):
-            raise ValueError("forecast_single needs target_side 0 or 1")
-        team = np.zeros(E, dtype=bool)
-        team[target_side * n:(target_side + 1) * n] = True
-        target[H:, :] = tracked & team
-    else:
-        raise ValueError(f"unknown task '{task}'")
+    target = np.zeros((H + len(fut_coords), E), dtype=bool)
+    target[H:, :] = tracked
 
     coords = np.concatenate([history.coords, fut_coords])
     vis = np.concatenate([history.visibility, fut_vis])
@@ -412,10 +405,10 @@ class TrajectoryModel:
         slots, the estimate of the clean scaled displacement
         `ANCHOR_SCALE * (x0 - anchor)`; other slots are ignored.
 
-        Only frames from the batch's smallest history length H on can hold
-        a target, so the last temporal sublayer and the head run on those
-        rows alone (see `Backbone.encode`); rows before H are exact zeros
-        that nothing reads.
+        The grids share one history length H (a batch that mixes lengths
+        is rejected) and only frames from H on can hold a target, so the
+        last temporal sublayer and the head run on those rows alone (see
+        `Backbone.encode`); rows before H are exact zeros that nothing reads.
 
         The name dates from the noise-regression parametrization and is kept
         because tracing (`perfbench/tracing.py`) hooks it by name.
@@ -424,16 +417,19 @@ class TrajectoryModel:
         which is the only check a forward under `ad.no_grad()` gets.
         """
         grids = [grids] if isinstance(grids, TokenGrid) else list(grids)
+        lengths = {g.history_len for g in grids}
+        if len(lengths) != 1:
+            raise ValueError(f"cannot batch grids of differing history "
+                             f"lengths {sorted(lengths)}")
+        (start,) = lengths
         self.calls += len(grids)
-        start = min(g.history_len for g in grids)
         latent = self.backbone.encode(grids, diffusion_step=step, start=start)
         p = self.params
         x = ad.layer_norm(latent.h, p["head.ln_g"], p["head.ln_b"])
         out = ad.matmul(x, p["head.w"]) + p["head.b"]
-        B, rows, E, _ = out.shape
-        skipped = grids[0].L - rows
-        if skipped:
-            out = ad.concat([np.zeros((B, skipped, E, 2)), out], axis=1)
+        if start:
+            B, _, E, _ = out.shape
+            out = ad.concat([np.zeros((B, start, E, 2)), out], axis=1)
         ad.check_finite(out.data, "predict_noise")
         return out
 

@@ -17,6 +17,10 @@ A forecaster's checkpoint carries the noise schedule and window it was
 trained on (`training.SAMPLING_CONTRACT`): `sample` and `forecast-event` use
 them and take no flag for either, and `finetune` keeps them.
 
+`sample` and `forecast-event` generate both sides, or with `--target-side`
+one, on the other side's and the ball's true future from `--truth` (each
+flag needs the other); styles come from `finetune --filter`.
+
 Exit codes: 0 success, 1 runtime failure (single-line diagnostic on stderr),
 2 usage error.
 """
@@ -118,6 +122,9 @@ def _train_config(args, fixed) -> TrainConfig:
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
+            if task == "event" and key in ("history_frames", "max_history_frames"):
+                raise ValueError(f"{args.base} holds an event model, which "
+                                 f"takes no --{key.replace('_', '-')}")
             merged[key] = value
     merged["task"] = task
     return TrainConfig(**merged)
@@ -129,15 +136,17 @@ def _train_config(args, fixed) -> TrainConfig:
 
 def _map_clips(args, config, transform, fps, on_duplicate):
     """Write `transform(clip)` of every input clip under `args.out`, with a
-    manifest listing every file written, sidecars included."""
+    manifest listing every file written, sidecars included. `args.out` is
+    made once every clip is transformed: a clip that fails writes nothing."""
+    inputs = _clip_paths(args.input)
+    clips = [transform(data.load_clip(p, fps=fps, sport=args.sport,
+                                      on_duplicate=on_duplicate))
+             for p in inputs]
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    inputs = _clip_paths(args.input)
     written = []
-    for p in inputs:
-        clip = data.load_clip(p, fps=fps, sport=args.sport,
-                              on_duplicate=on_duplicate)
-        written += data.save_clip(transform(clip), out / p.name)
+    for p, clip in zip(inputs, clips):
+        written += data.save_clip(clip, out / p.name)
     write_manifest(out, args.command, None, config,
                    _with_sidecars(inputs), written)
     return 0
@@ -203,6 +212,10 @@ def _rollout_inputs(args, model, fixed):
     """(history, truth future or None, RolloutConfig, schedule, manifest
     config, input paths) from the sampling options shared by `sample` and
     `forecast-event`, and the schedule and window the checkpoint `fixed`."""
+    if args.target_side is not None and args.truth is None:
+        raise ValueError("--target-side needs --truth, the future it conditions on")
+    if args.truth is not None and args.target_side is None:
+        raise ValueError("--truth needs --target-side, the side to generate")
     if "task" not in fixed:
         raise ValueError(f"{args.checkpoint} records no task, so no schedule or "
                          f"window; sampling needs one written by train-traj")
@@ -215,13 +228,12 @@ def _rollout_inputs(args, model, fixed):
     hist = data.normalize(clip, pitch)
     config = RolloutConfig(
         window=trained.window_frames / clip.fps, history=len(clip) / clip.fps,
-        horizon=args.horizon, samples=args.k, setting=args.setting,
+        horizon=args.horizon, samples=args.k,
+        setting="unconditioned" if args.target_side is None else "opponent",
         target_side=args.target_side, fps=clip.fps).validate()
     truth = None
     inputs = [history_path]
     if config.single_team:
-        if not args.truth:
-            raise ValueError(f"setting '{args.setting}' needs --truth")
         truth = data.normalize(data.with_players_per_team(
             data.load_clip(args.truth, sport=args.sport), n_players), pitch)
         inputs.append(pathlib.Path(args.truth))
@@ -418,7 +430,8 @@ def cmd_forecast_event(args):
 
 def cmd_make_fixtures(args):
     """A flag the kind's generator has no parameter for is an error, and so
-    is an empty scene: no players here, no frames in `make_fixture_set`."""
+    is an empty scene: the generators reject no players, `make_fixture_set`
+    no frames."""
     accepted = inspect.signature(fixtures.FIXTURE_KINDS[args.kind]).parameters
     kwargs = {}
     for flag, key in (("players", "n_players"), ("duration", "duration_s"),
@@ -429,9 +442,6 @@ def cmd_make_fixtures(args):
         if key not in accepted:
             raise ValueError(f"--{flag} does not apply to --kind {args.kind}")
         kwargs[key] = value
-    if kwargs.get("n_players", 1) < 1:
-        raise ValueError(f"{args.out}: --players {args.players} leaves the "
-                         f"teams with no players")
     paths = fixtures.make_fixture_set(args.kind, args.n, args.out,
                                       seed=args.seed, **kwargs)
     out = pathlib.Path(args.out)
@@ -452,8 +462,9 @@ def build_parser():
         description="generative multi-agent trajectory engine for team sports")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # no abbreviations: `finetune --d 8` would otherwise set --data
     def command(name, func, help, *option_groups):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         for add in option_groups:
             add(p)
@@ -498,25 +509,26 @@ def build_parser():
                             "on the command line override it")
         p.add_argument("--valid-fraction", type=float, default=0.2)
         for key, typ in (("lr_peak", float), ("epochs", int),
-                         ("batch_size", int), ("d", int), ("layers", int),
-                         ("heads", int), ("n_players", int), ("l_max", int),
-                         ("early_stop_patience", int), *flags):
+                         ("batch_size", int), ("early_stop_patience", int),
+                         *flags):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                            default=None)
 
-    # the forecaster's history lengths; the event task reads none, and a
-    # finetune keeps its base's window and schedule
+    # a finetune keeps its base's geometry, window and schedule; the event
+    # task reads no history length
+    geometry_flags = (("d", int), ("layers", int), ("heads", int),
+                      ("n_players", int), ("l_max", int))
     history_flags = (("history_frames", int), ("max_history_frames", int))
     p = command("train-traj", cmd_train, "train the diffusion forecaster")
-    train_opts(p, *history_flags, ("window_frames", int),
+    train_opts(p, *geometry_flags, *history_flags, ("window_frames", int),
                ("diffusion_steps", int))
     p.set_defaults(task="forecast")
 
-    p = command("train-event", cmd_train, "train the event classifier",
-                train_opts)
+    p = command("train-event", cmd_train, "train the event classifier")
+    train_opts(p, *geometry_flags)
     p.set_defaults(task="event")
 
-    # the task comes from --base after parsing, so the history flags stay
+    # the task comes from --base: _train_config rejects these on an event one
     p = command("finetune", cmd_train, "continue training from a checkpoint")
     train_opts(p, *history_flags)
     p.add_argument("--base", required=True,
@@ -532,12 +544,11 @@ def build_parser():
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--horizon", type=float, required=True)
         p.add_argument("--k", type=int, default=20)
-        p.add_argument("--setting", default="unconditioned",
-                       choices=("unconditioned", "opponent", "team", "league",
-                                "objective"))
-        p.add_argument("--target-side", type=int, default=None)
+        p.add_argument("--target-side", type=int, default=None, choices=(0, 1),
+                       help="generate this side only, conditioned on --truth")
         p.add_argument("--truth", default=None,
-                       help="aligned future clip for single-team settings")
+                       help="aligned future clip; its other side and ball "
+                            "condition a --target-side rollout")
 
     p = command("sample", cmd_sample, "roll out K stochastic futures",
                 sampling_opts)

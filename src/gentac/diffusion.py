@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .backbone import (TrajectoryModel, build_token_grid, from_displacement,
                        to_displacement)
-from .data import Segment
+from .data import Segment, segment_to_clip
 from .rng import Rng
 
 
@@ -85,8 +85,9 @@ def diffusion_loss(model: TrajectoryModel, batch, schedule: DiffusionSchedule,
                    rng: Rng) -> ad.Tensor:
     """Mean squared clean-target error over target coordinates only.
 
-    `batch` is a list of (history Segment, future Segment, task, target_side)
-    windows of identical shape. A target's clean value is its scaled
+    `batch` is a list of (history Segment, future Segment, target_side)
+    windows of identical shape and one history length; a target_side is
+    read as `build_token_grid` reads it. A target's clean value is its scaled
     displacement from its entity's anchor, `ANCHOR_SCALE * (x - anchor)`.
     Each sample draws its own uniform step and noise, and the network
     regresses the clean value from the noised one. Masked (non-target)
@@ -97,10 +98,10 @@ def diffusion_loss(model: TrajectoryModel, batch, schedule: DiffusionSchedule,
     grids = []
     x0_all = []
     steps = []
-    for i, (history, future, task, target_side) in enumerate(batch):
+    for i, (history, future, target_side) in enumerate(batch):
         r = rng.child("item", i)
         s = int(r.child("step").integers(1, schedule.steps + 1))
-        grid = build_token_grid(history, future, task, target_side)
+        grid = build_token_grid(history, future, target_side)
         H = grid.history_len
         mask = grid.noise_target[H:]
         x0 = np.zeros_like(grid.coords)
@@ -132,6 +133,11 @@ def diffusion_loss(model: TrajectoryModel, batch, schedule: DiffusionSchedule,
 class RolloutConfig:
     """Window/horizon geometry plus the conditioning regime.
 
+    Only `opponent` and `team` change the rollout: they generate the
+    `target_side`'s players on the other side's and the ball's true future.
+    `league` and `objective` sample like `unconditioned` (styles come from
+    fine-tuning on a `condition_tagging` subset).
+
     Seconds are converted to frames by rounding to nearest; a residual above
     0.4 frames is a configuration error. The horizon must quantize to a whole
     number of windows, at least one.
@@ -142,7 +148,7 @@ class RolloutConfig:
     horizon: float           # total seconds to generate
     samples: int = 1         # K
     setting: str = "unconditioned"  # or opponent | team | league | objective
-    target_side: int | None = None  # predicted team in single-team settings
+    target_side: int | None = None  # predicted side in opponent | team
     fps: float = 25.0
 
     def frames(self, seconds: float) -> int:
@@ -186,10 +192,6 @@ class RolloutConfig:
     def single_team(self):
         return self.setting in ("opponent", "team")
 
-    @property
-    def task(self):
-        return "forecast_single" if self.single_team else "forecast_joint"
-
     def validate(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
@@ -198,6 +200,9 @@ class RolloutConfig:
             raise ValueError(f"unknown setting '{self.setting}'")
         if self.single_team and self.target_side not in (0, 1):
             raise ValueError(f"setting '{self.setting}' needs target_side 0 or 1")
+        if not self.single_team and self.target_side is not None:
+            raise ValueError(f"setting '{self.setting}' predicts both sides "
+                             f"and takes no target_side")
         _ = self.n_windows
         return self
 
@@ -224,8 +229,6 @@ class FutureSampleSet:
         return len(self.samples)
 
     def to_clips(self, sport="soccer", metadata=None):
-        from .data import segment_to_clip
-
         return [segment_to_clip(s, sport=sport, metadata=dict(metadata or {}))
                 for s in self.samples]
 
@@ -240,13 +243,14 @@ def _clamp_implied_signal(x0_hat, anchor):
 
 
 def sample_windows_batch(histories, futures, model, schedule, rngs,
-                         task="forecast_joint", target_side=None):
-    """Reverse diffusion for several same-shape chains in one model batch.
+                         target_side=None):
+    """Reverse diffusion for several chains of one shape and history length
+    in one model batch.
 
     `futures` holds one window future per chain, which sets the window
-    length and fills the future rows of its grid (`build_token_grid`): the
-    true window Segment in single-team mode, whose opponent and ball slots
-    condition the chain, or a zero [w x E x 2] placeholder in joint mode,
+    length and fills the future rows of its grid (`build_token_grid`): with
+    a `target_side`, the true window Segment, whose other-side and ball
+    slots condition the chain; with none, a zero [w x E x 2] placeholder,
     where every future slot is a target. Each chain keeps its own RNG
     stream, so a chain's output is a function of its own (history, future,
     rng) alone.
@@ -258,9 +262,9 @@ def sample_windows_batch(histories, futures, model, schedule, rngs,
     noise it implies, (x_s - sqrt(alpha_bar) x0) / sqrt(1 - alpha_bar), for
     the unchanged ancestral update `denoise_step`. The output holds
     `anchor + state / ANCHOR_SCALE` in target slots; every other slot is
-    copied bit for bit. Conditioning slots (the history plus, in single-team
-    mode, the opponent and ball futures) are frozen at every step, and the
-    outputs stay in normalized coordinates.
+    copied bit for bit. Conditioning slots (the history plus, with a
+    `target_side`, the other side's and the ball's futures) are frozen at
+    every step, and the outputs stay in normalized coordinates.
 
     Returns (one future Segment per chain, number of target coordinates the
     clip moved over all chains and steps). The network runs under
@@ -273,7 +277,7 @@ def sample_windows_batch(histories, futures, model, schedule, rngs,
 
     grids = []
     for i in range(B):
-        grid = build_token_grid(histories[i], futures[i], task, target_side)
+        grid = build_token_grid(histories[i], futures[i], target_side)
         fut_target = grid.noise_target[grid.history_len:]
         init = rngs[i].child("init").normal((w, E, 2))
         coords = grid.coords.copy()
@@ -353,7 +357,7 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
         windows, n_clipped = sample_windows_batch(
             chains, [future] * K, model, schedule,
             [r.child("window", step) for r in sample_rngs],
-            task=config.task, target_side=config.target_side)
+            target_side=config.target_side)
         clamped += n_clipped
         chains = [
             replace(c, coords=np.concatenate([c.coords, win.coords]),
@@ -374,8 +378,10 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
 # conditioning subsets
 # ---------------------------------------------------------------------------
 
-OFFENSE_SUBTYPES = frozenset({"goal", "shot_saved", "shot_off_target"})
-DEFENSE_SUBTYPES = frozenset({"clearance", "defended"})
+OBJECTIVE_SUBTYPES = {
+    "offense": frozenset({"goal", "shot_saved", "shot_off_target"}),
+    "defense": frozenset({"clearance", "defended"}),
+}
 
 
 def condition_tagging(clips, setting: str, value: str):
@@ -385,18 +391,13 @@ def condition_tagging(clips, setting: str, value: str):
     setting "objective" takes value "offense" or "defense" and matches the
     annotated event subtype. Raises when nothing matches.
     """
-    if setting == "team":
-        subset = [c for c in clips if c.metadata.get("team") == value]
-    elif setting == "league":
-        subset = [c for c in clips if c.metadata.get("league") == value]
+    if setting in ("team", "league"):
+        subset = [c for c in clips if c.metadata.get(setting) == value]
     elif setting == "objective":
-        if value == "offense":
-            wanted = OFFENSE_SUBTYPES
-        elif value == "defense":
-            wanted = DEFENSE_SUBTYPES
-        else:
+        if value not in OBJECTIVE_SUBTYPES:
             raise ValueError("objective must be 'offense' or 'defense'")
-        subset = [c for c in clips if c.metadata.get("event_subtype") in wanted]
+        subset = [c for c in clips if c.metadata.get("event_subtype")
+                  in OBJECTIVE_SUBTYPES[value]]
     else:
         raise ValueError(f"setting '{setting}' does not define a subset")
     if not subset:

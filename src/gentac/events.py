@@ -233,17 +233,10 @@ class EventForecastSummary:
 
 def summarize_predictions(per_sample: np.ndarray, routed):
     per_sample = np.asarray(per_sample, dtype=np.float64)
-    stats = {
-        "median": np.array([_sorted_quantile(per_sample[:, j], 0.5)
-                            for j in range(per_sample.shape[1])]),
-        "p10": np.array([_sorted_quantile(per_sample[:, j], 0.1)
-                         for j in range(per_sample.shape[1])]),
-        "p90": np.array([_sorted_quantile(per_sample[:, j], 0.9)
-                         for j in range(per_sample.shape[1])]),
-    }
+    median, p10, p90 = (np.array([_sorted_quantile(col, q) for col in per_sample.T])
+                        for q in (0.5, 0.1, 0.9))
     return EventForecastSummary(
-        TAXONOMY.all_subtypes, per_sample,
-        stats["median"], stats["p10"], stats["p90"],
+        TAXONOMY.all_subtypes, per_sample, median, p10, p90,
         per_sample.min(axis=0), per_sample.max(axis=0), routed)
 
 

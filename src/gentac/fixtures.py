@@ -44,6 +44,14 @@ def _clamp_to_pitch(positions, pitch: PitchSpec, margin=0.25):
     return positions
 
 
+def _start(kind, seed, n_players, sport):
+    """(pitch, root random stream) of generator `kind`. Every generator starts
+    here, so a scene without players is rejected before any draw."""
+    if n_players < 1:
+        raise ValueError(f"n_players={n_players} leaves the teams with no players")
+    return PitchSpec.for_sport(sport), Rng(seed, ("fixtures", kind))
+
+
 SPEED_RANGE = (2.0, 8.0)   # m/s, constant-velocity entities
 STYLE_RATE = 0.35          # 1/s, formation contraction/expansion after the history
 STYLE_HISTORY_S = 1.0      # s of steady formation in a two-style league clip
@@ -57,8 +65,7 @@ def constant_velocity_clips(n_clips, seed=0, n_players=3, fps=25.0,
     Starts and headings are drawn so the whole noiseless path stays inside
     the pitch; jittered observations are clamped to the boundary.
     """
-    pitch = PitchSpec.for_sport(sport)
-    rng = Rng(seed, ("fixtures", "constant_velocity"))
+    pitch, rng = _start("constant_velocity", seed, n_players, sport)
     F = int(round(duration_s * fps))
     E = 2 * n_players + 1
     clips = []
@@ -97,8 +104,7 @@ def constant_velocity_clips(n_clips, seed=0, n_players=3, fps=25.0,
 def circular_motion_clips(n_clips, seed=0, n_players=3, fps=25.0,
                           duration_s=3.0, sport="soccer"):
     """Entities orbit random centers at constant angular velocity."""
-    pitch = PitchSpec.for_sport(sport)
-    rng = Rng(seed, ("fixtures", "circular"))
+    pitch, rng = _start("circular", seed, n_players, sport)
     F = int(round(duration_s * fps))
     E = 2 * n_players + 1
     clips = []
@@ -130,8 +136,7 @@ def two_style_league_clips(n_clips, seed=0, n_players=3, fps=25.0,
     history) and half "beta" (they expand) for STYLE_FUTURE_S. The history
     segments are statistically identical across leagues, so the style is
     only learnable from the future."""
-    pitch = PitchSpec.for_sport(sport)
-    rng = Rng(seed, ("fixtures", "two_style"))
+    pitch, rng = _start("two_style", seed, n_players, sport)
     H = int(round(STYLE_HISTORY_S * fps))
     F = H + int(round(STYLE_FUTURE_S * fps))
     clips = []
@@ -185,8 +190,7 @@ def event_class_clips(n_clips, seed=0, n_players=3, fps=25.0,
     The classes differ in per-frame geometry as well as motion, so a small
     classifier can reach high accuracy quickly.
     """
-    pitch = PitchSpec.for_sport(sport)
-    rng = Rng(seed, ("fixtures", "event_classes"))
+    pitch, rng = _start("event_classes", seed, n_players, sport)
     kinds = tuple(EVENT_CLASS_LABELS)
     F = int(round(duration_s * fps))
     E = 2 * n_players + 1

@@ -6,9 +6,10 @@ epoch, best-epoch retention and patience-based early stopping. A task
 supplies `step_loss(epoch, i, r)`, one training batch's loss, and
 `validate()`, the logged metric with a higher-is-better selection key. The
 forecaster validates on the diffusion MSE of held-out windows with frozen
-noise draws, so the number is comparable across epochs, and decays weights
-decoupled from Adam; the event classifier validates on top-1 type accuracy,
-loss breaking ties, and runs plain Adam.
+noise draws, so the number is comparable across epochs, and trains on
+joint windows (every tracked entity's future a target); the event
+classifier validates on top-1 type accuracy, loss breaking ties. Both decay
+weights by `weight_decay`, which the desk event config sets to zero.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class TrainConfig:
     diffusion_steps: int = 100
     beta_start: float = 1e-4
     beta_end: float = 0.02
-    forecast_task: str = "forecast_joint"  # or forecast_single
     fixed_start: bool = False  # windows anchored at frame 0 (style fixtures)
 
     sport: str = "soccer"
@@ -98,8 +98,9 @@ def desk_forecast_config(**over):
 
 def desk_event_config(**over):
     return dc_replace(TrainConfig(
-        task="event", lr_peak=5e-4, d=32, layers=2, heads=4, n_players=3,
-        l_max=64, epochs=30, batch_size=16, early_stop_patience=8), **over)
+        task="event", lr_peak=5e-4, weight_decay=0.0, d=32, layers=2, heads=4,
+        n_players=3, l_max=64, epochs=30, batch_size=16,
+        early_stop_patience=8), **over)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +146,14 @@ class AdamState:
 
 
 def optimizer_step(params, config: TrainConfig, state: AdamState, lr: float):
-    """One update: clip, Adam moments, and for the forecast task the
-    decoupled weight-decay term. The event task runs plain Adam."""
+    """One update: clip, Adam moments, and the decoupled weight-decay term
+    `config.weight_decay` (none when it is zero)."""
     clip_gradients(params, config.grad_clip)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    decay = config.weight_decay if config.task == "forecast" else 0.0
+    decay = config.weight_decay
     for p in params:
         g = p.grad
         m = state.m.get(p.name)
@@ -263,13 +264,12 @@ def _normalized(clip, config):
 
 
 def _forecast_segments(clips, config):
-    sides = [clip.metadata.get("target_side") for clip in clips]
-    return [(_normalized(clip, config), None if side is None else int(side))
-            for clip, side in zip(clips, sides)]
+    return [_normalized(clip, config) for clip in clips]
 
 
 def _forecast_batch(segments, config: TrainConfig, rng: Rng, n_items: int):
-    """Windows of one shared history length (so the batch stacks)."""
+    """Joint windows (target_side None) of one shared history length, as
+    one `predict_noise` batch needs."""
     w = config.window_frames
     h_max = config.max_history_frames or config.history_frames
     n_choices = max(1, (h_max - config.history_frames) // w + 1)
@@ -277,17 +277,13 @@ def _forecast_batch(segments, config: TrainConfig, rng: Rng, n_items: int):
     batch = []
     for b in range(n_items):
         r = rng.child("item", b)
-        seg, side = segments[int(r.child("clip").integers(0, len(segments)))]
+        seg = segments[int(r.child("clip").integers(0, len(segments)))]
         max_start = len(seg) - hl - w
         if max_start < 0:
             raise ValueError(
                 f"clip of {len(seg)} frames too short for history {hl} + window {w}")
         start = 0 if config.fixed_start else int(r.child("start").integers(0, max_start + 1))
-        hist, fut = window(seg, start, hl, w)
-        target = None
-        if config.forecast_task == "forecast_single":
-            target = side if side is not None else int(r.child("side").integers(0, 2))
-        batch.append((hist, fut, config.forecast_task, target))
+        batch.append((*window(seg, start, hl, w), None))
     return batch
 
 
@@ -295,14 +291,11 @@ def _forecast_valid_loss(model, segments, config, schedule, rng: Rng) -> float:
     """Diffusion MSE on centered held-out windows with frozen noise draws."""
     hl, w = config.history_frames, config.window_frames
     items = []
-    for i, (seg, side) in enumerate(segments):
+    for seg in segments:
         if len(seg) < hl + w:
             continue
         start = 0 if config.fixed_start else (len(seg) - hl - w) // 2
-        hist, fut = window(seg, start, hl, w)
-        target = (side if side is not None else i % 2) \
-            if config.forecast_task == "forecast_single" else None
-        items.append((hist, fut, config.forecast_task, target))
+        items.append((*window(seg, start, hl, w), None))
     if not items:
         raise ValueError("validation split produced no usable windows")
     bs = min(config.batch_size, 16)

@@ -224,7 +224,7 @@ def test_criterion_06_league_conditioning_direction(tmp_path):
 
     def mean_stretch_dev(model, tag):
         vals = []
-        for i, (seg, _) in enumerate(_forecast_segments(alpha_valid, config)):
+        for i, seg in enumerate(_forecast_segments(alpha_valid, config)):
             hist, fut = window(seg, 0, 25, 25)
             sample_set = rollout(hist, rollout_cfg, model, schedule,
                                  Rng(55, ("c6", tag, i)))
@@ -517,7 +517,7 @@ def test_criterion_05_synthetic_forecasting_skill():
     rollout_cfg = RolloutConfig(window=0.2, history=1.0, horizon=1.0,
                                 samples=8, fps=25.0)
     model_avg, baseline_avg = [], []
-    for i, (seg, _) in enumerate(eval_segs):
+    for i, seg in enumerate(eval_segs):
         hist, fut = window(seg, 0, 25, 25)
         sample_set = rollout(hist, rollout_cfg, model, schedule,
                              Rng(123, ("c5-eval", i)))

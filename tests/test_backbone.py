@@ -35,7 +35,7 @@ def make_segment(frames, n_players=11, rng=None, visible=True):
 def test_joint_grid_dimensions_and_target_count():
     hist = make_segment(100, rng=Rng(0))
     fut = make_segment(5, rng=Rng(1))
-    grid = build_token_grid(hist, fut, "forecast_joint")
+    grid = build_token_grid(hist, fut)
     assert grid.coords.shape == (105, 23, 2)
     assert grid.noise_target.sum() == 5 * 23
     assert not grid.noise_target[:100].any()
@@ -44,12 +44,19 @@ def test_joint_grid_dimensions_and_target_count():
 def test_single_team_grid_targets_one_team_only():
     hist = make_segment(100, rng=Rng(0))
     fut = make_segment(5, rng=Rng(1))
-    grid = build_token_grid(hist, fut, "forecast_single", target_side=0)
+    grid = build_token_grid(hist, fut, target_side=0)
     assert grid.noise_target.sum() == 5 * 11
     assert grid.noise_target[100:, :11].all()
     # opponent and ball futures carry the conditioning ground truth
     assert not grid.noise_target[:, 11:].any()
     np.testing.assert_array_equal(grid.coords[100:, 11:], fut.coords[:, 11:])
+
+
+@pytest.mark.parametrize("side", [2, -1, "0"])
+def test_grid_rejects_a_side_outside_none_0_1(side):
+    hist = make_segment(4, n_players=3)
+    with pytest.raises(ValueError, match="^target_side must be None, 0 or 1, got"):
+        build_token_grid(hist, make_segment(1, n_players=3), target_side=side)
 
 
 def test_event_grid_pads_and_masks():
@@ -78,7 +85,7 @@ def test_grid_rejects_roster_mismatch():
     hist = make_segment(10, n_players=3)
     fut = make_segment(2, n_players=4)
     with pytest.raises(ValueError, match="roster"):
-        build_token_grid(hist, fut, "forecast_joint")
+        build_token_grid(hist, fut)
 
 
 def test_untracked_entities_are_not_targets():
@@ -86,7 +93,7 @@ def test_untracked_entities_are_not_targets():
     fut = make_segment(2, n_players=3, rng=Rng(3))
     hist.visibility[:, 4] = False
     fut.visibility[:, 4] = False
-    grid = build_token_grid(hist, fut, "forecast_joint")
+    grid = build_token_grid(hist, fut)
     assert not grid.noise_target[:, 4].any()
     assert grid.noise_target[10:, 0].all()
 
@@ -127,7 +134,7 @@ def test_embed_output_shape():
     backbone = Backbone(cfg, Rng(0))
     hist = make_segment(100, rng=Rng(5))
     fut = make_segment(5, rng=Rng(6))
-    grid = build_token_grid(hist, fut, "forecast_joint")
+    grid = build_token_grid(hist, fut)
     assert backbone.embed(grid).h.shape == (1, 105, 23, 256)
 
 
@@ -135,8 +142,7 @@ def test_embed_rejects_overlong_grid():
     backbone = Backbone(CFG, Rng(1))
     hist = make_segment(40, n_players=3)
     with pytest.raises(ValueError, match="temporal table"):
-        backbone.embed(build_token_grid(hist, make_segment(2, n_players=3),
-                                        "forecast_joint"))
+        backbone.embed(build_token_grid(hist, make_segment(2, n_players=3)))
 
 
 def test_step_embedding_shifts_every_token_globally():
@@ -247,7 +253,7 @@ def test_encode_output_shape():
     backbone = Backbone(CFG, Rng(15))
     hist = make_segment(6, n_players=3, rng=Rng(16))
     fut = make_segment(2, n_players=3, rng=Rng(17))
-    grid = build_token_grid(hist, fut, "forecast_joint")
+    grid = build_token_grid(hist, fut)
     assert backbone.encode(grid).h.shape == (1, 8, 7, 16)
 
 
@@ -287,7 +293,7 @@ def test_trajectory_head_counts_evaluations():
     model = TrajectoryModel(CFG, Rng(21))
     hist = make_segment(5, n_players=3, rng=Rng(22))
     fut = make_segment(2, n_players=3, rng=Rng(23))
-    grid = build_token_grid(hist, fut, "forecast_joint")
+    grid = build_token_grid(hist, fut)
     assert model.calls == 0
     out = model.predict_noise(grid, step=3)
     assert out.shape == (1, 7, 7, 2)
@@ -372,8 +378,8 @@ def _model_with_live_head(seed):
 def _forecast_grids(seed):
     hist = make_segment(5, n_players=3, rng=Rng(seed))
     fut = make_segment(2, n_players=3, rng=Rng(seed + 1))
-    return [build_token_grid(hist, fut, "forecast_joint"),
-            build_token_grid(hist, fut, "forecast_single", target_side=1)]
+    return [build_token_grid(hist, fut),
+            build_token_grid(hist, fut, target_side=1)]
 
 
 def test_predict_noise_is_bit_identical_under_no_grad():
@@ -433,7 +439,7 @@ def test_grad_mode_tape_keeps_one_score_buffer_per_attention():
     model = _model_with_live_head(37)
     hist = make_segment(6, n_players=3, rng=Rng(38))
     fut = make_segment(3, n_players=3, rng=Rng(39))
-    grids = [build_token_grid(hist, fut, "forecast_joint")] * 2
+    grids = [build_token_grid(hist, fut)] * 2
     nodes = _tape(model.predict_noise(grids, step=[2, 5]))
     B, L, W, E, heads = 2, 9, 3, CFG.n_entities, CFG.heads
     # spatial, temporal, and the last temporal sublayer's future queries
@@ -470,12 +476,30 @@ def _masked_loss(out, grids, seed):
 
 
 def _mixed_history_grids(seed):
-    """Joint and single-team grids of one shape; the last has a longer
-    history, so the batch's first predicted frame is the shorter one's."""
+    """Joint and single-team grids; the last has a longer history than the
+    others."""
     grids = _forecast_grids(seed)
     hist = make_segment(6, n_players=3, rng=Rng(seed + 2))
-    fut = make_segment(1, n_players=3, rng=Rng(seed + 3))
-    return grids + [build_token_grid(hist, fut, "forecast_single", target_side=0)]
+    fut = make_segment(2, n_players=3, rng=Rng(seed + 3))
+    return grids + [build_token_grid(hist, fut, target_side=0)]
+
+
+def test_predict_noise_rejects_mixed_history_lengths():
+    # the rows it computes start at one H; a batch of several used to start
+    # at the smallest, which every caller's one-H batches never needed
+    model = _model_with_live_head(40)
+    calls = model.calls
+    with pytest.raises(ValueError) as err:
+        model.predict_noise(_mixed_history_grids(41), step=[4, 9, 17])
+    assert str(err.value) == "cannot batch grids of differing history lengths [5, 6]"
+    assert model.calls == calls
+
+
+def _one_history_batches(grids, steps):
+    """Split a batch into the one-history-length batches predict_noise takes."""
+    for H in sorted({g.history_len for g in grids}):
+        keep = [i for i, g in enumerate(grids) if g.history_len == H]
+        yield H, [grids[i] for i in keep], [steps[i] for i in keep]
 
 
 @pytest.mark.parametrize("make_grids", [_forecast_grids, _mixed_history_grids])
@@ -483,15 +507,15 @@ def test_predict_noise_rows_match_the_full_row_computation(make_grids):
     model = _model_with_live_head(40)
     grids = make_grids(41)
     steps = [4, 9, 17][:len(grids)]
-    H = min(g.history_len for g in grids)
-    for grad_mode in (True, False):
-        with contextlib.nullcontext() if grad_mode else ad.no_grad():
-            oracle = _full_row_output(model, grids, steps).data
-            out = model.predict_noise(grids, step=steps).data
-        assert out.shape == oracle.shape
-        assert out[:, H:].tobytes() == oracle[:, H:].tobytes()
-        assert not out[:, :H].any()
-        assert not np.signbit(out[:, :H]).any()
+    for H, batch, batch_steps in _one_history_batches(grids, steps):
+        for grad_mode in (True, False):
+            with contextlib.nullcontext() if grad_mode else ad.no_grad():
+                oracle = _full_row_output(model, batch, batch_steps).data
+                out = model.predict_noise(batch, step=batch_steps).data
+            assert out.shape == oracle.shape
+            assert out[:, H:].tobytes() == oracle[:, H:].tobytes()
+            assert not out[:, :H].any()
+            assert not np.signbit(out[:, :H]).any()
 
 
 @pytest.mark.parametrize("make_grids", [_forecast_grids, _mixed_history_grids])
@@ -505,7 +529,9 @@ def test_predict_noise_gradients_match_the_full_row_computation(make_grids):
     def grads(forward):
         for prm in model.params.values():
             prm.zero_grad()
-        ad.backward(_masked_loss(forward(grids, steps), grids, 45))
+        losses = [_masked_loss(forward(batch, batch_steps), batch, 45 + H)
+                  for H, batch, batch_steps in _one_history_batches(grids, steps)]
+        ad.backward(sum(losses[1:], losses[0]))
         return {prm.name: prm.grad.copy() for prm in model.params.values()}
 
     oracle = grads(lambda g, s: _full_row_output(model, g, s))

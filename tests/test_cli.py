@@ -342,11 +342,47 @@ def test_forecast_event_cli(tmp_path):
 
 def test_forecast_event_single_team_needs_truth(tmp_path, capsys):
     code = run(forecast_event_argv(tmp_path)
-               + ["--setting", "team", "--target-side", "0",
-                  "--out", str(tmp_path / "forecast")])
+               + ["--target-side", "0", "--out", str(tmp_path / "forecast")])
     assert code == 1
     err = capsys.readouterr().err.strip()
-    assert err == "gentac: error: setting 'team' needs --truth"
+    assert err == ("gentac: error: --target-side needs --truth, the future "
+                   "it conditions on")
+    assert not (tmp_path / "forecast").exists()
+
+
+def sampling_argv(tmp_path, command):
+    """`command`'s options as in forecast_event_argv, less the event head's
+    for `sample`; the caller adds --out."""
+    argv = forecast_event_argv(tmp_path, steps=2)
+    if command == "sample":
+        argv = ["sample", *argv[1:argv.index("--event-checkpoint")],
+                *argv[argv.index("--horizon"):argv.index("--event-frames")]]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["sample", "forecast-event"])
+def test_sampling_rejects_truth_without_a_target_side(tmp_path, capsys, command):
+    # --truth without a single-team setting used to be dropped: not read,
+    # not listed among the manifest's inputs
+    argv = sampling_argv(tmp_path, command)
+    truth = tmp_path / "truth.json"
+    data.save_clip(constant_velocity_clips(1, seed=17, duration_s=0.4)[0], truth)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(argv + ["--truth", str(truth), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "gentac: error: --truth needs --target-side, the side to generate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "forecast-event"])
+def test_sampling_takes_no_setting(tmp_path, command):
+    # league and objective sampled like unconditioned, team like opponent:
+    # styles come from finetune --filter, the side from --target-side
+    out = tmp_path / "out"
+    assert run(sampling_argv(tmp_path, command) + ["--out", str(out)]) == 0
+    assert run(sampling_argv(tmp_path, command)
+               + ["--setting", "league", "--out", str(tmp_path / "o2")]) == 2
 
 
 def test_forecast_event_rejects_zero_event_frames(tmp_path, capsys):
@@ -379,11 +415,16 @@ def test_forecast_event_manifest_records_schedule_and_inputs(tmp_path):
     truth = tmp_path / "truth.json"
     data.save_clip(constant_velocity_clips(1, seed=17, duration_s=0.4)[0], truth)
     out = tmp_path / "single"
-    assert run(argv + ["--setting", "team", "--target-side", "0", "--truth",
-                       str(truth), "--out", str(out)]) == 0
-    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    assert set(inputs) == {"history.json", "history.meta.json", "truth.json",
-                           "truth.meta.json", "event.ckpt"}
+    assert run(argv + ["--target-side", "0", "--truth", str(truth),
+                       "--out", str(out)]) == 0
+    single = json.loads((out / "manifest.json").read_text())
+    assert set(single["inputs"]) == {"history.json", "history.meta.json",
+                                     "truth.json", "truth.meta.json",
+                                     "event.ckpt"}
+    assert (single["config"]["setting"], single["config"]["target_side"]) == \
+        ("opponent", 0)
+    assert (manifests[0]["config"]["setting"],
+            manifests[0]["config"]["target_side"]) == ("unconditioned", None)
 
 
 def test_main_returns_int_when_given_argv(tmp_path):
@@ -657,7 +698,7 @@ def test_evaluate_traj_rejects_fewer_predictions_than_k(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, message", [
     ("--duration", "{out}/fixture_0000.json holds no frames"),
-    ("--players", "{out}: --players 0 leaves the teams with no players"),
+    ("--players", "n_players=0 leaves the teams with no players"),
 ])
 def test_make_fixtures_rejects_an_empty_scene(tmp_path, capsys, flag, message):
     # both used to exit 0: a file holding {} and clips with only a ball
@@ -678,15 +719,19 @@ def test_make_fixtures_rejects_an_empty_scene(tmp_path, capsys, flag, message):
      "{clip}: team1 has no players"),
 ], ids=["no-frames", "no-players", "one-team"])
 def test_ingest_rejects_an_empty_scene(tmp_path, capsys, text, message):
+    # two good clips are read before the empty one; they used to be written
+    # to --out, with no manifest, before the empty clip failed
     raw = tmp_path / "raw"
     raw.mkdir()
+    for i, good in enumerate(constant_velocity_clips(2, seed=22, duration_s=0.4)):
+        data.save_clip(good, raw / f"a{i}.json")
     clip = raw / "empty.json"
     clip.write_text(text)
     out = tmp_path / "canon"
     assert run(["ingest", "--input", str(raw), "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         f"gentac: error: {message.format(clip=clip)}\n"
-    assert not (out / "empty.json").exists()
+    assert not out.exists()
 
 
 def test_refine_rejects_gamma_outside_its_range(tmp_path, capsys):
@@ -788,6 +833,30 @@ def test_finetune_reads_task_and_geometry_from_base(tmp_path):
     library = tmp_path / "library.ckpt"
     save_model(library, model, result)
     assert tuned.read_bytes() == library.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--d", "--layers", "--heads", "--n-players",
+                                  "--l-max"])
+def test_finetune_takes_no_geometry(tmp_path, flag):
+    # --d 16 on a d=8 base exited 1 and --d 8 was a no-op: the base decides
+    assert run(["finetune", "--data", str(tmp_path), "--base",
+                str(tmp_path / "base.ckpt"), "--out", str(tmp_path / "t.ckpt"),
+                flag, "8"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--history-frames", "--max-history-frames"])
+def test_finetune_of_an_event_base_takes_no_history_flags(cli_chain, tmp_path,
+                                                          capsys, flag):
+    # both flags used to exit 0, ignored by event training, and the manifest
+    # recorded the history length
+    base = cli_chain["train-event"][3][3]
+    out = tmp_path / "tuned.ckpt"
+    capsys.readouterr()
+    assert run(["finetune", "--data", cli_chain["train-event"][3][1], "--base",
+                base, "--out", str(out), "--epochs", "1", flag, "7"]) == 1
+    assert capsys.readouterr().err == (
+        f"gentac: error: {base} holds an event model, which takes no {flag}\n")
+    assert not out.exists()
 
 
 def test_finetune_rejects_base_without_task(tmp_path, capsys):

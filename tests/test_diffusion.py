@@ -134,8 +134,8 @@ class _StubModel:
 def _loss_batch(rng_seed=0, n_items=6, H=6, w=3):
     rng = Rng(rng_seed, ("batch",))
     return [(make_segment(H, rng=rng.child("h", i)),
-             make_segment(w, rng=rng.child("f", i)),
-             "forecast_joint", None) for i in range(n_items)]
+             make_segment(w, rng=rng.child("f", i)), None)
+            for i in range(n_items)]
 
 
 class InvertingOracle:
@@ -144,7 +144,7 @@ class InvertingOracle:
     it is handed, ANCHOR_SCALE * (clean - anchor)."""
 
     def __init__(self, batch):
-        self.futures = {h.coords.tobytes(): f.coords for h, f, _, _ in batch}
+        self.futures = {h.coords.tobytes(): f.coords for h, f, _ in batch}
         self.calls = 0
 
     def predict_noise(self, grids, step):
@@ -163,7 +163,7 @@ def _clean_second_moment(batch):
     """Mean squared clean target of fully visible joint windows: every
     coordinate is a target, anchored at the history's last frame."""
     return float(np.mean([(ANCHOR_SCALE * (f.coords - h.coords[-1])) ** 2
-                          for h, f, _, _ in batch]))
+                          for h, f, _ in batch]))
 
 
 def test_loss_zero_for_oracle_network():
@@ -290,8 +290,7 @@ def test_sample_window_runs_S_network_calls_and_freezes_conditioning():
     hist = make_segment(6, rng=Rng(1))
     before = hist.coords.copy()
     (out,), _ = sample_windows_batch([hist], [np.zeros((3, 5, 2))], model,
-                                     schedule, [Rng(2, ("w",))],
-                                     task="forecast_joint")
+                                     schedule, [Rng(2, ("w",))])
     assert model.calls == 25
     assert out.coords.shape == (3, 5, 2)
     assert np.isfinite(out.coords).all()
@@ -304,8 +303,7 @@ def test_sample_window_single_team_keeps_opponent_truth_bitwise():
     hist = make_segment(6, rng=Rng(3))
     fut = make_segment(3, rng=Rng(4))
     (out,), _ = sample_windows_batch([hist], [fut], model, schedule,
-                                     [Rng(5, ("w",))], task="forecast_single",
-                                     target_side=0)
+                                     [Rng(5, ("w",))], target_side=0)
     # opponent players and ball are conditioning: bit-identical to the truth
     assert out.coords[:, 2:].tobytes() == fut.coords[:, 2:].tobytes()
     assert not np.array_equal(out.coords[:, :2], fut.coords[:, :2])
@@ -374,6 +372,18 @@ def test_rollout_single_team_needs_truth():
         rollout(hist, config, model, schedule, Rng(0))
 
 
+@pytest.mark.parametrize("setting", ["unconditioned", "league", "objective"])
+def test_joint_settings_take_no_target_side(setting):
+    # sample --target-side 1 under the joint setting used to exit 0 and
+    # write joint futures while its manifest recorded the side
+    config = RolloutConfig(window=0.2, history=0.4, horizon=0.4,
+                           setting=setting, target_side=1, fps=25.0)
+    with pytest.raises(ValueError) as err:
+        config.validate()
+    assert str(err.value) == (f"setting '{setting}' predicts both sides and "
+                              f"takes no target_side")
+
+
 def test_rollout_opponent_conditioning_passes_truth_through():
     model = TrajectoryModel(CFG, Rng(0))
     schedule = make_schedule(4)
@@ -436,6 +446,6 @@ def test_sampler_non_finite_network_output_names_predict_noise():
     with pytest.raises(ad.NonFiniteError, match="predict_noise"):
         sample_windows_batch([make_segment(6, rng=Rng(14))],
                              [np.zeros((2, 5, 2))], model, make_schedule(3),
-                             [Rng(15, ("w",))], task="forecast_joint")
+                             [Rng(15, ("w",))])
     # the sampler's inference context is closed again after the error
     assert ad.add(ad.Tensor([1.0]), ad.Tensor([2.0])).parents != ()

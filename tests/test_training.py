@@ -89,11 +89,23 @@ def test_forecast_task_applies_decoupled_decay():
 
 
 def test_event_task_has_no_decay():
+    # the desk event config runs plain Adam
+    cfg = desk_event_config()
+    assert cfg.weight_decay == 0.0
+    p = ad.Parameter(np.array([10.0]), "p")
+    p.grad = np.zeros(1)
+    optimizer_step([p], cfg, AdamState(), lr=0.01)
+    assert float(p.data[0]) == 10.0
+
+
+def test_decoupled_decay_comes_from_the_config():
+    # a config's weight_decay used to be recorded for the event task and
+    # ignored; it applies to either task
     p = ad.Parameter(np.array([10.0]), "p")
     p.grad = np.zeros(1)
     cfg = TrainConfig(task="event", weight_decay=0.1)
     optimizer_step([p], cfg, AdamState(), lr=0.01)
-    assert float(p.data[0]) == 10.0
+    assert float(p.data[0]) == pytest.approx(10.0 - 0.01 * 0.1 * 10.0)
 
 
 # ---------------------------------------------------------------------------
