@@ -10,12 +10,15 @@ With gradients enabled (the default) every op output is checked for NaN/Inf
 and raises `NonFiniteError` naming the op, so numerical blow-ups surface at
 the op that produced them.
 
-`attention(q, k, v, bias, scale)` is the one fused op: the scores, their
-scale and key-mask bias, the softmax and the weighted values run in one
-tape node whose parents are q, k and v, with the same arithmetic as the
-chain of primitive ops, bit for bit. The tape keeps one score-sized array
-(the softmax weights) per attention instead of four. Its inner scores are
-not checked for finiteness on their own; its output is.
+`attention_block` is the one fused op: a whole pre-norm residual attention
+sublayer (layer norm, q/k/v projections, scaled and key-masked softmax
+scores, weighted values, output projection and residual) runs as one tape
+node whose parents are the input and the sublayer's eight parameters. Its
+forward is the same numpy arithmetic as the chain of primitive ops, bit for
+bit; its hand-written backward keeps only the arrays it reads (one
+score-sized array, the softmax weights) and forms each weight gradient as
+one flattened GEMM. Its inner values are not checked for finiteness on
+their own; its output is.
 
 Inference mode: inside `with no_grad():` the same ops run the same
 arithmetic but keep no tape (no parents, no backward closure) and skip the
@@ -54,8 +57,15 @@ def no_grad():
 
 
 def check_finite(data, op):
-    """Raise `NonFiniteError` naming `op` unless every value is finite."""
-    if not np.all(np.isfinite(data)):
+    """Raise `NonFiniteError` naming `op` unless every value is finite.
+
+    One pass in the common case, with no boolean temporary: a NaN or Inf
+    value makes the sum of the values non-finite, and so can finite values
+    that overflow it, so only a non-finite sum pays for the elementwise scan
+    that decides."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(data, axis=None)
+    if not np.isfinite(total) and not np.isfinite(data).all():
         raise NonFiniteError(f"op '{op}' produced a non-finite value")
 
 
@@ -224,9 +234,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
     def bwd(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        if b.data.ndim == 2:
+            gb = _weight_grad(a.data, g)
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return _unbroadcast(ga, a.shape), gb
     return Tensor(out, (a, b), bwd, "matmul")
+
+
+def _weight_grad(x, g):
+    """Adjoint of the 2-D weight `w` in `x @ w`: every row of every batch
+    item in one GEMM, `x^T g` over the flattened rows, instead of one
+    [d x d] product per batch item summed afterwards."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
@@ -368,27 +388,6 @@ def _softmax_grad(weights, g, axis):
     return weights * (g - _row_sum(g * weights, axis))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias, scale) -> Tensor:
-    """`softmax(q @ k^T * scale + bias) @ v` over the last two axes, bit for
-    bit that chain of ops, in one score buffer: the scores are scaled,
-    biased and turned into the softmax weights in place, and the weights are
-    the only score-sized array the tape keeps. `bias` (the key mask, an
-    array broadcast onto the scores) and `scale` get no gradient."""
-    s = q.data @ np.swapaxes(k.data, -1, -2)
-    s *= scale
-    s += bias
-    weights = softmax_array(s, out=s)
-    out = weights @ v.data
-    def bwd(g):
-        dv = np.swapaxes(weights, -1, -2) @ g
-        ds = _softmax_grad(weights, g @ np.swapaxes(v.data, -1, -2), -1)
-        ds *= scale
-        dq = ds @ k.data
-        dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
-        return dq, dk, dv
-    return Tensor(out, (q, k, v), bwd, "attention")
-
-
 def log_softmax(a: Tensor, axis=-1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
@@ -399,22 +398,135 @@ def log_softmax(a: Tensor, axis=-1) -> Tensor:
     return Tensor(out, (a,), bwd, "log_softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps=1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
+_EPS = 1e-5  # layer norm's variance floor
+
+
+def _layer_norm(x, gain, bias, eps):
+    """(out, xhat, inv): the last axis of `x` normalized to zero mean and
+    unit variance (`xhat`, with `inv` the reciprocal standard deviation),
+    then scaled by `gain` and shifted by `bias`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
     # np.var's arithmetic, reusing x - mu instead of recomputing it
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.data.shape[-1]
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = gain.data * xhat
-    out += bias.data
+    out = gain * xhat
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_grad(g, xhat, inv, gain):
+    """Adjoint of `_layer_norm`'s input, given the output adjoint `g`:
+    `inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))` with
+    `dxhat = g * gain`, evaluated in place in that order."""
+    dx = g * gain
+    m1 = dx.mean(axis=-1, keepdims=True)
+    m2 = (dx * xhat).mean(axis=-1, keepdims=True)
+    dx -= m1
+    dx -= xhat * m2
+    dx *= inv
+    return dx
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps=_EPS) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    out, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
     def bwd(g):
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgain, dbias
+        return (_layer_norm_grad(g, xhat, inv, gain.data),
+                _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
     return Tensor(out, (x, gain, bias), bwd, "layer_norm")
+
+
+def attention_block(h: Tensor, weights, bias, heads, along_time, start) -> Tensor:
+    """One pre-norm residual self-attention sublayer as one tape node.
+
+    `h` is [B x L x E x d]; `weights` are the sublayer's Parameters in the
+    order (ln_g, ln_b, wq, wk, wv, wv_b, wo, wo_b). Attention runs across
+    the E entities of each frame, or, `along_time`, across the L frames of
+    each entity; `bias` is the additive key mask broadcast onto the
+    [B x G x heads x T_q x T] scores (G groups of T keys). The output is
+    `h + attn(layer_norm(h)) @ wo + wo_b`, with
+    `attn = softmax(q k^T / sqrt(d / heads) + bias) v` per head and
+    `q, k, v = x @ wq, x @ wk, x @ wv + wv_b`.
+
+    Along time, `start` > 0 keeps only the output rows of frames `start`..:
+    the queries, output projection and residual run on those rows, while
+    every frame is still normalized and projected as a key and value. Each
+    of those steps is row-wise along the query rows, so the rows kept are
+    bit for bit the full sublayer's.
+
+    The forward is the arithmetic of the chain of primitive ops
+    (`layer_norm`, `swapaxes`, `matmul`, `add`, `softmax`, `reshape`) on the
+    same layouts, bit for bit, with the score scale, key mask and softmax
+    applied in place on one score buffer. With gradients on, the tape
+    keeps only what the backward reads: layer norm's `xhat` and `inv`, its
+    output, q, k, v, the softmax weights and the head-merged values. Under
+    `no_grad` no temporary outlives the point where the chain freed it."""
+    ln_g, ln_b, wq, wk, wv, wv_b, wo, wo_b = weights
+    taped = _grad_enabled.get()
+    B, L, E, d = h.shape
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    x, xhat, inv = _layer_norm(h.data, ln_g.data, ln_b.data, _EPS)
+    if not taped:
+        xhat = inv = None
+    rows = np.swapaxes(x, 1, 2) if along_time else x        # [B x G x T x d]
+    G, T = rows.shape[1:3]
+    queries = rows[:, :, start:]
+
+    def split(y):                          # -> [B x G x heads x rows x dh]
+        return np.swapaxes(y.reshape(B, G, -1, heads, dh), 2, 3)
+
+    def merge(y):                          # -> [B*G*rows x d]
+        return np.swapaxes(y, 2, 3).reshape(-1, d)
+
+    q = split(queries @ wq.data)
+    k = split(rows @ wk.data)
+    v = rows @ wv.data
+    v += wv_b.data
+    v = split(v)
+    att = q @ np.swapaxes(k, -1, -2)
+    att *= scale
+    att += bias
+    softmax_array(att, out=att)
+    merged = att @ v
+    if not taped:
+        att = None
+    merged = merge(merged)
+    out = merged @ wo.data
+    out += wo_b.data
+    if not taped:
+        merged = None
+    out = out.reshape(B, G, T - start, d)
+    if along_time:
+        out = np.swapaxes(out, 1, 2)
+    out = h.data[:, start:] + out
+
+    def bwd(g):
+        g_rows = (np.swapaxes(g, 1, 2) if along_time else g).reshape(-1, d)
+        dwo, dwo_b = merged.T @ g_rows, g_rows.sum(0)
+        do = split(g_rows @ wo.data.T)
+        dv = merge(np.swapaxes(att, -1, -2) @ do)
+        ds = _softmax_grad(att, do @ np.swapaxes(v, -1, -2), -1)
+        ds *= scale
+        dq = merge(ds @ k)
+        dk = merge(np.swapaxes(ds, -1, -2) @ q)
+        x_rows = rows.reshape(-1, d)
+        dwq = _weight_grad(queries, dq)
+        dwk, dwv = x_rows.T @ dk, x_rows.T @ dv
+        # the three projections and the residual add into one adjoint of h
+        dx = dk @ wk.data.T
+        dx += dv @ wv.data.T
+        dx = dx.reshape(B, G, T, d)
+        dx[:, :, start:] += (dq @ wq.data.T).reshape(B, G, T - start, d)
+        dln_b = dx.reshape(-1, d).sum(0)
+        if along_time:
+            dx = np.swapaxes(dx, 1, 2)
+        dln_g = (dx * xhat).reshape(-1, d).sum(0)
+        gh = _layer_norm_grad(dx, xhat, inv, ln_g.data)
+        gh[:, start:] += g
+        return gh, dln_g, dln_b, dwq, dwk, dwv, dv.sum(0), dwo, dwo_b
+
+    return Tensor(out, (h, *weights), bwd, "attention")

@@ -6,9 +6,10 @@ width `d` and offset by three learned tables: per-frame temporal, per-group
 (team0 / team1 / ball), and per-slot entity embeddings. The encoder applies
 M layers, each a pre-norm residual self-attention across entities at fixed
 time followed by one across time for a fixed entity; there is no
-feed-forward sublayer. Invisible tokens
-are excluded as attention keys by a large negative additive score, so they
-cannot influence any visible output.
+feed-forward sublayer. Each sublayer runs as one fused autodiff op,
+`ad.attention_block`, one tape node over the latent and the sublayer's eight
+parameters. Invisible tokens are excluded as attention keys by a large
+negative additive score, so they cannot influence any visible output.
 
 The forecaster reads its output only at frames from the history length on,
 so `TrajectoryModel.predict_noise` runs the last temporal sublayer's queries,
@@ -308,47 +309,19 @@ class Backbone:
 
     def _attend(self, latent: LatentGrid, base: str, axis: str,
                 start: int = 0) -> LatentGrid:
-        """One pre-norm residual attention block along entities or time; its
-        scores, key mask, softmax and values are one `ad.attention` op.
-
-        Along time, `start` > 0 keeps only the output rows of frames
-        `start`.. : the queries, output projection and residual run on those
-        rows, while every frame is still normalized and projected as a key
-        and value. Each of those ops is row-wise along the query rows, so
-        the rows it keeps are bit for bit the full block's."""
-        cfg = self.config
+        """One pre-norm residual attention sublayer along entities or time,
+        run as the single `ad.attention_block` op over the sublayer's eight
+        parameters. Along time, `start` > 0 keeps only the output rows of
+        frames `start`.. (see `ad.attention_block`), bit for bit those rows
+        of the full sublayer."""
         p = self.params
-        h = latent.h
-        B, L, E, d = h.shape
-        heads, dh = cfg.heads, cfg.d // cfg.heads
-
-        x = ad.layer_norm(h, p[f"{base}.ln_g"], p[f"{base}.ln_b"])
-        if axis == "time":
-            x = ad.swapaxes(x, 1, 2)                       # [B x E x L x d]
-            bias = latent.temporal_bias                    # keys indexed by time
-            G, T = E, L
-        else:
-            bias = latent.spatial_bias                     # keys indexed by entity
-            G, T = L, E
-
-        def project(rows, w):
-            y = ad.matmul(rows, p[f"{base}.{w}"])
-            if f"{base}.{w}_b" in p:
-                y = y + p[f"{base}.{w}_b"]
-            y = ad.reshape(y, (B, G, rows.shape[2], heads, dh))
-            return ad.swapaxes(y, 2, 3)                    # [B x G x heads x rows x dh]
-
-        queries = x if not start else ad.take(
-            x, (slice(None), slice(None), slice(start, None)))
-        q, k, v = project(queries, "wq"), project(x, "wk"), project(x, "wv")
-        out = ad.attention(q, k, v, bias.data, 1.0 / np.sqrt(dh))
-        out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T - start, d))
-        out = ad.matmul(out, p[f"{base}.wo"]) + p[f"{base}.wo_b"]
-        if axis == "time":
-            out = ad.swapaxes(out, 1, 2)
-        if start:
-            h = ad.take(h, (slice(None), slice(start, None)))
-        return replace(latent, h=h + out)
+        weights = tuple(p[f"{base}.{w}"] for w in
+                        ("ln_g", "ln_b", "wq", "wk", "wv", "wv_b", "wo", "wo_b"))
+        time = axis == "time"
+        bias = latent.temporal_bias if time else latent.spatial_bias
+        h = ad.attention_block(latent.h, weights, bias.data, self.config.heads,
+                               time, start)
+        return replace(latent, h=h)
 
     def spatial_attention(self, latent: LatentGrid, layer: int) -> LatentGrid:
         return self._attend(latent, f"layer{layer}.spatial", "entity")

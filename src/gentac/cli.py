@@ -40,8 +40,8 @@ from . import __version__, data, fixtures, metrics
 from .diffusion import RolloutConfig, condition_tagging, rollout
 from .events import TAXONOMY, forecast_event, ground_event
 from .rng import Rng
-from .training import TrainConfig, desk_event_config, desk_forecast_config, \
-    finetune, load_model, save_model, split_clips, train
+from .training import SAMPLING_CONTRACT, TrainConfig, desk_event_config, \
+    desk_forecast_config, finetune, load_model, save_model, split_clips, train
 
 
 def git_blob_hash(path) -> str:
@@ -105,6 +105,11 @@ def _with_sidecars(clip_paths):
     return paths
 
 
+# the TrainConfig fields that only forecaster training reads
+_FORECAST_ONLY = ("history_frames", "max_history_frames", "fixed_start",
+                  *SAMPLING_CONTRACT)
+
+
 def _train_config(args, fixed) -> TrainConfig:
     """The task's desk config, then the fields a base checkpoint `fixed`
     (at least the task), then the `--config` file, then the flags given."""
@@ -118,11 +123,14 @@ def _train_config(args, fixed) -> TrainConfig:
         for key in file_config:
             if key not in merged:
                 raise ValueError(f"{args.config}: unknown config key '{key}'")
+            if task == "event" and key in _FORECAST_ONLY:
+                raise ValueError(f"{args.config}: the event task takes no "
+                                 f"forecaster key '{key}'")
         merged.update(file_config)
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
-            if task == "event" and key in ("history_frames", "max_history_frames"):
+            if task == "event" and key in _FORECAST_ONLY:
                 raise ValueError(f"{args.base} holds an event model, which "
                                  f"takes no --{key.replace('_', '-')}")
             merged[key] = value

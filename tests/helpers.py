@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from gentac import autodiff as ad
 from gentac.diffusion import denoise_step, forward_noise, make_schedule
 from gentac.rng import Rng
 
@@ -34,8 +35,6 @@ def fd_check_model(model, loss_fn, h=1e-5):
     params = list(model.params.values())
     for p in params:
         p.zero_grad()
-    import gentac.autodiff as ad
-
     ad.backward(loss_fn())
     worst = 0.0
     worst_name = ""
@@ -63,3 +62,32 @@ def league_clips(clips, league):
     for clip in clips:
         clip.metadata["league"] = league
     return clips
+
+
+def attention_block_chain(h, weights, bias, heads, along_time, start):
+    """`ad.attention_block` as the chain of primitive ops it fuses: the
+    reference its forward equals bit for bit and its gradients to rounding."""
+    ln_g, ln_b, wq, wk, wv, wv_b, wo, wo_b = weights
+    B, L, E, d = h.shape
+    dh = d // heads
+    x = ad.layer_norm(h, ln_g, ln_b)
+    if along_time:
+        x = ad.swapaxes(x, 1, 2)                        # [B x E x L x d]
+    G, T = x.shape[1:3]
+
+    def project(rows, w, b=None):
+        y = ad.matmul(rows, w)
+        if b is not None:
+            y = y + b
+        y = ad.reshape(y, (B, G, rows.shape[2], heads, dh))
+        return ad.swapaxes(y, 2, 3)                     # [B x G x heads x rows x dh]
+
+    queries = ad.take(x, (slice(None), slice(None), slice(start, None)))
+    q, k, v = project(queries, wq), project(x, wk), project(x, wv, wv_b)
+    scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
+    out = ad.matmul(ad.softmax(scores + ad.Tensor(bias), axis=-1), v)
+    out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T - start, d))
+    out = ad.matmul(out, wo) + wo_b
+    if along_time:
+        out = ad.swapaxes(out, 1, 2)
+    return ad.take(h, (slice(None), slice(start, None))) + out

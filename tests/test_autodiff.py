@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gentac import autodiff as ad
 from gentac.backbone import MASK_SCORE
+from helpers import attention_block_chain
 
 
 def rel_err(a, b):
@@ -91,6 +92,31 @@ def test_matmul_batched_matches_loop():
         for j in range(3):
             np.testing.assert_allclose(out[i, j], a[i, j] @ b[i, j],
                                        rtol=0, atol=1e-12)
+
+
+def test_matmul_weight_gradient_is_the_batched_formula():
+    # a 2-D right operand gets its adjoint from one GEMM over the flattened
+    # rows, in place of a [batch... x 5 x 3] stack summed afterwards
+    rng = np.random.default_rng(5)
+    a = ad.Tensor(rng.normal(size=(2, 3, 4, 5)))
+    w = ad.Parameter(rng.normal(size=(5, 3)), "w")
+    g = rng.normal(size=(2, 3, 4, 3))
+    _, gw = ad.matmul(a, w).backward_fn(g)
+    batched = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=(0, 1))
+    assert gw.shape == (5, 3)
+    assert np.abs(gw - batched).max() <= 1e-12 * np.abs(batched).max()
+
+
+def test_matmul_weight_gradient_vs_finite_differences():
+    rng = np.random.default_rng(6)
+    a = ad.Parameter(rng.normal(size=(2, 3, 4)), "a")
+    w = ad.Parameter(rng.normal(size=(4, 3)), "w")
+    weights = np.linspace(0.5, 1.5, 18).reshape(2, 3, 3)
+
+    def f(build=False):
+        return ad.sum_(ad.mul(ad.matmul(a, w), ad.Tensor(weights)))
+
+    check_grads(f, [a, w])
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +327,18 @@ def test_no_grad_skips_per_op_checks():
         ad.check_finite(out.data, "predict_noise")
 
 
+def test_check_finite_passes_finite_values_whose_sum_overflows():
+    ad.check_finite(np.array([1e308, 1e308]), "add")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_raises_on_each_non_finite_value_naming_the_op(bad):
+    data = np.ones((3, 4))
+    data[1, 2] = bad
+    with pytest.raises(ad.NonFiniteError, match="op 'logits'"):
+        ad.check_finite(data, "logits")
+
+
 def _taped():
     return ad.add(ad.Tensor([1.0]), ad.Tensor([2.0])).parents != ()
 
@@ -344,81 +382,118 @@ def test_softmax_and_its_gradient_are_the_textbook_formula_bitwise(shape):
 
 
 # ---------------------------------------------------------------------------
-# attention
+# attention sublayer
 # ---------------------------------------------------------------------------
 
-def _attention_inputs(keys, groups, seed, dh=3):
-    """q, k, v Parameters [2 x groups x 4 heads x keys x dh] and a key-mask
-    bias that hides some keys of each group. dh=3, so the 1/sqrt(dh) scale is
-    not a power of two and scaling q instead of the scores changes bits."""
+def _block_inputs(keys, groups, along_time, seed, d=6, heads=2):
+    """h [2 x L x E x d] with `keys` on the attended axis and `groups` on the
+    other, the sublayer's eight weights, all Parameters, and a key mask that
+    hides some keys of each group. dh=3, so the 1/sqrt(dh) scale is not a
+    power of two and scaling q instead of the scores changes bits."""
     rng = np.random.default_rng(seed)
-    shape = (2, groups, 4, keys, dh)
-    q, k, v = (ad.Parameter(rng.normal(size=shape), name) for name in "qkv")
+    L, E = (keys, groups) if along_time else (groups, keys)
+    h = ad.Parameter(rng.normal(size=(2, L, E, d)), "h")
+    weights = tuple(ad.Parameter(
+        (1.0 if name == "ln_g" else 0.0)
+        + rng.normal(size=(d, d) if name in ("wq", "wk", "wv", "wo") else d),
+        name) for name in ("ln_g", "ln_b", "wq", "wk", "wv", "wv_b", "wo", "wo_b"))
     visible = rng.uniform(size=(2, groups, keys)) > 0.3
     visible[..., 0] = True
     bias = np.where(visible, 0.0, MASK_SCORE)[:, :, None, None, :]
-    return q, k, v, bias, 1.0 / np.sqrt(dh)
+    return h, weights, bias, heads
+
+
+def _block_cases(keys):
+    """(along_time, start): spatial, temporal, temporal from a later frame."""
+    return [(False, 0), (True, 0), (True, keys // 2)]
+
+
+def _run_block(block, h, weights, bias, heads, along_time, start, g):
+    """Output bytes and the nine parents' gradients after backward of
+    sum(out * g)."""
+    for p in (h, *weights):
+        p.zero_grad()
+    out = block(h, weights, bias, heads, along_time, start)
+    ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g[:, start:]))))
+    return out.data.tobytes(), [p.grad.copy() for p in (h, *weights)]
 
 
 # 8 groups give many more rows than keys, the column-wise reductions; one
 # group keeps numpy's row reductions
 @pytest.mark.parametrize("keys,groups", [(7, 1), (7, 8), (35, 1), (35, 8)])
 def test_attention_matches_the_op_chain_bitwise(keys, groups):
-    q, k, v, bias, scale = _attention_inputs(keys, groups, seed=keys + groups)
-    g = ad.Tensor(np.random.default_rng(1).normal(size=q.shape))
+    for along_time, start in _block_cases(keys):
+        h, weights, bias, heads = _block_inputs(keys, groups, along_time,
+                                                seed=keys + groups)
+        args = (h, weights, bias, heads, along_time, start)
+        chain = attention_block_chain(*args).data.tobytes()
+        assert ad.attention_block(*args).data.tobytes() == chain
+        with ad.no_grad():
+            assert ad.attention_block(*args).data.tobytes() == chain
 
-    def run(fused):
-        for p in (q, k, v):
-            p.zero_grad()
-        if fused:
-            out = ad.attention(q, k, v, bias, scale)
-        else:
-            scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * scale
-            out = ad.matmul(ad.softmax(scores + ad.Tensor(bias), axis=-1), v)
-        ad.backward(ad.sum_(ad.mul(out, g)))
-        return [out.data.tobytes()] + [p.grad.tobytes() for p in (q, k, v)]
 
-    assert run(fused=True) == run(fused=False)
+@pytest.mark.parametrize("keys,groups", [(7, 8), (35, 1)])
+def test_attention_block_gradients_match_the_op_chain(keys, groups):
+    for along_time, start in _block_cases(keys):
+        h, weights, bias, heads = _block_inputs(keys, groups, along_time,
+                                                seed=keys * groups)
+        g = np.random.default_rng(1).normal(size=h.shape)
+        args = (h, weights, bias, heads, along_time, start, g)
+        _, fused = _run_block(ad.attention_block, *args)
+        _, chain = _run_block(attention_block_chain, *args)
+        for p, a, b in zip((h, *weights), fused, chain):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), \
+                (p.name, along_time, start)
 
 
 def test_attention_gradient_vs_finite_differences():
-    q, k, v, bias, scale = _attention_inputs(5, 1, seed=8)
-    weights = np.linspace(0.5, 1.5, q.data.size).reshape(q.shape)
+    for along_time, start in _block_cases(5):
+        h, weights, bias, heads = _block_inputs(5, 2, along_time, seed=8)
+        rows = h.data[:, start:]
+        g = np.linspace(0.5, 1.5, rows.size).reshape(rows.shape)
 
-    def f(build=False):
-        out = ad.attention(q, k, v, bias, scale)
-        return ad.sum_(ad.mul(out, ad.Tensor(weights)))
+        def f(build=False):
+            out = ad.attention_block(h, weights, bias, heads, along_time, start)
+            return ad.sum_(ad.mul(out, ad.Tensor(g)))
 
-    check_grads(f, [q, k, v])
+        check_grads(f, [h, *weights])
 
 
 def test_attention_single_visible_key_gets_weight_one():
-    q, k, v, bias, scale = _attention_inputs(7, 1, seed=9)
-    q.data *= 30.0                                  # scores far from zero
+    h, weights, bias, heads = _block_inputs(7, 3, False, seed=9)
+    weights[2].data *= 30.0                         # scores far from zero
     bias[...] = MASK_SCORE
     bias[..., 4] = 0.0
-    out = ad.attention(q, k, v, bias, scale).data
-    expected = np.broadcast_to(v.data[..., 4:5, :], out.shape)
-    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+    out = ad.attention_block(h, weights, bias, heads, False, 0).data
+    _, _, _, _, wv, wv_b, wo, wo_b = (w.data for w in weights)
+    x = ad.layer_norm(h, weights[0], weights[1]).data
+    v = x @ wv
+    v += wv_b
+    # every query's attended value is entity 4's, whatever the heads
+    merged = np.ascontiguousarray(np.broadcast_to(v[:, :, 4:5], v.shape))
+    projected = merged.reshape(-1, v.shape[-1]) @ wo
+    projected += wo_b
+    expected = h.data + projected.reshape(v.shape)
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_attention_under_no_grad_keeps_no_tape():
-    q, k, v, bias, scale = _attention_inputs(7, 1, seed=10)
-    taped = ad.attention(q, k, v, bias, scale)
+    h, weights, bias, heads = _block_inputs(7, 2, True, seed=10)
+    taped = ad.attention_block(h, weights, bias, heads, True, 3)
     with ad.no_grad():
-        out = ad.attention(q, k, v, bias, scale)
-    assert taped.parents == (q, k, v)
+        out = ad.attention_block(h, weights, bias, heads, True, 3)
+    assert taped.parents == (h, *weights)
     assert out.parents == () and out.backward_fn is None
     assert out.data.tobytes() == taped.data.tobytes()
 
 
 def test_attention_non_finite_output_names_the_op():
-    q, k, v, bias, scale = _attention_inputs(7, 1, seed=11)
-    q.data[0, 0, 0, 0] = 1e200                      # finite inputs whose
-    k.data[0, 0, 0, 0] = 1e200                      # scores overflow
+    h, weights, bias, heads = _block_inputs(7, 1, True, seed=11)
+    weights[2].data[:, 0] = 1e200                   # finite inputs whose
+    weights[3].data[:, 0] = 1e200                   # scores overflow
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ad.NonFiniteError, match="'attention'"):
-            ad.attention(q, k, v, bias, scale)
+            ad.attention_block(h, weights, bias, heads, True, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from gentac.backbone import (MASK_SCORE, Backbone, ModelConfig, TokenGrid,
                              load_checkpoint, save_checkpoint,
                              sinusoidal_embedding)
 from gentac.data import Segment
-from gentac.events import event_grid
+from gentac.events import EventModel, event_grid
 from gentac.rng import Rng
+from helpers import attention_block_chain
 
 
 def make_segment(frames, n_players=11, rng=None, visible=True):
@@ -447,10 +448,39 @@ def test_grad_mode_tape_keeps_one_score_buffer_per_attention():
     assert [n.op for n in nodes if n.data.shape in scores] == []
     attention = [n for n in nodes if n.op == "attention"]
     assert len(attention) == 2 * CFG.layers
-    held = {id(cell.cell_contents) for n in nodes if n.backward_fn
-            for cell in n.backward_fn.__closure__ or ()
-            if getattr(cell.cell_contents, "shape", None) in scores}
+    # each sublayer is one tape node, the only one its parameters feed
+    sublayer = {id(p) for name, p in model.params.items()
+                if name.startswith("layer")}
+    feeding = [n for n in nodes if sublayer & {id(p) for p in n.parents}]
+    assert [id(n) for n in feeding] == [id(n) for n in attention]
+    arrays = [cell.cell_contents for n in nodes if n.backward_fn
+              for cell in n.backward_fn.__closure__ or ()
+              if isinstance(cell.cell_contents, np.ndarray)]
+    held = {id(a) for a in arrays if a.shape in scores}
     assert len(held) == len(attention)
+    d = CFG.d
+    assert [a.shape for a in [n.data for n in nodes] + arrays
+            if a.ndim > 2 and a.shape[-2:] == (d, d)] == []
+
+
+def test_forward_equals_the_op_chain_bitwise_under_no_grad(monkeypatch):
+    model = _model_with_live_head(41)
+    grids = _forecast_grids(42)
+    events = EventModel(CFG, Rng(43))
+    event_grids = [event_grid(make_segment(n, n_players=3, rng=Rng(44 + n)),
+                              CFG.l_max) for n in (5, 9)]
+    event_grids[1].visibility[3:, 1] = False
+
+    def run():
+        with ad.no_grad():
+            types, subs = events.logits(event_grids)
+            return [model.predict_noise(grids, step=[4, 9]).data.tobytes(),
+                    types.data.tobytes(),
+                    *(subs[t].data.tobytes() for t in sorted(subs))]
+
+    fused = run()
+    monkeypatch.setattr(ad, "attention_block", attention_block_chain)
+    assert run() == fused
 
 
 # ---------------------------------------------------------------------------

@@ -859,6 +859,23 @@ def test_finetune_of_an_event_base_takes_no_history_flags(cli_chain, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["history_frames", "diffusion_steps"])
+def test_train_event_config_file_takes_no_forecaster_key(cli_chain, tmp_path,
+                                                         capsys, key):
+    # {"history_frames": 7, "diffusion_steps": 3, "epochs": 1} used to exit 0,
+    # and the manifest recorded both
+    config = tmp_path / "event.json"
+    config.write_text(json.dumps({key: 7, "epochs": 1}))
+    out = tmp_path / "event.ckpt"
+    capsys.readouterr()
+    assert run(["train-event", "--data", cli_chain["train-event"][3][1],
+                "--out", str(out), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"gentac: error: {config}: the event task takes no forecaster key "
+        f"'{key}'\n")
+    assert not out.exists()
+
+
 def test_finetune_rejects_base_without_task(tmp_path, capsys):
     fx = tiny_fixtures(tmp_path)
     model = TrajectoryModel(ModelConfig(d=8, layers=1, heads=2, n_players=3,

@@ -39,3 +39,22 @@ def test_siblings_look_independent():
     draws = np.array([Rng(0).child("k", i).normal(()) for i in range(2000)])
     assert abs(draws.mean()) < 0.08
     assert abs(draws.std() - 1.0) < 0.08
+
+
+def test_a_stream_that_only_names_children_builds_no_generator():
+    root = Rng(4, ("train",))
+    epoch = root.child("epoch", 0)
+    epoch.child("step", 3).normal((2,))
+    assert root._gen is None and epoch._gen is None
+
+
+def test_lazily_built_draws_equal_the_pinned_draws():
+    # draws of Rng(3, ("x", 1)) as the stream gave them when it built its
+    # generator on construction
+    r = Rng(3, ("x", 1))
+    assert [float(v).hex() for v in r.normal((3,))] == [
+        "0x1.d1ca9a0844ca4p-2", "-0x1.c557a6514a7dep+0", "0x1.050a11a8ccbc6p-4"]
+    assert [float(v).hex() for v in r.uniform(-2, 5, (2,))] == [
+        "0x1.315fe8f907d49p+2", "0x1.dbdf2359a17b0p-2"]
+    assert r.integers(0, 100, (4,)).tolist() == [18, 76, 65, 30]
+    assert r.permutation(6).tolist() == [3, 1, 4, 5, 0, 2]
