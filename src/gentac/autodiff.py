@@ -56,16 +56,14 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
-def check_finite(data, op):
-    """Raise `NonFiniteError` naming `op` unless every value is finite.
+def grad_enabled():
+    """Whether ops record a tape: False inside `no_grad()`."""
+    return _grad_enabled.get()
 
-    One pass in the common case, with no boolean temporary: a NaN or Inf
-    value makes the sum of the values non-finite, and so can finite values
-    that overflow it, so only a non-finite sum pays for the elementwise scan
-    that decides."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(data, axis=None)
-    if not np.isfinite(total) and not np.isfinite(data).all():
+
+def check_finite(data, op):
+    """Raise `NonFiniteError` naming `op` unless every value is finite."""
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"op '{op}' produced a non-finite value")
 
 
@@ -445,7 +443,9 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, start) -> Tenso
     order (ln_g, ln_b, wq, wk, wv, wv_b, wo, wo_b). Attention runs across
     the E entities of each frame, or, `along_time`, across the L frames of
     each entity; `bias` is the additive key mask broadcast onto the
-    [B x G x heads x T_q x T] scores (G groups of T keys). The output is
+    [B x G x heads x T_q x T] scores (G groups of T keys), or None when no
+    key is hidden: adding 0.0 to a score changes no softmax output, so
+    skipping it gives the same bits. The output is
     `h + attn(layer_norm(h)) @ wo + wo_b`, with
     `attn = softmax(q k^T / sqrt(d / heads) + bias) v` per head and
     `q, k, v = x @ wq, x @ wk, x @ wv + wv_b`.
@@ -489,7 +489,8 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, start) -> Tenso
     v = split(v)
     att = q @ np.swapaxes(k, -1, -2)
     att *= scale
-    att += bias
+    if bias is not None:
+        att += bias
     softmax_array(att, out=att)
     merged = att @ v
     if not taped:

@@ -9,7 +9,15 @@ time followed by one across time for a fixed entity; there is no
 feed-forward sublayer. Each sublayer runs as one fused autodiff op,
 `ad.attention_block`, one tape node over the latent and the sublayer's eight
 parameters. Invisible tokens are excluded as attention keys by a large
-negative additive score, so they cannot influence any visible output.
+negative additive score, so they cannot influence any visible output; a
+batch with no invisible token has no such score to add.
+
+The network takes a `TokenBatch`: same-shape grids stacked by `stack_grids`,
+with their key masks built once. A sampler calls the network S times on one
+batch, writing each step's state into its target slots; under
+`ad.no_grad()` the embedding of the rows before the history length is kept
+in the batch after the first call, so later calls embed the future rows
+only (`Backbone.embed`).
 
 The forecaster reads its output only at frames from the history length on,
 so `TrajectoryModel.predict_noise` runs the last temporal sublayer's queries,
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,37 +124,71 @@ class TokenGrid:
         return self.coords.shape[1]
 
 
+def _key_mask_bias(key_visibility):
+    """[B x G x T] key visibility -> [B x G x 1 x 1 x T] additive scores, or
+    None when no key is hidden."""
+    if key_visibility.all():
+        return None
+    return np.where(key_visibility, 0.0, MASK_SCORE)[:, :, None, None, :]
+
+
+@dataclass
+class TokenBatch:
+    """Same-shape TokenGrids stacked for the network (`stack_grids`), with
+    what every call on the batch shares.
+
+    `coords` is [B x L x entities x 2], `visibility` and `noise_target`
+    [B x L x entities], `anchor` [B x entities x 2] or None, and
+    `history_lens` the sorted distinct history lengths of its grids.
+    The additive key masks along entities (`spatial_bias`,
+    [B x L x 1 x 1 x entities]) and time (`temporal_bias`,
+    [B x entities x 1 x 1 x L]) are built once here: 0 on visible keys,
+    MASK_SCORE on hidden ones, or None when no key is hidden.
+
+    A sampler writes each reverse step's state into the target slots of
+    `coords` in place and calls the network on the same batch again. Under
+    `ad.no_grad()`, `Backbone.embed` keeps the step-free embedding of the
+    rows before the one history length in `history_rows` on its first call
+    and embeds only the rows after it on later calls, so those rows must
+    not change while the batch is in use.
+    """
+
+    coords: np.ndarray
+    visibility: np.ndarray
+    noise_target: np.ndarray
+    history_lens: tuple
+    anchor: np.ndarray | None
+    spatial_bias: np.ndarray | None = field(init=False)
+    temporal_bias: np.ndarray | None = field(init=False)
+    history_rows: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        self.spatial_bias = _key_mask_bias(self.visibility)
+        self.temporal_bias = _key_mask_bias(np.swapaxes(self.visibility, 1, 2))
+
+
 @dataclass
 class LatentGrid:
-    h: ad.Tensor              # [batch x L x entities x d]
-    visibility: np.ndarray    # [batch x L x entities], carried through
-    # additive key-mask scores (0 on visible keys, MASK_SCORE elsewhere),
-    # built once per encode, shared by every layer, given no gradient
-    spatial_bias: ad.Tensor   # [batch x L x 1 x 1 x entities]
-    temporal_bias: ad.Tensor  # [batch x entities x 1 x 1 x L]
+    h: ad.Tensor         # [batch x L x entities x d]
+    batch: TokenBatch    # the input: visibility and key masks, carried through
 
 
-def _key_mask_bias(key_visibility):
-    """[B x G x T] key visibility -> [B x G x 1 x 1 x T] additive scores."""
-    return ad.Tensor(np.where(key_visibility, 0.0, MASK_SCORE)[:, :, None, None, :])
-
-
-def stack_grids(grids):
-    """Stack same-shape TokenGrids into batched arrays; anchors are None for
-    a batch of grids without them."""
+def stack_grids(grids) -> TokenBatch:
+    """Stack one TokenGrid or a list of same-shape ones into a TokenBatch;
+    its anchor is None for grids without one."""
     if isinstance(grids, TokenGrid):
         grids = [grids]
     shapes = {g.coords.shape for g in grids}
     if len(shapes) != 1:
         raise ValueError(f"cannot batch grids of differing shapes {shapes}")
-    coords = np.stack([g.coords for g in grids])
-    vis = np.stack([g.visibility for g in grids])
-    target = np.stack([g.noise_target for g in grids])
     anchored = {g.anchor is not None for g in grids}
     if len(anchored) != 1:
         raise ValueError("cannot batch anchored with unanchored grids")
     anchors = np.stack([g.anchor for g in grids]) if anchored.pop() else None
-    return coords, vis, target, anchors
+    return TokenBatch(np.stack([g.coords for g in grids]),
+                      np.stack([g.visibility for g in grids]),
+                      np.stack([g.noise_target for g in grids]),
+                      tuple(sorted({g.history_len for g in grids})), anchors)
 
 
 def _last_visible(history: Segment) -> np.ndarray:
@@ -263,37 +305,52 @@ class Backbone:
         sel[2 * n, 2] = 1.0
         self._group_select = sel
 
-    def embed(self, grids, diffusion_step=None) -> LatentGrid:
+    def embed(self, batch: TokenBatch, diffusion_step=None) -> LatentGrid:
         """h[t, n] = proj(coords[t, n]) + temporal[t] + group(n) + entity[n].
 
-        Accepts one TokenGrid or a same-shape list; the latent is always
-        batched, [B x L x entities x d]. `diffusion_step` is an int shared by
-        the batch or one step per batch element. Anchored (forecast) grids
-        project every non-target token as its scaled displacement from its
-        entity's anchor, the space the target slots already hold, and, when
-        this backbone owns `embed.anchor_w` (the trajectory model's does),
-        add the anchor's own projection to each of its entity's tokens.
+        The latent is [B x L x entities x d]. `diffusion_step` is an int
+        shared by the batch or one step per batch element. Anchored
+        (forecast) batches project every non-target token as its scaled
+        displacement from its entity's anchor, the space the target slots
+        already hold, and, when this backbone owns `embed.anchor_w` (the
+        trajectory model's does), add the anchor's own projection to each of
+        its entity's tokens.
+
+        Under `ad.no_grad()` a batch of one history length H keeps the rows
+        before H, embedded up to the step embedding, in `batch.history_rows`
+        on the first call; later calls run the chain on rows H.. only and
+        join the kept rows before the step embedding is added, so every row
+        gets the same ops in the same order as in one full-row call.
         """
         cfg = self.config
-        coords, vis, target, anchors = stack_grids(grids)
-        B, L, E = coords.shape[:3]
+        B, L, E = batch.coords.shape[:3]
         if L > cfg.l_max:
             raise ValueError(f"grid length {L} exceeds temporal table {cfg.l_max}")
         p = self.params
+        taped = ad.grad_enabled()
+        kept = None if taped else batch.history_rows
+        lo = 0 if kept is None else kept.shape[1]
+        coords, target = batch.coords[:, lo:], batch.noise_target[:, lo:]
+        anchors = batch.anchor
         if anchors is not None:
             coords = np.where(target[..., None], coords,
                               to_displacement(coords, anchors[:, None]))
         h = ad.matmul(ad.Tensor(coords), p["embed.proj_w"]) + p["embed.proj_b"]
-        temporal = ad.reshape(ad.take(p["embed.temporal"], slice(0, L)), (1, L, 1, cfg.d))
+        temporal = ad.take(p["embed.temporal"], (None, slice(lo, L), None))
         group = ad.matmul(ad.Tensor(self._group_select), p["embed.group"])
         h = h + temporal + group + p["embed.entity"]
         if anchors is not None and "embed.anchor_w" in p:
             anchor = ad.matmul(ad.Tensor(anchors), p["embed.anchor_w"])
             h = h + ad.reshape(anchor, (B, 1, E, cfg.d))
         if target.any():
-            marker = ad.mul(ad.reshape(p["embed.target_marker"], (1, 1, 1, cfg.d)),
+            marker = ad.mul(p["embed.target_marker"],
                             ad.Tensor(target[..., None].astype(np.float64)))
             h = h + marker
+        if kept is not None:
+            h = ad.concat([kept, h], axis=1)
+        elif not taped and len(batch.history_lens) == 1:
+            # a view: nothing writes into an op's output once it is returned
+            batch.history_rows = h.data[:, :batch.history_lens[0]]
         if diffusion_step is not None:
             if np.ndim(diffusion_step) == 0:
                 emb = sinusoidal_embedding(int(diffusion_step), cfg.d)
@@ -304,8 +361,7 @@ class Backbone:
                 emb = np.stack([sinusoidal_embedding(int(s), cfg.d)
                                 for s in steps])[:, None, None, :]
             h = h + ad.Tensor(emb)
-        return LatentGrid(h, vis, _key_mask_bias(vis),
-                          _key_mask_bias(np.swapaxes(vis, 1, 2)))
+        return LatentGrid(h, batch)
 
     def _attend(self, latent: LatentGrid, base: str, axis: str,
                 start: int = 0) -> LatentGrid:
@@ -318,8 +374,8 @@ class Backbone:
         weights = tuple(p[f"{base}.{w}"] for w in
                         ("ln_g", "ln_b", "wq", "wk", "wv", "wv_b", "wo", "wo_b"))
         time = axis == "time"
-        bias = latent.temporal_bias if time else latent.spatial_bias
-        h = ad.attention_block(latent.h, weights, bias.data, self.config.heads,
+        bias = latent.batch.temporal_bias if time else latent.batch.spatial_bias
+        h = ad.attention_block(latent.h, weights, bias, self.config.heads,
                                time, start)
         return replace(latent, h=h)
 
@@ -330,12 +386,13 @@ class Backbone:
                            start: int = 0) -> LatentGrid:
         return self._attend(latent, f"layer{layer}.temporal", "time", start)
 
-    def encode(self, grids, diffusion_step=None, start: int = 0) -> LatentGrid:
+    def encode(self, batch: TokenBatch, diffusion_step=None,
+               start: int = 0) -> LatentGrid:
         """Embed, then run the M layers. With `start` > 0 the last temporal
         sublayer computes only frames `start`.. , so the returned `h` is
         [B x (L - start) x entities x d] and equals those rows of the full
-        encoding bit for bit; visibility and biases still cover every frame."""
-        latent = self.embed(grids, diffusion_step)
+        encoding bit for bit; the batch's masks still cover every frame."""
+        latent = self.embed(batch, diffusion_step)
         last = self.config.layers - 1
         for m in range(self.config.layers):
             latent = self.spatial_attention(latent, m)
@@ -373,15 +430,19 @@ class TrajectoryModel:
     def config(self):
         return self.backbone.config
 
-    def predict_noise(self, grids, step) -> ad.Tensor:
+    def predict_noise(self, batch: TokenBatch, step) -> ad.Tensor:
         """Network output for every token, [B x L x entities x 2]: on target
         slots, the estimate of the clean scaled displacement
         `ANCHOR_SCALE * (x0 - anchor)`; other slots are ignored.
 
-        The grids share one history length H (a batch that mixes lengths
-        is rejected) and only frames from H on can hold a target, so the
-        last temporal sublayer and the head run on those rows alone (see
+        The batch has one history length H (a batch that mixes lengths is
+        rejected) and only frames from H on can hold a target, so the last
+        temporal sublayer and the head run on those rows alone (see
         `Backbone.encode`); rows before H are exact zeros that nothing reads.
+        With two or more future frames those rows are bit for bit the
+        full-row computation's; with one, its single query row takes another
+        matrix-product path and may differ in the last bits (about 2e-16
+        relative).
 
         The name dates from the noise-regression parametrization and is kept
         because tracing (`perfbench/tracing.py`) hooks it by name.
@@ -389,14 +450,12 @@ class TrajectoryModel:
         as one network evaluation. The output is checked for NaN/Inf here,
         which is the only check a forward under `ad.no_grad()` gets.
         """
-        grids = [grids] if isinstance(grids, TokenGrid) else list(grids)
-        lengths = {g.history_len for g in grids}
-        if len(lengths) != 1:
+        if len(batch.history_lens) != 1:
             raise ValueError(f"cannot batch grids of differing history "
-                             f"lengths {sorted(lengths)}")
-        (start,) = lengths
-        self.calls += len(grids)
-        latent = self.backbone.encode(grids, diffusion_step=step, start=start)
+                             f"lengths {list(batch.history_lens)}")
+        (start,) = batch.history_lens
+        self.calls += len(batch.coords)
+        latent = self.backbone.encode(batch, diffusion_step=step, start=start)
         p = self.params
         x = ad.layer_norm(latent.h, p["head.ln_g"], p["head.ln_b"])
         out = ad.matmul(x, p["head.w"]) + p["head.b"]

@@ -9,6 +9,11 @@ clean estimate to the noise it implies for the ancestral update; long
 horizons are chains of such windows, each conditioned on everything
 generated so far. Every coordinate not flagged as a noise target is held
 bit-identical through all reverse steps.
+
+A window's K chains share one network input, a `backbone.TokenBatch` built
+once per window along with the clip bounds; each reverse step updates its
+target slots in place, so the network embeds the window's history rows
+once.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import (TrajectoryModel, build_token_grid, from_displacement,
-                       to_displacement)
+                       stack_grids, to_displacement)
 from .data import Segment, segment_to_clip
 from .rng import Rng
 
@@ -114,10 +119,10 @@ def diffusion_loss(model: TrajectoryModel, batch, schedule: DiffusionSchedule,
         steps.append(s)
 
     # one batched forward; the step embedding varies per sample
-    x0_hat = model.predict_noise(grids, step=steps)
+    tokens = stack_grids(grids)
+    x0_hat = model.predict_noise(tokens, step=steps)
     x0_true = np.stack(x0_all)
-    mask = np.stack([g.noise_target for g in grids])
-    m = np.repeat(mask[..., None], 2, axis=-1).astype(np.float64)
+    m = np.repeat(tokens.noise_target[..., None], 2, axis=-1).astype(np.float64)
     count = int(m.sum())
     if count == 0:
         raise ValueError("batch contains no noise-target coordinates")
@@ -233,15 +238,6 @@ class FutureSampleSet:
                 for s in self.samples]
 
 
-def _clamp_implied_signal(x0_hat, anchor):
-    """Clip predicted clean displacements so that the positions they imply,
-    `anchor + x0_hat / ANCHOR_SCALE`, lie in the normalized square
-    [-1, 1]^2; returns (clipped x0_hat, number of coordinates clipped)."""
-    clipped = np.clip(x0_hat, to_displacement(-1.0, anchor),
-                      to_displacement(1.0, anchor))
-    return clipped, int(np.count_nonzero(clipped != x0_hat))
-
-
 def sample_windows_batch(histories, futures, model, schedule, rngs,
                          target_side=None):
     """Reverse diffusion for several chains of one shape and history length
@@ -266,55 +262,54 @@ def sample_windows_batch(histories, futures, model, schedule, rngs,
     `target_side`, the other side's and the ball's futures) are frozen at
     every step, and the outputs stay in normalized coordinates.
 
+    The chains' grids are stacked into one `TokenBatch` and the clip
+    bounds computed once; each step writes its state into the batch's
+    target slots in place, so the network embeds the history rows once
+    (see `Backbone.embed`).
+
     Returns (one future Segment per chain, number of target coordinates the
     clip moved over all chains and steps). The network runs under
     `ad.no_grad()`: sampling never calls backward, so no tape is kept and
     only the network output is checked for finiteness.
     """
-    B = len(histories)
     E = histories[0].n_entities
     w = len(futures[0])
-
-    grids = []
-    for i in range(B):
-        grid = build_token_grid(histories[i], futures[i], target_side)
-        fut_target = grid.noise_target[grid.history_len:]
-        init = rngs[i].child("init").normal((w, E, 2))
-        coords = grid.coords.copy()
-        coords[grid.history_len:][fut_target] = init[fut_target]
-        grids.append(replace(grid, coords=coords))
-    # each target coordinate's anchor, aligned with the masked state
-    anchors = [np.broadcast_to(g.anchor, (w, E, 2))[g.noise_target[g.history_len:]]
-               for g in grids]
+    batch = stack_grids([build_token_grid(h, f, target_side)
+                         for h, f in zip(histories, futures)])
+    (H,) = batch.history_lens
+    state = batch.coords[:, H:]            # a view: writes land in the batch
+    masks = batch.noise_target[:, H:]
+    bounds = []
+    for i, rng in enumerate(rngs):
+        init = rng.child("init").normal((w, E, 2))
+        state[i][masks[i]] = init[masks[i]]
+        # each target coordinate's anchor, aligned with the masked state
+        anchor = np.broadcast_to(batch.anchor[i], (w, E, 2))[masks[i]]
+        bounds.append((anchor, to_displacement(-1.0, anchor),
+                       to_displacement(1.0, anchor)))
 
     S = schedule.steps
     clamped = 0
     for s in range(S, 0, -1):
         with ad.no_grad():
-            x0_pred = model.predict_noise(grids, step=s).data
+            x0_pred = model.predict_noise(batch, step=s).data
         ab = schedule.alpha_bar(s)
-        for i, grid in enumerate(grids):
-            H = grid.history_len
-            mask = grid.noise_target[H:]
-            x_s = grid.coords[H:][mask]
-            x0_hat = x0_pred[i, H:][mask]
-            x0_hat, n_clipped = _clamp_implied_signal(x0_hat, anchors[i])
-            clamped += n_clipped
+        for i, (_, lo, hi) in enumerate(bounds):
+            mask = masks[i]
+            x_s = state[i][mask]
+            x0_raw = x0_pred[i, H:][mask]
+            x0_hat = np.clip(x0_raw, lo, hi)
+            clamped += int(np.count_nonzero(x0_hat != x0_raw))
             eps_hat = (x_s - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab)
             step_rng = rngs[i].child("noise", s)
-            x_prev = denoise_step(x_s, eps_hat, s, schedule, step_rng)
-            coords = grid.coords.copy()
-            coords[H:][mask] = x_prev
-            grids[i] = replace(grid, coords=coords)
+            state[i][mask] = denoise_step(x_s, eps_hat, s, schedule, step_rng)
 
     outputs = []
-    for i, grid in enumerate(grids):
-        H = grid.history_len
-        mask = grid.noise_target[H:]
-        coords = grid.coords[H:].copy()
-        coords[mask] = from_displacement(coords[mask], anchors[i])
+    for i, (anchor, _, _) in enumerate(bounds):
+        coords = state[i].copy()
+        coords[masks[i]] = from_displacement(coords[masks[i]], anchor)
         outputs.append(replace(histories[i], coords=coords,
-                               visibility=grid.visibility[H:].copy()))
+                               visibility=batch.visibility[i, H:].copy()))
     return outputs, clamped
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import MASK_SCORE, Backbone, ModelConfig, TokenGrid, _uniform_fan_in
+from .backbone import (MASK_SCORE, Backbone, ModelConfig, TokenGrid,
+                       _uniform_fan_in, stack_grids)
 from .data import PitchSpec, Segment, TrajectoryClip, clip_to_segment, normalize
 from .diffusion import DiffusionSchedule, RolloutConfig, rollout
 from .rng import Rng
@@ -109,8 +110,8 @@ class EventModel:
 
         The logits are checked for NaN/Inf here, which is the only check a
         forward under `ad.no_grad()` gets."""
-        latent = self.backbone.encode(grids)
-        z = self.attention_pool(latent.h, latent.visibility)
+        latent = self.backbone.encode(stack_grids(grids))
+        z = self.attention_pool(latent.h, latent.batch.visibility)
         p = self.params
         type_logits = ad.matmul(z, p["heads.type_w"]) + p["heads.type_b"]
         sub_logits = {

@@ -1,10 +1,13 @@
 """Shared oracles used by both the unit tests and the acceptance suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from gentac import autodiff as ad
+from gentac.backbone import (build_token_grid, from_displacement, stack_grids,
+                             to_displacement)
 from gentac.diffusion import denoise_step, forward_noise, make_schedule
 from gentac.rng import Rng
 
@@ -66,7 +69,8 @@ def league_clips(clips, league):
 
 def attention_block_chain(h, weights, bias, heads, along_time, start):
     """`ad.attention_block` as the chain of primitive ops it fuses: the
-    reference its forward equals bit for bit and its gradients to rounding."""
+    reference its forward equals bit for bit and its gradients to rounding.
+    A `bias` of None (no hidden key) is added as an explicit zero."""
     ln_g, ln_b, wq, wk, wv, wv_b, wo, wo_b = weights
     B, L, E, d = h.shape
     dh = d // heads
@@ -85,9 +89,56 @@ def attention_block_chain(h, weights, bias, heads, along_time, start):
     queries = ad.take(x, (slice(None), slice(None), slice(start, None)))
     q, k, v = project(queries, wq), project(x, wk), project(x, wv, wv_b)
     scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
+    if bias is None:
+        bias = np.zeros((1, 1, 1, 1, 1))
     out = ad.matmul(ad.softmax(scores + ad.Tensor(bias), axis=-1), v)
     out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T - start, d))
     out = ad.matmul(out, wo) + wo_b
     if along_time:
         out = ad.swapaxes(out, 1, 2)
     return ad.take(h, (slice(None), slice(start, None))) + out
+
+
+def reference_sample_windows_batch(histories, futures, model, schedule, rngs,
+                                   target_side=None):
+    """`diffusion.sample_windows_batch` as a step loop that rebuilds the
+    grids and the network input at every step and derives the clip bounds
+    from the anchors each time: the reference the window-batch sampler
+    equals bit for bit, futures and clip count both."""
+    w, E = len(futures[0]), histories[0].n_entities
+    grids = []
+    for history, future, rng in zip(histories, futures, rngs):
+        grid = build_token_grid(history, future, target_side)
+        mask = grid.noise_target[grid.history_len:]
+        coords = grid.coords.copy()
+        coords[grid.history_len:][mask] = rng.child("init").normal((w, E, 2))[mask]
+        grids.append(replace(grid, coords=coords))
+    anchors = [np.broadcast_to(g.anchor, (w, E, 2))[g.noise_target[g.history_len:]]
+               for g in grids]
+    clamped = 0
+    for s in range(schedule.steps, 0, -1):
+        with ad.no_grad():
+            x0_pred = model.predict_noise(stack_grids(grids), step=s).data
+        ab = schedule.alpha_bar(s)
+        for i, grid in enumerate(grids):
+            H = grid.history_len
+            mask = grid.noise_target[H:]
+            x_s = grid.coords[H:][mask]
+            raw = x0_pred[i, H:][mask]
+            x0_hat = np.clip(raw, to_displacement(-1.0, anchors[i]),
+                             to_displacement(1.0, anchors[i]))
+            clamped += int(np.count_nonzero(x0_hat != raw))
+            eps_hat = (x_s - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab)
+            x_prev = denoise_step(x_s, eps_hat, s, schedule, rngs[i].child("noise", s))
+            coords = grid.coords.copy()
+            coords[H:][mask] = x_prev
+            grids[i] = replace(grid, coords=coords)
+    outputs = []
+    for history, grid, anchor in zip(histories, grids, anchors):
+        H = grid.history_len
+        mask = grid.noise_target[H:]
+        coords = grid.coords[H:].copy()
+        coords[mask] = from_displacement(coords[mask], anchor)
+        outputs.append(replace(history, coords=coords,
+                               visibility=grid.visibility[H:].copy()))
+    return outputs, clamped

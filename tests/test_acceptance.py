@@ -69,14 +69,14 @@ def test_criterion_01_gradient_fidelity():
     vis[3, 2] = False
     target = np.zeros((L, E), dtype=bool)
     target[9:, :] = True
-    from gentac.backbone import TokenGrid
+    from gentac.backbone import TokenGrid, stack_grids
 
-    grid = TokenGrid(coords, vis, target, history_len=9)
+    batch = stack_grids(TokenGrid(coords, vis, target, history_len=9))
     epsilon = rng.child("eps").normal((L, E, 2))
     weight = 1.0 / (2.0 * target.sum())
 
     def loss_value():
-        eps_hat = model.predict_noise(grid, step=37)
+        eps_hat = model.predict_noise(batch, step=37)
         diff = eps_hat - ad.Tensor(epsilon[None])
         m = ad.Tensor(np.broadcast_to(target[None, :, :, None],
                                       diff.shape).astype(float).copy())

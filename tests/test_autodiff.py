@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gentac import autodiff as ad
-from gentac.backbone import MASK_SCORE
+from gentac.backbone import MASK_SCORE, TokenGrid, stack_grids
 from helpers import attention_block_chain
 
 
@@ -457,6 +457,45 @@ def test_attention_gradient_vs_finite_differences():
             return ad.sum_(ad.mul(out, ad.Tensor(g)))
 
         check_grads(f, [h, *weights])
+
+
+@pytest.mark.parametrize("keys,groups", [(7, 8), (35, 1)])
+def test_all_visible_attention_equals_the_chain_with_a_zero_mask(keys, groups):
+    for along_time, start in _block_cases(keys):
+        h, weights, bias, heads = _block_inputs(keys, groups, along_time,
+                                                seed=keys + 2 * groups)
+        chain = attention_block_chain(h, weights, np.zeros_like(bias), heads,
+                                      along_time, start).data.tobytes()
+        args = (h, weights, None, heads, along_time, start)
+        assert ad.attention_block(*args).data.tobytes() == chain
+        with ad.no_grad():
+            assert ad.attention_block(*args).data.tobytes() == chain
+
+
+def test_a_batch_with_one_hidden_key_still_applies_the_mask():
+    L, E = 7, 5
+    vis = np.ones((2, L, E), dtype=bool)
+
+    def batch():
+        return stack_grids([TokenGrid(np.zeros((L, E, 2)), v, np.zeros((L, E), bool),
+                                      history_len=L) for v in vis])
+
+    visible = batch()
+    assert visible.spatial_bias is None and visible.temporal_bias is None
+    vis[1, 3, 2] = False
+    hidden = batch()
+    for along_time, bias, keys in ((False, hidden.spatial_bias, vis),
+                                   (True, hidden.temporal_bias,
+                                    np.swapaxes(vis, 1, 2))):
+        assert bias[:, :, 0, 0, :].tobytes() == \
+            np.where(keys, 0.0, MASK_SCORE).tobytes()
+        _, n_groups, n_keys = keys.shape
+        h, weights, _, heads = _block_inputs(n_keys, n_groups, along_time, seed=12)
+        masked = ad.attention_block(h, weights, bias, heads, along_time, 0).data
+        chain = attention_block_chain(h, weights, bias, heads, along_time, 0)
+        assert masked.tobytes() == chain.data.tobytes()
+        unmasked = ad.attention_block(h, weights, None, heads, along_time, 0)
+        assert not np.array_equal(masked, unmasked.data)
 
 
 def test_attention_single_visible_key_gets_weight_one():

@@ -11,7 +11,7 @@ from gentac import autodiff as ad
 from gentac.backbone import (MASK_SCORE, Backbone, ModelConfig, TokenGrid,
                              TrajectoryModel, assign_parameters, build_token_grid,
                              load_checkpoint, save_checkpoint,
-                             sinusoidal_embedding)
+                             sinusoidal_embedding, stack_grids)
 from gentac.data import Segment
 from gentac.events import EventModel, event_grid
 from gentac.rng import Rng
@@ -111,7 +111,7 @@ def test_embed_additivity_with_zero_inputs():
     hist = make_segment(6, n_players=3)
     grid = event_grid(hist, 8)
     backbone.params["embed.proj_b"].data[:] = 0.0
-    latent = backbone.embed(grid)
+    latent = backbone.embed(stack_grids(grid))
     p = backbone.params
     expected = (p["embed.temporal"].data[0]
                 + p["embed.group"].data[0]
@@ -123,7 +123,7 @@ def test_embed_same_group_entities_differ_only_by_entity_row():
     backbone = Backbone(CFG, Rng(1))
     hist = make_segment(4, n_players=3)
     grid = event_grid(hist, 6)
-    latent = backbone.embed(grid)
+    latent = backbone.embed(stack_grids(grid))
     p = backbone.params
     delta = latent.h.data[0, 2, 0] - latent.h.data[0, 2, 1]
     expected = p["embed.entity"].data[0] - p["embed.entity"].data[1]
@@ -136,22 +136,23 @@ def test_embed_output_shape():
     hist = make_segment(100, rng=Rng(5))
     fut = make_segment(5, rng=Rng(6))
     grid = build_token_grid(hist, fut)
-    assert backbone.embed(grid).h.shape == (1, 105, 23, 256)
+    assert backbone.embed(stack_grids(grid)).h.shape == (1, 105, 23, 256)
 
 
 def test_embed_rejects_overlong_grid():
     backbone = Backbone(CFG, Rng(1))
     hist = make_segment(40, n_players=3)
     with pytest.raises(ValueError, match="temporal table"):
-        backbone.embed(build_token_grid(hist, make_segment(2, n_players=3)))
+        backbone.embed(stack_grids(
+            build_token_grid(hist, make_segment(2, n_players=3))))
 
 
 def test_step_embedding_shifts_every_token_globally():
     backbone = Backbone(CFG, Rng(1))
     hist = make_segment(4, n_players=3, rng=Rng(7))
     grid = event_grid(hist, 6)
-    base = backbone.embed(grid).h.data
-    stepped = backbone.embed(grid, diffusion_step=11).h.data
+    base = backbone.embed(stack_grids(grid)).h.data
+    stepped = backbone.embed(stack_grids(grid), diffusion_step=11).h.data
     emb = sinusoidal_embedding(11, CFG.d)
     np.testing.assert_allclose(stepped - base,
                                np.broadcast_to(emb, stepped.shape), atol=1e-12)
@@ -166,7 +167,7 @@ def test_single_visible_entity_attends_to_itself():
     hist = make_segment(3, n_players=3, rng=Rng(4))
     hist.visibility[:, 1:] = False
     grid = event_grid(hist, 4)
-    latent = backbone.embed(grid)
+    latent = backbone.embed(stack_grids(grid))
     # reproduce the spatial scores by hand for frame 0
     p = backbone.params
     x = ad.layer_norm(latent.h, p["layer0.spatial.ln_g"],
@@ -189,13 +190,13 @@ def test_mask_isolation_is_bit_exact():
     hist.visibility[:, 2] = False          # entity 2 invisible everywhere
     hist.visibility[4, :] = False          # frame 4 fully masked
     grid = event_grid(hist, 8)
-    out1 = backbone.encode(grid).h.data
+    out1 = backbone.encode(stack_grids(grid)).h.data
 
     perturbed = hist.copy()
     perturbed.coords[:, 2] += 123.456      # arbitrary perturbation, masked
     perturbed.coords[4, :] -= 77.7
     grid2 = event_grid(perturbed, 8)
-    out2 = backbone.encode(grid2).h.data
+    out2 = backbone.encode(stack_grids(grid2)).h.data
 
     visible = grid.visibility
     assert out1[0][visible].tobytes() == out2[0][visible].tobytes()
@@ -206,7 +207,7 @@ def test_attention_rows_sum_to_one_over_visible_keys():
     hist = make_segment(5, n_players=3, rng=Rng(10))
     hist.visibility[:, 3] = False
     grid = event_grid(hist, 8)
-    latent = backbone.embed(grid)
+    latent = backbone.embed(stack_grids(grid))
 
     p = backbone.params
     x = ad.layer_norm(latent.h, p["layer0.spatial.ln_g"],
@@ -229,7 +230,7 @@ def test_single_frame_temporal_attention_feeds_through():
     backbone = Backbone(CFG, Rng(11))
     hist = make_segment(1, n_players=3, rng=Rng(12))
     grid = event_grid(hist, 1)
-    latent = backbone.embed(grid)
+    latent = backbone.embed(stack_grids(grid))
     out = backbone.temporal_attention(latent, 0)
     # one token: attention output equals the value projection of itself
     p = backbone.params
@@ -246,8 +247,8 @@ def test_encode_with_zero_layers_equals_embed():
     backbone = Backbone(cfg, Rng(13))
     hist = make_segment(4, n_players=3, rng=Rng(14))
     grid = event_grid(hist, 8)
-    np.testing.assert_array_equal(backbone.encode(grid).h.data,
-                                  backbone.embed(grid).h.data)
+    np.testing.assert_array_equal(backbone.encode(stack_grids(grid)).h.data,
+                                  backbone.embed(stack_grids(grid)).h.data)
 
 
 def test_encode_output_shape():
@@ -255,14 +256,14 @@ def test_encode_output_shape():
     hist = make_segment(6, n_players=3, rng=Rng(16))
     fut = make_segment(2, n_players=3, rng=Rng(17))
     grid = build_token_grid(hist, fut)
-    assert backbone.encode(grid).h.shape == (1, 8, 7, 16)
+    assert backbone.encode(stack_grids(grid)).h.shape == (1, 8, 7, 16)
 
 
 def test_permutation_covariance_within_team():
     backbone = Backbone(CFG, Rng(18))
     hist = make_segment(5, n_players=3, rng=Rng(19))
     grid = event_grid(hist, 8)
-    out = backbone.encode(grid).h.data[0]
+    out = backbone.encode(stack_grids(grid)).h.data[0]
 
     # swap player slots 0 and 1 of team0 in both the input and the entity table
     swapped = hist.copy()
@@ -272,7 +273,7 @@ def test_permutation_covariance_within_team():
     entity.data[[0, 1]] = entity.data[[1, 0]]
     try:
         grid2 = event_grid(swapped, 8)
-        out2 = backbone.encode(grid2).h.data[0]
+        out2 = backbone.encode(stack_grids(grid2)).h.data[0]
     finally:
         entity.data = original
     np.testing.assert_allclose(out2[:, [1, 0]], out[:, [0, 1]], atol=1e-10)
@@ -284,9 +285,9 @@ def test_batched_encode_matches_individual():
     for i in range(3):
         hist = make_segment(5, n_players=3, rng=Rng(30 + i))
         grids.append(event_grid(hist, 8))
-    batched = backbone.encode(grids).h.data
+    batched = backbone.encode(stack_grids(grids)).h.data
     for i, g in enumerate(grids):
-        single = backbone.encode(g).h.data[0]
+        single = backbone.encode(stack_grids(g)).h.data[0]
         np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
@@ -296,10 +297,10 @@ def test_trajectory_head_counts_evaluations():
     fut = make_segment(2, n_players=3, rng=Rng(23))
     grid = build_token_grid(hist, fut)
     assert model.calls == 0
-    out = model.predict_noise(grid, step=3)
+    out = model.predict_noise(stack_grids(grid), step=3)
     assert out.shape == (1, 7, 7, 2)
     assert model.calls == 1
-    model.predict_noise([grid, grid, grid], step=3)
+    model.predict_noise(stack_grids([grid, grid, grid]), step=3)
     assert model.calls == 4
 
 
@@ -386,9 +387,9 @@ def _forecast_grids(seed):
 def test_predict_noise_is_bit_identical_under_no_grad():
     model = _model_with_live_head(29)
     grids = _forecast_grids(30)
-    taped = model.predict_noise(grids, step=[4, 9])
+    taped = model.predict_noise(stack_grids(grids), step=[4, 9])
     with ad.no_grad():
-        untaped = model.predict_noise(grids, step=[4, 9])
+        untaped = model.predict_noise(stack_grids(grids), step=[4, 9])
     assert np.abs(taped.data).max() > 0
     assert isinstance(untaped, ad.Tensor)
     assert taped.data.tobytes() == untaped.data.tobytes()
@@ -400,28 +401,25 @@ def test_non_finite_under_no_grad_names_predict_noise():
     model.params["embed.proj_b"].data[0] = np.nan
     grids = _forecast_grids(34)
     with pytest.raises(ad.NonFiniteError, match="'add'"):
-        model.predict_noise(grids, step=3)          # taped: the op is named
+        model.predict_noise(stack_grids(grids), step=3)  # taped: the op is named
     with ad.no_grad():
         with pytest.raises(ad.NonFiniteError, match="predict_noise"):
-            model.predict_noise(grids, step=3)
+            model.predict_noise(stack_grids(grids), step=3)
 
 
 def test_latent_grid_carries_key_mask_biases_through_encode():
     backbone = Backbone(CFG, Rng(35))
     hist = make_segment(4, n_players=3, rng=Rng(36))
     hist.visibility[1, 2] = False
-    grid = event_grid(hist, 6)
-    embedded = backbone.embed(grid)
-    encoded = backbone.encode(grid)
-    vis = embedded.visibility
-    np.testing.assert_array_equal(embedded.spatial_bias.data[:, :, 0, 0, :],
+    batch = stack_grids(event_grid(hist, 6))
+    embedded = backbone.embed(batch)
+    encoded = backbone.encode(batch)
+    vis = batch.visibility
+    np.testing.assert_array_equal(batch.spatial_bias[:, :, 0, 0, :],
                                   np.where(vis, 0.0, MASK_SCORE))
-    np.testing.assert_array_equal(embedded.temporal_bias.data[:, :, 0, 0, :],
+    np.testing.assert_array_equal(batch.temporal_bias[:, :, 0, 0, :],
                                   np.where(np.swapaxes(vis, 1, 2), 0.0, MASK_SCORE))
-    np.testing.assert_array_equal(encoded.spatial_bias.data,
-                                  embedded.spatial_bias.data)
-    np.testing.assert_array_equal(encoded.temporal_bias.data,
-                                  embedded.temporal_bias.data)
+    assert embedded.batch is batch and encoded.batch is batch
 
 
 def _tape(out):
@@ -441,7 +439,7 @@ def test_grad_mode_tape_keeps_one_score_buffer_per_attention():
     hist = make_segment(6, n_players=3, rng=Rng(38))
     fut = make_segment(3, n_players=3, rng=Rng(39))
     grids = [build_token_grid(hist, fut)] * 2
-    nodes = _tape(model.predict_noise(grids, step=[2, 5]))
+    nodes = _tape(model.predict_noise(stack_grids(grids), step=[2, 5]))
     B, L, W, E, heads = 2, 9, 3, CFG.n_entities, CFG.heads
     # spatial, temporal, and the last temporal sublayer's future queries
     scores = {(B, L, heads, E, E), (B, E, heads, L, L), (B, E, heads, W, L)}
@@ -474,7 +472,8 @@ def test_forward_equals_the_op_chain_bitwise_under_no_grad(monkeypatch):
     def run():
         with ad.no_grad():
             types, subs = events.logits(event_grids)
-            return [model.predict_noise(grids, step=[4, 9]).data.tobytes(),
+            return [model.predict_noise(stack_grids(grids),
+                                        step=[4, 9]).data.tobytes(),
                     types.data.tobytes(),
                     *(subs[t].data.tobytes() for t in sorted(subs))]
 
@@ -490,7 +489,7 @@ def test_forward_equals_the_op_chain_bitwise_under_no_grad(monkeypatch):
 
 def _full_row_output(model, grids, step):
     """The oracle: every row through every sublayer and the head."""
-    latent = model.backbone.encode(grids, diffusion_step=step)
+    latent = model.backbone.encode(stack_grids(grids), diffusion_step=step)
     p = model.params
     x = ad.layer_norm(latent.h, p["head.ln_g"], p["head.ln_b"])
     return ad.matmul(x, p["head.w"]) + p["head.b"]
@@ -518,9 +517,13 @@ def test_predict_noise_rejects_mixed_history_lengths():
     # the rows it computes start at one H; a batch of several used to start
     # at the smallest, which every caller's one-H batches never needed
     model = _model_with_live_head(40)
+    grids = _forecast_grids(41)                 # 5 + 2 frames
+    hist = make_segment(6, n_players=3, rng=Rng(43))
+    grids.append(build_token_grid(hist, make_segment(1, n_players=3, rng=Rng(44)),
+                                  target_side=0))
     calls = model.calls
     with pytest.raises(ValueError) as err:
-        model.predict_noise(_mixed_history_grids(41), step=[4, 9, 17])
+        model.predict_noise(stack_grids(grids), step=[4, 9, 17])
     assert str(err.value) == "cannot batch grids of differing history lengths [5, 6]"
     assert model.calls == calls
 
@@ -541,7 +544,8 @@ def test_predict_noise_rows_match_the_full_row_computation(make_grids):
         for grad_mode in (True, False):
             with contextlib.nullcontext() if grad_mode else ad.no_grad():
                 oracle = _full_row_output(model, batch, batch_steps).data
-                out = model.predict_noise(batch, step=batch_steps).data
+                out = model.predict_noise(stack_grids(batch),
+                                          step=batch_steps).data
             assert out.shape == oracle.shape
             assert out[:, H:].tobytes() == oracle[:, H:].tobytes()
             assert not out[:, :H].any()
@@ -565,7 +569,24 @@ def test_predict_noise_gradients_match_the_full_row_computation(make_grids):
         return {prm.name: prm.grad.copy() for prm in model.params.values()}
 
     oracle = grads(lambda g, s: _full_row_output(model, g, s))
-    fast = grads(lambda g, s: model.predict_noise(g, step=s))
+    fast = grads(lambda g, s: model.predict_noise(stack_grids(g), step=s))
     assert all(np.abs(g).max() > 0 for g in oracle.values())
     for name, g in oracle.items():
         assert fast[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 5])
+def test_future_rows_are_the_full_rows_bitwise_from_two_frames_on(W):
+    # one future frame leaves one query row, which takes another
+    # matrix-product path: its rows agree to rounding, not bit for bit
+    model = _model_with_live_head(40)
+    hist = make_segment(6, n_players=3, rng=Rng(41))
+    fut = make_segment(W, n_players=3, rng=Rng(42))
+    grids = [build_token_grid(hist, fut), build_token_grid(hist, fut, target_side=1)]
+    with ad.no_grad():
+        oracle = _full_row_output(model, grids, [4, 9]).data[:, 6:]
+        out = model.predict_noise(stack_grids(grids), step=[4, 9]).data[:, 6:]
+    if W >= 2:
+        assert out.tobytes() == oracle.tobytes()
+    else:
+        assert np.abs(out - oracle).max() <= 1e-14 * np.abs(oracle).max()

@@ -15,7 +15,8 @@ from gentac.diffusion import (DiffusionSchedule, RolloutConfig,
                               sample_windows_batch)
 from gentac.fixtures import constant_velocity_clips, event_class_clips
 from gentac.rng import Rng
-from helpers import league_clips, oracle_sampler_mse
+from helpers import (league_clips, oracle_sampler_mse,
+                     reference_sample_windows_batch)
 
 # value computed by an independent pure-python running-product loop over the
 # linearly spaced betas (1e-4 .. 0.02, 100 steps)
@@ -111,24 +112,15 @@ def test_forward_noise_marginal_statistics():
 # ---------------------------------------------------------------------------
 
 class _StubModel:
-    """Test double standing in for the denoiser: emits a fixed value, or the
-    exact target when that is supplied per grid."""
+    """Test double standing in for the denoiser: emits a fixed value."""
 
-    def __init__(self, value=0.0, exact=None):
+    def __init__(self, value=0.0):
         self.value = value
-        self.exact = exact  # list of [L x E x 2] target arrays, grid-aligned
         self.calls = 0
-        self.seen = []
 
-    def predict_noise(self, grids, step):
-        grids = grids if isinstance(grids, list) else [grids]
-        self.calls += len(grids)
-        self.seen.append((step, [g.coords.copy() for g in grids]))
-        if self.exact is not None:
-            out = np.stack([self.exact[id(g)] for g in grids])
-            return ad.Tensor(out)
-        shape = (len(grids),) + grids[0].coords.shape
-        return ad.Tensor(np.full(shape, self.value))
+    def predict_noise(self, batch, step):
+        self.calls += len(batch.coords)
+        return ad.Tensor(np.full(batch.coords.shape, self.value))
 
 
 def _loss_batch(rng_seed=0, n_items=6, H=6, w=3):
@@ -140,22 +132,22 @@ def _loss_batch(rng_seed=0, n_items=6, H=6, w=3):
 
 class InvertingOracle:
     """Recovers the clean target exactly: it knows the clean futures and
-    maps them into the scaled displacement from the anchor of whatever grid
-    it is handed, ANCHOR_SCALE * (clean - anchor)."""
+    maps them into the scaled displacement from the anchor of each batch
+    item it is handed, ANCHOR_SCALE * (clean - anchor)."""
 
     def __init__(self, batch):
         self.futures = {h.coords.tobytes(): f.coords for h, f, _ in batch}
         self.calls = 0
 
-    def predict_noise(self, grids, step):
-        grids = grids if isinstance(grids, list) else [grids]
-        self.calls += len(grids)
-        out = np.zeros((len(grids),) + grids[0].coords.shape)
-        for b, g in enumerate(grids):
-            clean = self.futures[g.coords[: g.history_len].tobytes()]
-            mask = g.noise_target[g.history_len:]
-            x0 = ANCHOR_SCALE * (clean - g.anchor)
-            out[b, g.history_len:][mask] = x0[mask]
+    def predict_noise(self, batch, step):
+        self.calls += len(batch.coords)
+        (H,) = batch.history_lens
+        out = np.zeros(batch.coords.shape)
+        for b, (coords, target, anchor) in enumerate(
+                zip(batch.coords, batch.noise_target, batch.anchor)):
+            clean = self.futures[coords[:H].tobytes()]
+            x0 = ANCHOR_SCALE * (clean - anchor)
+            out[b, H:][target[H:]] = x0[target[H:]]
         return ad.Tensor(out)
 
 
@@ -192,13 +184,10 @@ def test_loss_excludes_conditioning_coordinates():
     l_zero = diffusion_loss(_StubModel(0.0), batch, schedule, Rng(8, ("m",)))
 
     class HistoryGarbage(_StubModel):
-        def predict_noise(self, grids, step):
-            grids = grids if isinstance(grids, list) else [grids]
-            self.calls += len(grids)
-            shape = (len(grids),) + grids[0].coords.shape
-            out = np.zeros(shape)
-            for b, g in enumerate(grids):
-                out[b, ~g.noise_target] = 1e3
+        def predict_noise(self, batch, step):
+            self.calls += len(batch.coords)
+            out = np.zeros(batch.coords.shape)
+            out[~batch.noise_target] = 1e3
             return ad.Tensor(out)
 
     l_garbage = diffusion_loss(HistoryGarbage(), batch, schedule, Rng(8, ("m",)))
@@ -307,6 +296,62 @@ def test_sample_window_single_team_keeps_opponent_truth_bitwise():
     # opponent players and ball are conditioning: bit-identical to the truth
     assert out.coords[:, 2:].tobytes() == fut.coords[:, 2:].tobytes()
     assert not np.array_equal(out.coords[:, :2], fut.coords[:, :2])
+
+
+def _live_model(seed):
+    model = TrajectoryModel(CFG, Rng(seed))
+    model.params["head.w"].data = 4.0 * Rng(seed, ("head",)).normal((CFG.d, 2))
+    return model
+
+
+def _window_inputs(w, target_side, seed):
+    """K = 3 six-frame histories, their window futures and chain streams."""
+    histories = [make_segment(6, rng=Rng(seed, ("h", k))) for k in range(3)]
+    if target_side is None:
+        futures = [np.zeros((w, 5, 2))] * 3
+    else:
+        futures = [make_segment(w, rng=Rng(seed, ("f", k))) for k in range(3)]
+    return histories, futures, [Rng(seed, ("chain", k)) for k in range(3)]
+
+
+def _same(run, other):
+    """Whether two (futures, clamped count) results are equal bit for bit."""
+    return run[1] == other[1] and all(
+        a.coords.tobytes() == b.coords.tobytes()
+        and a.visibility.tobytes() == b.visibility.tobytes()
+        for a, b in zip(run[0], other[0]))
+
+
+@pytest.mark.parametrize("target_side", [None, 0])
+@pytest.mark.parametrize("w", [1, 5])
+def test_window_batch_equals_the_fresh_grid_step_loop(w, target_side):
+    model = _live_model(50)
+    schedule = make_schedule(6)
+    runs = [_window_inputs(w, target_side, seed) for seed in (51, 52)]
+    histories, _, _ = runs[1]
+    histories[1].visibility[2, 3] = False       # one hidden key: masks apply
+    # two calls in a row: the second must not reuse anything of the first
+    got = [sample_windows_batch(h, f, model, schedule, r, target_side)
+           for h, f, r in runs]
+    for (h, f, r), out in zip(runs, got):
+        expected = reference_sample_windows_batch(h, f, _live_model(50),
+                                                  schedule, r, target_side)
+        assert expected[1] > 0                  # the clip fires
+        assert _same(out, expected)
+
+
+def test_a_parameter_changed_between_calls_reaches_the_next_call():
+    schedule = make_schedule(4)
+    h, f, r = _window_inputs(3, None, 53)
+    model = _live_model(54)
+    before = sample_windows_batch(h, f, model, schedule, r)
+    model.params["embed.temporal"].data[:6] += 0.25   # the history frames
+    after = sample_windows_batch(h, f, model, schedule, r)
+    fresh = _live_model(54)
+    fresh.params["embed.temporal"].data[:6] += 0.25
+    assert _same(after, sample_windows_batch(h, f, fresh, schedule, r))
+    assert _same(after, reference_sample_windows_batch(h, f, fresh, schedule, r))
+    assert not _same(after, before)
 
 
 def test_rollout_window_count_and_network_evals():

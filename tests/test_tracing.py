@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps gentac's entry points
 by name, so merging, renaming or bypassing one silently zeroes its per-layer
-metric. Run the training loop and the evaluate path under the tracer and check
-their spans."""
+metric. Run the training loop, a rollout and the evaluate path under the
+tracer and check their spans."""
 
 import json
 import pathlib
@@ -45,6 +45,24 @@ for task, clips, config in (
     names[task] = sorted({span[2] for span in tracer.spans})
 """
 
+SAMPLE_BODY = """
+model = backbone.TrajectoryModel(
+    backbone.ModelConfig(d=8, layers=1, heads=2, n_players=3, l_max=40),
+    rng.Rng(4))
+clip = constant_velocity_clips(1, seed=5, duration_s=1.0)[0]
+segment = data.normalize(data.clip_to_segment(clip),
+                         data.PitchSpec.for_sport("soccer"))
+history, _ = data.window(segment, 0, 10, 10)
+config = diffusion.RolloutConfig(window=0.2, history=0.4, horizon=0.4,
+                                 samples=2)
+tracer.spans.clear()
+diffusion.rollout(history, config, model, diffusion.make_schedule(3),
+                  rng.Rng(6, ("sample",)))
+names["sample"] = sorted({span[2] for span in tracer.spans})
+names["predict_noise_calls"] = sum(span[2] == "backbone.predict_noise"
+                                   for span in tracer.spans)
+"""
+
 EVALUATE_BODY = """
 clip = constant_velocity_clips(1, seed=3, duration_s=1.0)[0]
 n = clip.players_per_team
@@ -79,6 +97,16 @@ def test_tracer_records_training_spans_for_both_tasks():
     # the attention op is not a traced autodiff op: its forward time is
     # predict_noise's self time, so that span must stay
     assert {"diffusion.loss", "backbone.predict_noise"} <= set(names["forecast"])
+
+
+def test_tracer_records_sampling_spans():
+    names = traced_span_names(SAMPLE_BODY)
+    assert {"diffusion.rollout", "diffusion.sample_windows_batch",
+            "diffusion.denoise_step", "backbone.predict_noise",
+            "backbone.build_token_grid"} <= set(names["sample"])
+    # K = 2 chains share one network call per window and reverse step:
+    # 2 windows x 3 steps
+    assert names["predict_noise_calls"] == 2 * 3
 
 
 def test_tracer_records_evaluate_path_spans():
