@@ -18,7 +18,10 @@ forward is the same numpy arithmetic as the chain of primitive ops, bit for
 bit; its hand-written backward keeps only the arrays it reads (one
 score-sized array, the softmax weights) and forms each weight gradient as
 one flattened GEMM. Its inner values are not checked for finiteness on
-their own; its output is.
+their own; its output is. Along time it can also hand its keys and values
+on as a second tape node, and take such keys and values of earlier frames
+as a prefix (`attention_kv` computes them alone): the forecaster encodes a
+history once and runs later rows over it.
 
 Inference mode: inside `with no_grad():` the same ops run the same
 arithmetic but keep no tape (no parents, no backward closure) and skip the
@@ -54,11 +57,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
-
-
-def grad_enabled():
-    """Whether ops record a tape: False inside `no_grad()`."""
-    return _grad_enabled.get()
 
 
 def check_finite(data, op):
@@ -436,57 +434,119 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps=_EPS) -> Tensor:
     return Tensor(out, (x, gain, bias), bwd, "layer_norm")
 
 
-def attention_block(h: Tensor, weights, bias, heads, along_time, start) -> Tensor:
+def _split_heads(y, heads):
+    """[B x G x rows x d] -> [B x G x heads x rows x d/heads]."""
+    B, G, T, d = y.shape
+    return np.swapaxes(y.reshape(B, G, T, heads, d // heads), 2, 3)
+
+
+def _merge_heads(y):
+    """[B x G x heads x rows x dh] -> [B*G*rows x heads*dh]."""
+    return np.swapaxes(y, 2, 3).reshape(-1, y.shape[2] * y.shape[4])
+
+
+def _normalized_grad(dx, xhat, inv, ln_g, along_time):
+    """(adjoint of the sublayer input, of ln_g, of ln_b) from the adjoint
+    `dx` [B x G x T x d] of its normalized rows."""
+    d = dx.shape[-1]
+    dln_b = dx.reshape(-1, d).sum(0)
+    if along_time:
+        dx = np.swapaxes(dx, 1, 2)
+    dln_g = (dx * xhat).reshape(-1, d).sum(0)
+    return _layer_norm_grad(dx, xhat, inv, ln_g), dln_g, dln_b
+
+
+def _kv_tensor(h, weights, rows, xhat, inv, k, v):
+    """The keys and values `k`, `v` [B x E x heads x T x dh] of the
+    normalized time-major `rows` of `h`, stacked into one tape node over `h`
+    and the five parameters they read; its backward runs the layer norm's
+    and the two projections' adjoints."""
+    ln_g, ln_b, _, wk, wv, wv_b, _, _ = weights
+
+    def bwd(g):
+        dk, dv = _merge_heads(g[0]), _merge_heads(g[1])
+        x_rows = rows.reshape(-1, rows.shape[-1])
+        dx = dk @ wk.data.T
+        dx += dv @ wv.data.T
+        gh, dln_g, dln_b = _normalized_grad(dx.reshape(rows.shape), xhat, inv,
+                                            ln_g.data, True)
+        return gh, dln_g, dln_b, x_rows.T @ dk, x_rows.T @ dv, dv.sum(0)
+
+    return Tensor(np.stack([k, v]), (h, ln_g, ln_b, wk, wv, wv_b), bwd,
+                  "attention_kv")
+
+
+def attention_kv(h: Tensor, weights, heads) -> Tensor:
+    """The keys and values that `attention_block(h, weights, ...,
+    along_time=True, with_kv=True)` returns beside its output, without the
+    queries, scores and output: the layer norm and the two projections."""
+    ln_g, ln_b, _, wk, wv, wv_b, _, _ = weights
+    x, xhat, inv = _layer_norm(h.data, ln_g.data, ln_b.data, _EPS)
+    rows = np.swapaxes(x, 1, 2)
+    k = _split_heads(rows @ wk.data, heads)
+    v = rows @ wv.data
+    v += wv_b.data
+    return _kv_tensor(h, weights, rows, xhat, inv, k, _split_heads(v, heads))
+
+
+def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
+                    with_kv=False):
     """One pre-norm residual self-attention sublayer as one tape node.
 
     `h` is [B x L x E x d]; `weights` are the sublayer's Parameters in the
     order (ln_g, ln_b, wq, wk, wv, wv_b, wo, wo_b). Attention runs across
     the E entities of each frame, or, `along_time`, across the L frames of
     each entity; `bias` is the additive key mask broadcast onto the
-    [B x G x heads x T_q x T] scores (G groups of T keys), or None when no
-    key is hidden: adding 0.0 to a score changes no softmax output, so
+    [B x G x heads x T x keys] scores (G groups of T queries), or None when
+    no key is hidden: adding 0.0 to a score changes no softmax output, so
     skipping it gives the same bits. The output is
     `h + attn(layer_norm(h)) @ wo + wo_b`, with
     `attn = softmax(q k^T / sqrt(d / heads) + bias) v` per head and
     `q, k, v = x @ wq, x @ wk, x @ wv + wv_b`.
 
-    Along time, `start` > 0 keeps only the output rows of frames `start`..:
-    the queries, output projection and residual run on those rows, while
-    every frame is still normalized and projected as a key and value. Each
-    of those steps is row-wise along the query rows, so the rows kept are
-    bit for bit the full sublayer's.
+    Along time, two arguments split a sequence into a prefix computed once
+    and rows computed later:
+    - `with_kv` also returns the block's own keys and values,
+      [2 x B x E x heads x L x dh], as a second tape node that shares the
+      forward's arrays (`attention_kv` computes them alone). The output
+      reads that node, so the adjoints of those keys and values, from this
+      block's queries and from later blocks', meet there and go through the
+      two projections' products once;
+    - `prefix`, such keys and values of P earlier frames, goes before the
+      block's own: every query attends over P + L keys, which `bias`
+      covers, and the prefix receives its gradient.
 
     The forward is the arithmetic of the chain of primitive ops
-    (`layer_norm`, `swapaxes`, `matmul`, `add`, `softmax`, `reshape`) on the
-    same layouts, bit for bit, with the score scale, key mask and softmax
-    applied in place on one score buffer. With gradients on, the tape
-    keeps only what the backward reads: layer norm's `xhat` and `inv`, its
-    output, q, k, v, the softmax weights and the head-merged values. Under
-    `no_grad` no temporary outlives the point where the chain freed it."""
+    (`layer_norm`, `swapaxes`, `matmul`, `add`, `concat`, `softmax`,
+    `reshape`) on the same layouts, bit for bit, with the score scale, key
+    mask and softmax applied in place on one score buffer. With gradients
+    on, the tape keeps only what the backward reads: layer norm's `xhat` and
+    `inv`, its output, q, the keys and values, the softmax weights and the
+    head-merged values. Under `no_grad` no temporary outlives the point
+    where the chain freed it."""
     ln_g, ln_b, wq, wk, wv, wv_b, wo, wo_b = weights
     taped = _grad_enabled.get()
     B, L, E, d = h.shape
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / np.sqrt(d // heads)
 
     x, xhat, inv = _layer_norm(h.data, ln_g.data, ln_b.data, _EPS)
-    if not taped:
-        xhat = inv = None
     rows = np.swapaxes(x, 1, 2) if along_time else x        # [B x G x T x d]
     G, T = rows.shape[1:3]
-    queries = rows[:, :, start:]
-
-    def split(y):                          # -> [B x G x heads x rows x dh]
-        return np.swapaxes(y.reshape(B, G, -1, heads, dh), 2, 3)
-
-    def merge(y):                          # -> [B*G*rows x d]
-        return np.swapaxes(y, 2, 3).reshape(-1, d)
-
-    q = split(queries @ wq.data)
-    k = split(rows @ wk.data)
+    q = _split_heads(rows @ wq.data, heads)
+    k = _split_heads(rows @ wk.data, heads)
     v = rows @ wv.data
     v += wv_b.data
-    v = split(v)
+    v = _split_heads(v, heads)
+    kv = None
+    if with_kv:  # attend over the stacked copy and let the projections go
+        kv = _kv_tensor(h, weights, rows, xhat, inv, k, v)
+        k, v = kv.data
+    P = 0 if prefix is None else prefix.shape[-2]
+    if P:
+        k = np.concatenate([prefix.data[0], k], axis=-2)
+        v = np.concatenate([prefix.data[1], v], axis=-2)
+    if not taped:
+        xhat = inv = None
     att = q @ np.swapaxes(k, -1, -2)
     att *= scale
     if bias is not None:
@@ -495,39 +555,45 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, start) -> Tenso
     merged = att @ v
     if not taped:
         att = None
-    merged = merge(merged)
+    merged = _merge_heads(merged)
     out = merged @ wo.data
     out += wo_b.data
     if not taped:
         merged = None
-    out = out.reshape(B, G, T - start, d)
+    out = out.reshape(B, G, T, d)
     if along_time:
         out = np.swapaxes(out, 1, 2)
-    out = h.data[:, start:] + out
+    out = h.data + out
 
     def bwd(g):
         g_rows = (np.swapaxes(g, 1, 2) if along_time else g).reshape(-1, d)
         dwo, dwo_b = merged.T @ g_rows, g_rows.sum(0)
-        do = split(g_rows @ wo.data.T)
-        dv = merge(np.swapaxes(att, -1, -2) @ do)
+        do = _split_heads((g_rows @ wo.data.T).reshape(B, G, T, d), heads)
+        dv = np.swapaxes(att, -1, -2) @ do
         ds = _softmax_grad(att, do @ np.swapaxes(v, -1, -2), -1)
         ds *= scale
-        dq = merge(ds @ k)
-        dk = merge(np.swapaxes(ds, -1, -2) @ q)
-        x_rows = rows.reshape(-1, d)
-        dwq = _weight_grad(queries, dq)
-        dwk, dwv = x_rows.T @ dk, x_rows.T @ dv
-        # the three projections and the residual add into one adjoint of h
-        dx = dk @ wk.data.T
-        dx += dv @ wv.data.T
-        dx = dx.reshape(B, G, T, d)
-        dx[:, :, start:] += (dq @ wq.data.T).reshape(B, G, T - start, d)
-        dln_b = dx.reshape(-1, d).sum(0)
-        if along_time:
-            dx = np.swapaxes(dx, 1, 2)
-        dln_g = (dx * xhat).reshape(-1, d).sum(0)
-        gh = _layer_norm_grad(dx, xhat, inv, ln_g.data)
-        gh[:, start:] += g
-        return gh, dln_g, dln_b, dwq, dwk, dwv, dv.sum(0), dwo, dwo_b
+        dq = _merge_heads(ds @ k)
+        dk = np.swapaxes(ds, -1, -2) @ q
+        # the prefix's keys and values, and with `with_kv` the block's own,
+        # take their adjoints to their nodes
+        grads = [np.stack([dk[..., :P, :], dv[..., :P, :]])] if P else []
+        dwq = _weight_grad(rows, dq)
+        if with_kv:
+            grads.append(np.stack([dk[..., P:, :], dv[..., P:, :]]))
+            dx, dwk, dwv, dwv_b = dq @ wq.data.T, None, None, None
+        else:
+            dk, dv = _merge_heads(dk[..., P:, :]), _merge_heads(dv[..., P:, :])
+            x_rows = rows.reshape(-1, d)
+            dwk, dwv, dwv_b = x_rows.T @ dk, x_rows.T @ dv, dv.sum(0)
+            # the three projections and the residual add into one adjoint of h
+            dx = dk @ wk.data.T
+            dx += dv @ wv.data.T
+            dx += dq @ wq.data.T
+        gh, dln_g, dln_b = _normalized_grad(dx.reshape(B, G, T, d), xhat, inv,
+                                            ln_g.data, along_time)
+        gh += g
+        return (gh, dln_g, dln_b, dwq, dwk, dwv, dwv_b, dwo, dwo_b, *grads)
 
-    return Tensor(out, (h, *weights), bwd, "attention")
+    parents = (h, *weights, *(t for t in (prefix, kv) if t is not None))
+    out = Tensor(out, parents, bwd, "attention")
+    return (out, kv) if with_kv else out

@@ -13,17 +13,13 @@ negative additive score, so they cannot influence any visible output; a
 batch with no invisible token has no such score to add.
 
 The network takes a `TokenBatch`: same-shape grids stacked by `stack_grids`,
-with their key masks built once. A sampler calls the network S times on one
-batch, writing each step's state into its target slots; under
-`ad.no_grad()` the embedding of the rows before the history length is kept
-in the batch after the first call, so later calls embed the future rows
-only (`Backbone.embed`).
-
-The forecaster reads its output only at frames from the history length on,
-so `TrajectoryModel.predict_noise` runs the last temporal sublayer's queries,
-output projection and residual, and then the head, on those future rows
-alone; history frames stay keys and values. Its history rows of the output
-are zeros that nothing reads. The event model encodes every row.
+with their key masks built once. The event model encodes every row with
+full attention. The forecaster encodes the history once: history frames
+carry no step embedding and, along time, attend to history keys only, so
+their rows depend on the history alone. `Backbone.encode_history` caches
+each layer's temporal keys and values of those rows; the W future rows
+(`Backbone.encode_future`) carry the step and attend over the cached keys
+and their own. A sampler encodes the history once per window.
 
 `build_token_grid` builds the forecaster's grids; the event model's come
 from `events.event_grid`. Forecast grids also carry each entity's anchor,
@@ -115,14 +111,6 @@ class TokenGrid:
         if self.noise_target[: self.history_len].any():
             raise ValueError("noise targets may only occupy future frames")
 
-    @property
-    def L(self):
-        return self.coords.shape[0]
-
-    @property
-    def n_entities(self):
-        return self.coords.shape[1]
-
 
 def _key_mask_bias(key_visibility):
     """[B x G x T] key visibility -> [B x G x 1 x 1 x T] additive scores, or
@@ -145,12 +133,10 @@ class TokenBatch:
     [B x entities x 1 x 1 x L]) are built once here: 0 on visible keys,
     MASK_SCORE on hidden ones, or None when no key is hidden.
 
-    A sampler writes each reverse step's state into the target slots of
-    `coords` in place and calls the network on the same batch again. Under
-    `ad.no_grad()`, `Backbone.embed` keeps the step-free embedding of the
-    rows before the one history length in `history_rows` on its first call
-    and embeds only the rows after it on later calls, so those rows must
-    not change while the batch is in use.
+    A sampler sets `history_rows` to the batch's history cache
+    (`Backbone.encode_history`), then writes each reverse step's state into
+    the target slots of `coords` in place and calls the network on the batch
+    again; the batch lives for one `sample_windows_batch` call.
     """
 
     coords: np.ndarray
@@ -160,7 +146,7 @@ class TokenBatch:
     anchor: np.ndarray | None
     spatial_bias: np.ndarray | None = field(init=False)
     temporal_bias: np.ndarray | None = field(init=False)
-    history_rows: np.ndarray | None = field(init=False, default=None)
+    history_rows: list | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.spatial_bias = _key_mask_bias(self.visibility)
@@ -178,6 +164,8 @@ def stack_grids(grids) -> TokenBatch:
     its anchor is None for grids without one."""
     if isinstance(grids, TokenGrid):
         grids = [grids]
+    if not grids:
+        raise ValueError("no grids to batch")
     shapes = {g.coords.shape for g in grids}
     if len(shapes) != 1:
         raise ValueError(f"cannot batch grids of differing shapes {shapes}")
@@ -220,10 +208,10 @@ def build_token_grid(history: Segment, future_or_noise,
     if target_side not in (None, 0, 1):
         raise ValueError(f"target_side must be None, 0 or 1, got {target_side!r}")
     H, E = history.visibility.shape
-
+    if H == 0:
+        raise ValueError("a forecast grid needs at least one history frame")
     if isinstance(future_or_noise, Segment):
-        fut_coords = future_or_noise.coords
-        fut_vis = future_or_noise.visibility
+        fut_coords, fut_vis = future_or_noise.coords, future_or_noise.visibility
     else:
         fut_coords = np.asarray(future_or_noise, dtype=np.float64)
         fut_vis = np.ones(fut_coords.shape[:2], dtype=bool)
@@ -305,38 +293,29 @@ class Backbone:
         sel[2 * n, 2] = 1.0
         self._group_select = sel
 
-    def embed(self, batch: TokenBatch, diffusion_step=None) -> LatentGrid:
-        """h[t, n] = proj(coords[t, n]) + temporal[t] + group(n) + entity[n].
-
-        The latent is [B x L x entities x d]. `diffusion_step` is an int
-        shared by the batch or one step per batch element. Anchored
-        (forecast) batches project every non-target token as its scaled
-        displacement from its entity's anchor, the space the target slots
-        already hold, and, when this backbone owns `embed.anchor_w` (the
-        trajectory model's does), add the anchor's own projection to each of
-        its entity's tokens.
-
-        Under `ad.no_grad()` a batch of one history length H keeps the rows
-        before H, embedded up to the step embedding, in `batch.history_rows`
-        on the first call; later calls run the chain on rows H.. only and
-        join the kept rows before the step embedding is added, so every row
-        gets the same ops in the same order as in one full-row call.
-        """
+    def embed(self, batch: TokenBatch, diffusion_step=None,
+              frames=slice(None)) -> LatentGrid:
+        """h[t, n] = proj(coords[t, n]) + temporal[t] + group(n) + entity[n]
+        for the batch's `frames`, [B x frames x entities x d], plus the
+        embedding of `diffusion_step` (shared, or one per batch element) when
+        given. Anchored (forecast) batches project every non-target token as
+        its scaled displacement from its entity's anchor, the space the
+        target slots already hold, and, when this backbone owns
+        `embed.anchor_w` (the trajectory model's does), add the anchor's own
+        projection to each of its entity's tokens."""
         cfg = self.config
         B, L, E = batch.coords.shape[:3]
         if L > cfg.l_max:
             raise ValueError(f"grid length {L} exceeds temporal table {cfg.l_max}")
         p = self.params
-        taped = ad.grad_enabled()
-        kept = None if taped else batch.history_rows
-        lo = 0 if kept is None else kept.shape[1]
-        coords, target = batch.coords[:, lo:], batch.noise_target[:, lo:]
+        frames = slice(*frames.indices(L))
+        coords, target = batch.coords[:, frames], batch.noise_target[:, frames]
         anchors = batch.anchor
         if anchors is not None:
             coords = np.where(target[..., None], coords,
                               to_displacement(coords, anchors[:, None]))
         h = ad.matmul(ad.Tensor(coords), p["embed.proj_w"]) + p["embed.proj_b"]
-        temporal = ad.take(p["embed.temporal"], (None, slice(lo, L), None))
+        temporal = ad.take(p["embed.temporal"], (None, frames, None))
         group = ad.matmul(ad.Tensor(self._group_select), p["embed.group"])
         h = h + temporal + group + p["embed.entity"]
         if anchors is not None and "embed.anchor_w" in p:
@@ -346,11 +325,6 @@ class Backbone:
             marker = ad.mul(p["embed.target_marker"],
                             ad.Tensor(target[..., None].astype(np.float64)))
             h = h + marker
-        if kept is not None:
-            h = ad.concat([kept, h], axis=1)
-        elif not taped and len(batch.history_lens) == 1:
-            # a view: nothing writes into an op's output once it is returned
-            batch.history_rows = h.data[:, :batch.history_lens[0]]
         if diffusion_step is not None:
             if np.ndim(diffusion_step) == 0:
                 emb = sinusoidal_embedding(int(diffusion_step), cfg.d)
@@ -363,41 +337,68 @@ class Backbone:
             h = h + ad.Tensor(emb)
         return LatentGrid(h, batch)
 
-    def _attend(self, latent: LatentGrid, base: str, axis: str,
-                start: int = 0) -> LatentGrid:
-        """One pre-norm residual attention sublayer along entities or time,
-        run as the single `ad.attention_block` op over the sublayer's eight
-        parameters. Along time, `start` > 0 keeps only the output rows of
-        frames `start`.. (see `ad.attention_block`), bit for bit those rows
-        of the full sublayer."""
-        p = self.params
-        weights = tuple(p[f"{base}.{w}"] for w in
-                        ("ln_g", "ln_b", "wq", "wk", "wv", "wv_b", "wo", "wo_b"))
-        time = axis == "time"
-        bias = latent.batch.temporal_bias if time else latent.batch.spatial_bias
-        h = ad.attention_block(latent.h, weights, bias, self.config.heads,
-                               time, start)
-        return replace(latent, h=h)
+    def _weights(self, sublayer):
+        return tuple(self.params[f"{sublayer}.{w}"] for w in
+                     ("ln_g", "ln_b", "wq", "wk", "wv", "wv_b", "wo", "wo_b"))
+
+    def _attend(self, h, sublayer, bias, prefix=None, with_kv=False):
+        """Sublayer "layer{m}.spatial" (along entities) or "layer{m}.temporal"
+        (along time) as the one `ad.attention_block` op."""
+        return ad.attention_block(h, self._weights(sublayer), bias,
+                                  self.config.heads,
+                                  sublayer.endswith("temporal"), prefix, with_kv)
 
     def spatial_attention(self, latent: LatentGrid, layer: int) -> LatentGrid:
-        return self._attend(latent, f"layer{layer}.spatial", "entity")
+        return replace(latent, h=self._attend(
+            latent.h, f"layer{layer}.spatial", latent.batch.spatial_bias))
 
-    def temporal_attention(self, latent: LatentGrid, layer: int,
-                           start: int = 0) -> LatentGrid:
-        return self._attend(latent, f"layer{layer}.temporal", "time", start)
+    def temporal_attention(self, latent: LatentGrid, layer: int) -> LatentGrid:
+        return replace(latent, h=self._attend(
+            latent.h, f"layer{layer}.temporal", latent.batch.temporal_bias))
 
-    def encode(self, batch: TokenBatch, diffusion_step=None,
-               start: int = 0) -> LatentGrid:
-        """Embed, then run the M layers. With `start` > 0 the last temporal
-        sublayer computes only frames `start`.. , so the returned `h` is
-        [B x (L - start) x entities x d] and equals those rows of the full
-        encoding bit for bit; the batch's masks still cover every frame."""
-        latent = self.embed(batch, diffusion_step)
-        last = self.config.layers - 1
+    def encode(self, batch: TokenBatch) -> LatentGrid:
+        """The event model's encoder: embed every frame, then run the M
+        layers, every token attending to every visible key."""
+        latent = self.embed(batch)
         for m in range(self.config.layers):
-            latent = self.spatial_attention(latent, m)
-            latent = self.temporal_attention(latent, m, start if m == last else 0)
+            latent = self.temporal_attention(self.spatial_attention(latent, m), m)
         return latent
+
+    def encode_history(self, batch: TokenBatch) -> list:
+        """The forecaster's history cache: per layer, the temporal keys and
+        values (`ad.attention_kv`) of the frames before the batch's one
+        history length H, embedded without a step and attending along time
+        to history keys only, so that they depend on the history alone."""
+        (H,) = batch.history_lens
+        spatial, temporal = batch.spatial_bias, batch.temporal_bias
+        spatial = None if spatial is None else spatial[:, :H]
+        temporal = None if temporal is None else temporal[..., :H]
+        h = self.embed(batch, frames=slice(0, H)).h
+        cache = []
+        for m in range(self.config.layers):
+            h = self._attend(h, f"layer{m}.spatial", spatial)
+            if m + 1 < self.config.layers:
+                h, kv = self._attend(h, f"layer{m}.temporal", temporal, with_kv=True)
+            else:
+                kv = ad.attention_kv(h, self._weights(f"layer{m}.temporal"),
+                                     self.config.heads)
+            cache.append(kv)
+        return cache
+
+    def encode_future(self, batch: TokenBatch, history: list,
+                      diffusion_step) -> ad.Tensor:
+        """The latent of the frames from H on, [B x (L - H) x entities x d]:
+        embedded with the step, attending along entities within their frame
+        and along time over the cached `history` keys (`encode_history`)
+        followed by their own."""
+        (H,) = batch.history_lens
+        spatial = batch.spatial_bias
+        spatial = None if spatial is None else spatial[:, H:]
+        h = self.embed(batch, diffusion_step, slice(H, None)).h
+        for m, kv in enumerate(history):
+            h = self._attend(h, f"layer{m}.spatial", spatial)
+            h = self._attend(h, f"layer{m}.temporal", batch.temporal_bias, kv)
+        return h
 
 
 class TrajectoryModel:
@@ -436,32 +437,31 @@ class TrajectoryModel:
         `ANCHOR_SCALE * (x0 - anchor)`; other slots are ignored.
 
         The batch has one history length H (a batch that mixes lengths is
-        rejected) and only frames from H on can hold a target, so the last
-        temporal sublayer and the head run on those rows alone (see
-        `Backbone.encode`); rows before H are exact zeros that nothing reads.
-        With two or more future frames those rows are bit for bit the
-        full-row computation's; with one, its single query row takes another
-        matrix-product path and may differ in the last bits (about 2e-16
-        relative).
+        rejected), and only frames from H on hold targets. The history cache
+        is `batch.history_rows` when a sampler has set it, or else encoded
+        here (`Backbone.encode_history`); the future rows run over it
+        (`Backbone.encode_future`), then the head. The output's history rows
+        are zeros that nothing reads.
 
         The name dates from the noise-regression parametrization and is kept
         because tracing (`perfbench/tracing.py`) hooks it by name.
         `step` is shared or per batch element; each grid in the batch counts
-        as one network evaluation. The output is checked for NaN/Inf here,
-        which is the only check a forward under `ad.no_grad()` gets.
+        as one network evaluation, the history encoding none. The output is
+        checked for NaN/Inf here, which is the only check a forward under
+        `ad.no_grad()` gets.
         """
         if len(batch.history_lens) != 1:
             raise ValueError(f"cannot batch grids of differing history "
                              f"lengths {list(batch.history_lens)}")
-        (start,) = batch.history_lens
+        (H,) = batch.history_lens
         self.calls += len(batch.coords)
-        latent = self.backbone.encode(batch, diffusion_step=step, start=start)
+        history = batch.history_rows or self.backbone.encode_history(batch)
+        h = self.backbone.encode_future(batch, history, step)
         p = self.params
-        x = ad.layer_norm(latent.h, p["head.ln_g"], p["head.ln_b"])
+        x = ad.layer_norm(h, p["head.ln_g"], p["head.ln_b"])
         out = ad.matmul(x, p["head.w"]) + p["head.b"]
-        if start:
-            B, _, E, _ = out.shape
-            out = ad.concat([np.zeros((B, start, E, 2)), out], axis=1)
+        B, _, E, _ = out.shape
+        out = ad.concat([np.zeros((B, H, E, 2)), out], axis=1)
         ad.check_finite(out.data, "predict_noise")
         return out
 

@@ -10,10 +10,9 @@ horizons are chains of such windows, each conditioned on everything
 generated so far. Every coordinate not flagged as a noise target is held
 bit-identical through all reverse steps.
 
-A window's K chains share one network input, a `backbone.TokenBatch` built
-once per window along with the clip bounds; each reverse step updates its
-target slots in place, so the network embeds the window's history rows
-once.
+A window's K chains share one `backbone.TokenBatch`, its clip bounds and
+its history encoding, all built once; each reverse step updates the target
+slots in place and runs the network on the W future rows only.
 """
 
 from __future__ import annotations
@@ -262,11 +261,8 @@ def sample_windows_batch(histories, futures, model, schedule, rngs,
     `target_side`, the other side's and the ball's futures) are frozen at
     every step, and the outputs stay in normalized coordinates.
 
-    The chains' grids are stacked into one `TokenBatch` and the clip
-    bounds computed once; each step writes its state into the batch's
-    target slots in place, so the network embeds the history rows once
-    (see `Backbone.embed`).
-
+    The chains' grids are stacked into one `TokenBatch` whose history is
+    encoded once (`Backbone.encode_history`, not a network evaluation).
     Returns (one future Segment per chain, number of target coordinates the
     clip moved over all chains and steps). The network runs under
     `ad.no_grad()`: sampling never calls backward, so no tape is kept and
@@ -288,9 +284,10 @@ def sample_windows_batch(histories, futures, model, schedule, rngs,
         bounds.append((anchor, to_displacement(-1.0, anchor),
                        to_displacement(1.0, anchor)))
 
-    S = schedule.steps
+    with ad.no_grad():
+        batch.history_rows = model.backbone.encode_history(batch)
     clamped = 0
-    for s in range(S, 0, -1):
+    for s in range(schedule.steps, 0, -1):
         with ad.no_grad():
             x0_pred = model.predict_noise(batch, step=s).data
         ab = schedule.alpha_bar(s)
@@ -336,6 +333,9 @@ def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,
     if truth_future is not None and len(truth_future) < config.horizon_frames:
         raise ValueError("true future shorter than the horizon")
 
+    length, l_max = config.history_frames + config.horizon_frames, model.config.l_max
+    if length > l_max:
+        raise ValueError(f"grid length {length} exceeds temporal table {l_max}")
     K, q, w = config.samples, config.n_windows, config.window_frames
     evals_before = model.calls
     sample_rngs = [rng.child("sample", k) for k in range(K)]

@@ -397,14 +397,21 @@ def train(split: TrainSplit, config: TrainConfig, model=None):
 # the noise schedule it learned to reverse and the frames of one window
 SAMPLING_CONTRACT = ("diffusion_steps", "beta_start", "beta_end", "window_frames")
 
+# how a forecaster's attention reads its frames, fixed by this code rather
+# than by a config: history frames attend to the history only, so the
+# history is encoded once per window (`backbone.Backbone.encode_history`)
+ATTENTION_LAYOUT = "history-once"
+
 
 def save_model(path, model, result: TrainResult):
     """Write `model` and, from its `result`, its task, best epoch and, for a
-    forecaster, the `SAMPLING_CONTRACT` values it was trained under."""
+    forecaster, the `SAMPLING_CONTRACT` values it was trained under and its
+    `ATTENTION_LAYOUT`."""
     config = result.config
     extra = {"task": config.task, "best_epoch": result.best_epoch}
     if config.task == "forecast":
         extra.update((key, getattr(config, key)) for key in SAMPLING_CONTRACT)
+        extra["attention_layout"] = ATTENTION_LAYOUT
     save_checkpoint(path, model.params, model.config.to_dict(), extra=extra)
 
 
@@ -414,8 +421,10 @@ def load_model(path, task):
     geometry, task and, for a forecaster, `SAMPLING_CONTRACT`.
 
     A checkpoint of another task is rejected, and so is a forecaster that
-    records its task but no contract: its schedule is never guessed. One that
-    records no task (a library `save_checkpoint`) fixes only the geometry."""
+    records its task but no contract, whose schedule is never guessed, or
+    not this code's `ATTENTION_LAYOUT`, whose weights were fit to another
+    function. One that records no task (a library `save_checkpoint`) fixes
+    only the geometry."""
     config, extra, arrays = load_checkpoint(path)
     recorded = extra.get("task", task)
     if recorded is None:
@@ -432,6 +441,11 @@ def load_model(path, task):
                 raise ValueError(f"{path} records no '{key}'; it was written "
                                  f"before checkpoints carried their schedule")
             fixed[key] = extra[key]
+        if recorded == "forecast" and \
+                extra.get("attention_layout") != ATTENTION_LAYOUT:
+            raise ValueError(f"{path} records no 'attention_layout' "
+                             f"{ATTENTION_LAYOUT!r}; it was written before "
+                             f"history-once encoding")
     model = MODELS[recorded](geometry, Rng(0, ("load",)))
     assign_parameters(model.params, arrays)
     return model, fixed

@@ -1,4 +1,12 @@
-"""Suite-wide pytest hooks."""
+"""Suite-wide pytest hooks and environment."""
+
+import os
+
+# one BLAS thread, as perfbench/run.py sets it: at this suite's matrix sizes
+# a second thread buys no time and takes a whole CPU. Set before numpy loads;
+# a caller's own setting wins, and spawned demo scripts inherit it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 
 def pytest_collection_modifyitems(items):

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 
 from gentac import autodiff as ad
-from gentac.backbone import (build_token_grid, from_displacement, stack_grids,
-                             to_displacement)
+from gentac.backbone import (MASK_SCORE, build_token_grid, from_displacement,
+                             stack_grids, to_displacement)
 from gentac.diffusion import denoise_step, forward_noise, make_schedule
 from gentac.rng import Rng
 
@@ -67,7 +67,8 @@ def league_clips(clips, league):
     return clips
 
 
-def attention_block_chain(h, weights, bias, heads, along_time, start):
+def attention_block_chain(h, weights, bias, heads, along_time, prefix=None,
+                          with_kv=False):
     """`ad.attention_block` as the chain of primitive ops it fuses: the
     reference its forward equals bit for bit and its gradients to rounding.
     A `bias` of None (no hidden key) is added as an explicit zero."""
@@ -79,24 +80,56 @@ def attention_block_chain(h, weights, bias, heads, along_time, start):
         x = ad.swapaxes(x, 1, 2)                        # [B x E x L x d]
     G, T = x.shape[1:3]
 
-    def project(rows, w, b=None):
-        y = ad.matmul(rows, w)
+    def project(w, b=None):
+        y = ad.matmul(x, w)
         if b is not None:
             y = y + b
-        y = ad.reshape(y, (B, G, rows.shape[2], heads, dh))
-        return ad.swapaxes(y, 2, 3)                     # [B x G x heads x rows x dh]
+        return ad.swapaxes(ad.reshape(y, (B, G, T, heads, dh)), 2, 3)
 
-    queries = ad.take(x, (slice(None), slice(None), slice(start, None)))
-    q, k, v = project(queries, wq), project(x, wk), project(x, wv, wv_b)
+    q, k, v = project(wq), project(wk), project(wv, wv_b)
+    kv = ad.concat([ad.reshape(k, (1, *k.shape)),
+                    ad.reshape(v, (1, *v.shape))]) if with_kv else None
+    if prefix is not None:
+        k = ad.concat([ad.take(prefix, 0), k], axis=-2)
+        v = ad.concat([ad.take(prefix, 1), v], axis=-2)
     scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dh))
     if bias is None:
         bias = np.zeros((1, 1, 1, 1, 1))
     out = ad.matmul(ad.softmax(scores + ad.Tensor(bias), axis=-1), v)
-    out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T - start, d))
+    out = ad.reshape(ad.swapaxes(out, 2, 3), (B, G, T, d))
     out = ad.matmul(out, wo) + wo_b
     if along_time:
         out = ad.swapaxes(out, 1, 2)
-    return ad.take(h, (slice(None), slice(start, None))) + out
+    out = h + out
+    return (out, kv) if with_kv else out
+
+
+def block_masked_full_rows(model, grids, step):
+    """`TrajectoryModel.predict_noise`'s history-once layout computed on
+    every row at once from the primitive-op chain: the history and future
+    frames embedded together, the step embedding on the future frames only,
+    every sublayer over all L frames, and a temporal key mask that also
+    hides each future key from every history query. The head runs on the
+    future rows; the history rows of the output are zeros."""
+    backbone, p = model.backbone, model.params
+    batch = stack_grids(grids)
+    (H,) = batch.history_lens
+    B, L, E = batch.coords.shape[:3]
+    h = ad.concat([backbone.embed(batch, frames=slice(0, H)).h,
+                   backbone.embed(batch, step, slice(H, None)).h], axis=1)
+    block = np.zeros((L, L))
+    block[:H, H:] = MASK_SCORE
+    temporal = block if batch.temporal_bias is None else batch.temporal_bias + block
+    for m in range(model.config.layers):
+        for sub, bias in (("spatial", batch.spatial_bias), ("temporal", temporal)):
+            weights = tuple(p[f"layer{m}.{sub}.{w}"] for w in
+                            ("ln_g", "ln_b", "wq", "wk", "wv", "wv_b", "wo", "wo_b"))
+            h = attention_block_chain(h, weights, bias, model.config.heads,
+                                      sub == "temporal")
+    x = ad.layer_norm(ad.take(h, (slice(None), slice(H, None))),
+                      p["head.ln_g"], p["head.ln_b"])
+    out = ad.matmul(x, p["head.w"]) + p["head.b"]
+    return ad.concat([np.zeros((B, H, E, 2)), out], axis=1)
 
 
 def reference_sample_windows_batch(histories, futures, model, schedule, rngs,

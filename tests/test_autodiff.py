@@ -385,13 +385,15 @@ def test_softmax_and_its_gradient_are_the_textbook_formula_bitwise(shape):
 # attention sublayer
 # ---------------------------------------------------------------------------
 
-def _block_inputs(keys, groups, along_time, seed, d=6, heads=2):
-    """h [2 x L x E x d] with `keys` on the attended axis and `groups` on the
-    other, the sublayer's eight weights, all Parameters, and a key mask that
-    hides some keys of each group. dh=3, so the 1/sqrt(dh) scale is not a
-    power of two and scaling q instead of the scores changes bits."""
+def _block_inputs(keys, groups, along_time, seed, prefix=0, d=6, heads=2):
+    """h [2 x L x E x d] with `keys` - `prefix` frames on the attended axis
+    and `groups` on the other, the sublayer's eight weights, all Parameters,
+    a key mask over `keys` keys that hides some of each group, and, along
+    time, a Parameter of keys and values of `prefix` earlier frames (None
+    when 0). dh=3, so the 1/sqrt(dh) scale is not a power of two and
+    scaling q instead of the scores changes bits."""
     rng = np.random.default_rng(seed)
-    L, E = (keys, groups) if along_time else (groups, keys)
+    L, E = (keys - prefix, groups) if along_time else (groups, keys)
     h = ad.Parameter(rng.normal(size=(2, L, E, d)), "h")
     weights = tuple(ad.Parameter(
         (1.0 if name == "ln_g" else 0.0)
@@ -400,73 +402,113 @@ def _block_inputs(keys, groups, along_time, seed, d=6, heads=2):
     visible = rng.uniform(size=(2, groups, keys)) > 0.3
     visible[..., 0] = True
     bias = np.where(visible, 0.0, MASK_SCORE)[:, :, None, None, :]
-    return h, weights, bias, heads
+    pre = ad.Parameter(rng.normal(size=(2, 2, groups, heads, prefix, d // heads)),
+                       "prefix") if prefix else None
+    return h, weights, bias, heads, pre
 
 
 def _block_cases(keys):
-    """(along_time, start): spatial, temporal, temporal from a later frame."""
+    """(along_time, prefix frames): spatial, temporal, temporal after a
+    prefix of earlier frames."""
     return [(False, 0), (True, 0), (True, keys // 2)]
 
 
-def _run_block(block, h, weights, bias, heads, along_time, start, g):
-    """Output bytes and the nine parents' gradients after backward of
-    sum(out * g)."""
-    for p in (h, *weights):
+def _run_block(block, h, weights, bias, heads, along_time, prefix, g):
+    """Output bytes and every parent's gradient after backward of
+    sum(out * g), plus, along time, of the block's own keys and values
+    times fixed weights."""
+    params = [h, *weights] + ([] if prefix is None else [prefix])
+    for p in params:
         p.zero_grad()
-    out = block(h, weights, bias, heads, along_time, start)
-    ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g[:, start:]))))
-    return out.data.tobytes(), [p.grad.copy() for p in (h, *weights)]
+    out = block(h, weights, bias, heads, along_time, prefix, along_time)
+    loss = ad.sum_(ad.mul(out[0] if along_time else out, ad.Tensor(g)))
+    if along_time:
+        g_kv = np.random.default_rng(2).normal(size=out[1].shape)
+        loss = loss + ad.sum_(ad.mul(out[1], ad.Tensor(g_kv)))
+        out = ad.concat([ad.reshape(t, (-1,)) for t in out])
+    ad.backward(loss)
+    return out.data.tobytes(), [p.grad.copy() for p in params]
 
 
 # 8 groups give many more rows than keys, the column-wise reductions; one
 # group keeps numpy's row reductions
 @pytest.mark.parametrize("keys,groups", [(7, 1), (7, 8), (35, 1), (35, 8)])
 def test_attention_matches_the_op_chain_bitwise(keys, groups):
-    for along_time, start in _block_cases(keys):
-        h, weights, bias, heads = _block_inputs(keys, groups, along_time,
-                                                seed=keys + groups)
-        args = (h, weights, bias, heads, along_time, start)
-        chain = attention_block_chain(*args).data.tobytes()
-        assert ad.attention_block(*args).data.tobytes() == chain
+    for along_time, prefix in _block_cases(keys):
+        h, weights, bias, heads, pre = _block_inputs(
+            keys, groups, along_time, seed=keys + groups, prefix=prefix)
+        args = (h, weights, bias, heads, along_time, pre, along_time)
+
+        def run(block):
+            out = block(*args)
+            return [t.data.tobytes() for t in (out if along_time else [out])]
+
+        chain = run(attention_block_chain)
+        assert run(ad.attention_block) == chain
         with ad.no_grad():
-            assert ad.attention_block(*args).data.tobytes() == chain
+            assert run(ad.attention_block) == chain
 
 
 @pytest.mark.parametrize("keys,groups", [(7, 8), (35, 1)])
 def test_attention_block_gradients_match_the_op_chain(keys, groups):
-    for along_time, start in _block_cases(keys):
-        h, weights, bias, heads = _block_inputs(keys, groups, along_time,
-                                                seed=keys * groups)
+    for along_time, prefix in _block_cases(keys):
+        h, weights, bias, heads, pre = _block_inputs(
+            keys, groups, along_time, seed=keys * groups, prefix=prefix)
         g = np.random.default_rng(1).normal(size=h.shape)
-        args = (h, weights, bias, heads, along_time, start, g)
+        args = (h, weights, bias, heads, along_time, pre, g)
         _, fused = _run_block(ad.attention_block, *args)
         _, chain = _run_block(attention_block_chain, *args)
-        for p, a, b in zip((h, *weights), fused, chain):
+        for a, b in zip(fused, chain):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), \
-                (p.name, along_time, start)
+                (along_time, prefix)
 
 
 def test_attention_gradient_vs_finite_differences():
-    for along_time, start in _block_cases(5):
-        h, weights, bias, heads = _block_inputs(5, 2, along_time, seed=8)
-        rows = h.data[:, start:]
-        g = np.linspace(0.5, 1.5, rows.size).reshape(rows.shape)
+    for along_time, prefix in _block_cases(5):
+        h, weights, bias, heads, pre = _block_inputs(5, 2, along_time, seed=8,
+                                                     prefix=prefix)
+        g = np.linspace(0.5, 1.5, h.data.size).reshape(h.shape)
+        params = [h, *weights] + ([] if pre is None else [pre])
 
         def f(build=False):
-            out = ad.attention_block(h, weights, bias, heads, along_time, start)
-            return ad.sum_(ad.mul(out, ad.Tensor(g)))
+            out = ad.attention_block(h, weights, bias, heads, along_time, pre,
+                                     along_time)
+            if not along_time:
+                return ad.sum_(ad.mul(out, ad.Tensor(g)))
+            out, kv = out
+            g_kv = np.linspace(-1.0, 1.0, kv.data.size).reshape(kv.shape)
+            return ad.sum_(ad.mul(out, ad.Tensor(g))) \
+                + ad.sum_(ad.mul(kv, ad.Tensor(g_kv)))
 
-        check_grads(f, [h, *weights])
+        check_grads(f, params)
+
+
+def test_attention_kv_is_the_blocks_keys_and_values():
+    h, weights, bias, heads, _ = _block_inputs(7, 3, True, seed=13)
+    g = np.random.default_rng(3).normal(size=(2, 2, 3, heads, 7, 3))
+
+    def grads(kv):
+        for p in (h, *weights):
+            p.zero_grad()
+        ad.backward(ad.sum_(ad.mul(kv, ad.Tensor(g))))
+        return kv.data.tobytes(), [p.grad.tobytes() for p in (h, *weights)]
+
+    alone = grads(ad.attention_kv(h, weights, heads))
+    assert alone == grads(ad.attention_block(h, weights, bias, heads, True,
+                                             None, True)[1])
+    # the queries' and the output's parameters get no gradient from it
+    assert [p.name for p in (h, *weights) if p.grad.any()] == \
+        ["h", "ln_g", "ln_b", "wk", "wv", "wv_b"]
 
 
 @pytest.mark.parametrize("keys,groups", [(7, 8), (35, 1)])
 def test_all_visible_attention_equals_the_chain_with_a_zero_mask(keys, groups):
-    for along_time, start in _block_cases(keys):
-        h, weights, bias, heads = _block_inputs(keys, groups, along_time,
-                                                seed=keys + 2 * groups)
+    for along_time, prefix in _block_cases(keys):
+        h, weights, bias, heads, pre = _block_inputs(
+            keys, groups, along_time, seed=keys + 2 * groups, prefix=prefix)
         chain = attention_block_chain(h, weights, np.zeros_like(bias), heads,
-                                      along_time, start).data.tobytes()
-        args = (h, weights, None, heads, along_time, start)
+                                      along_time, pre).data.tobytes()
+        args = (h, weights, None, heads, along_time, pre)
         assert ad.attention_block(*args).data.tobytes() == chain
         with ad.no_grad():
             assert ad.attention_block(*args).data.tobytes() == chain
@@ -490,20 +532,21 @@ def test_a_batch_with_one_hidden_key_still_applies_the_mask():
         assert bias[:, :, 0, 0, :].tobytes() == \
             np.where(keys, 0.0, MASK_SCORE).tobytes()
         _, n_groups, n_keys = keys.shape
-        h, weights, _, heads = _block_inputs(n_keys, n_groups, along_time, seed=12)
-        masked = ad.attention_block(h, weights, bias, heads, along_time, 0).data
-        chain = attention_block_chain(h, weights, bias, heads, along_time, 0)
+        h, weights, _, heads, _ = _block_inputs(n_keys, n_groups, along_time,
+                                                seed=12)
+        masked = ad.attention_block(h, weights, bias, heads, along_time).data
+        chain = attention_block_chain(h, weights, bias, heads, along_time)
         assert masked.tobytes() == chain.data.tobytes()
-        unmasked = ad.attention_block(h, weights, None, heads, along_time, 0)
+        unmasked = ad.attention_block(h, weights, None, heads, along_time)
         assert not np.array_equal(masked, unmasked.data)
 
 
 def test_attention_single_visible_key_gets_weight_one():
-    h, weights, bias, heads = _block_inputs(7, 3, False, seed=9)
+    h, weights, bias, heads, _ = _block_inputs(7, 3, False, seed=9)
     weights[2].data *= 30.0                         # scores far from zero
     bias[...] = MASK_SCORE
     bias[..., 4] = 0.0
-    out = ad.attention_block(h, weights, bias, heads, False, 0).data
+    out = ad.attention_block(h, weights, bias, heads, False).data
     _, _, _, _, wv, wv_b, wo, wo_b = (w.data for w in weights)
     x = ad.layer_norm(h, weights[0], weights[1]).data
     v = x @ wv
@@ -517,22 +560,22 @@ def test_attention_single_visible_key_gets_weight_one():
 
 
 def test_attention_under_no_grad_keeps_no_tape():
-    h, weights, bias, heads = _block_inputs(7, 2, True, seed=10)
-    taped = ad.attention_block(h, weights, bias, heads, True, 3)
+    h, weights, bias, heads, pre = _block_inputs(7, 2, True, seed=10, prefix=3)
+    taped = ad.attention_block(h, weights, bias, heads, True, pre)
     with ad.no_grad():
-        out = ad.attention_block(h, weights, bias, heads, True, 3)
-    assert taped.parents == (h, *weights)
+        out = ad.attention_block(h, weights, bias, heads, True, pre)
+    assert taped.parents == (h, *weights, pre)
     assert out.parents == () and out.backward_fn is None
     assert out.data.tobytes() == taped.data.tobytes()
 
 
 def test_attention_non_finite_output_names_the_op():
-    h, weights, bias, heads = _block_inputs(7, 1, True, seed=11)
+    h, weights, bias, heads, _ = _block_inputs(7, 1, True, seed=11)
     weights[2].data[:, 0] = 1e200                   # finite inputs whose
     weights[3].data[:, 0] = 1e200                   # scores overflow
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ad.NonFiniteError, match="'attention'"):
-            ad.attention_block(h, weights, bias, heads, True, 0)
+            ad.attention_block(h, weights, bias, heads, True)
 
 
 # ---------------------------------------------------------------------------

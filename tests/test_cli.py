@@ -234,6 +234,26 @@ def test_sampling_rejects_a_checkpoint_without_its_schedule(
     assert not out.exists()
 
 
+def test_sampling_rejects_a_checkpoint_from_before_history_once_encoding(
+        tmp_path, capsys):
+    # its weights were fit to history rows that saw the step and the future
+    model = TrajectoryModel(ModelConfig(d=8, layers=1, heads=2, n_players=3,
+                                        l_max=64), Rng(4))
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, model.params, model.config.to_dict(), extra={
+        "task": "forecast", "best_epoch": 0, "diffusion_steps": 4,
+        "beta_start": 1e-4, "beta_end": 0.2, "window_frames": 5})
+    history = tmp_path / "history.json"
+    data.save_clip(constant_velocity_clips(1, seed=16, duration_s=0.4)[0], history)
+    out = tmp_path / "out"
+    argv = ["sample", "--checkpoint", str(ckpt), *ROLLOUT, "--out", str(out)]
+    assert run([a.format(history=history) for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"gentac: error: {ckpt} records no 'attention_layout' 'history-once'; "
+        f"it was written before history-once encoding\n")
+    assert not out.exists()
+
+
 def test_evaluate_traj_produces_report(tmp_path):
     truth_dir = tmp_path / "truth"
     pred_dir = tmp_path / "pred"

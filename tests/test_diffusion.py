@@ -384,6 +384,28 @@ def test_rollout_seed_determinism_and_sample_divergence():
     assert a.seeds[0] != a.seeds[1]
 
 
+def test_rollout_checks_the_temporal_table_before_any_window():
+    # 25 history frames and two 5-frame windows need 35 rows of a 30-row
+    # table; the second window's grid used to fail after the first had run
+    model = TrajectoryModel(ModelConfig(d=8, layers=1, heads=2, n_players=2,
+                                        l_max=30), Rng(0))
+    config = RolloutConfig(window=0.2, history=1.0, horizon=0.4, samples=2,
+                           fps=25.0)
+    with pytest.raises(ValueError) as err:
+        rollout(make_segment(25, rng=Rng(6)), config, model, make_schedule(4),
+                Rng(7, ("r",)))
+    assert str(err.value) == "grid length 35 exceeds temporal table 30"
+    assert model.calls == 0
+
+
+def test_rollout_on_a_zero_frame_history_fails_by_name():
+    config = RolloutConfig(window=0.2, history=0.0, horizon=0.2, fps=25.0)
+    with pytest.raises(ValueError) as err:
+        rollout(make_segment(0), config, TrajectoryModel(CFG, Rng(0)),
+                make_schedule(4), Rng(8, ("r",)))
+    assert str(err.value) == "a forecast grid needs at least one history frame"
+
+
 def test_rollout_rejects_bad_horizon():
     # 0.44 s quantizes cleanly to 11 frames, not a multiple of the 5-frame window
     with pytest.raises(ValueError, match="multiple"):

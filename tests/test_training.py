@@ -8,7 +8,7 @@ import pytest
 
 from gentac import autodiff as ad
 from gentac import training
-from gentac.backbone import ModelConfig, save_checkpoint
+from gentac.backbone import ModelConfig, load_checkpoint, save_checkpoint
 from gentac.fixtures import constant_velocity_clips, event_class_clips
 from gentac.training import (AdamState, TrainConfig, TrainSplit, finetune,
                              clip_gradients, desk_event_config,
@@ -248,3 +248,27 @@ def test_finetune_trains_only_on_filtered_subset(tmp_path):
     tuned, result = finetune(*load_model(str(ckpt), "forecast"), split,
                              tiny_forecast_config(epochs=1))
     assert len(result.log) == 1
+
+
+def test_a_forecaster_checkpoint_records_its_attention_layout(tmp_path):
+    clips = constant_velocity_clips(8, seed=11, duration_s=1.0)
+    model, result = train(split_clips(clips, 0.25, seed=0),
+                          tiny_forecast_config(epochs=1))
+    path = tmp_path / "model.ckpt"
+    training.save_model(path, model, result)
+    _, extra, _ = load_checkpoint(path)
+    assert extra["attention_layout"] == training.ATTENTION_LAYOUT == "history-once"
+    load_model(path, "forecast")
+    # the same header without the layout: a forecaster trained before it
+    del extra["attention_layout"]
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, model.params, model.config.to_dict(), extra=extra)
+    with pytest.raises(ValueError) as err:
+        load_model(old, "forecast")
+    assert str(err.value) == (f"{old} records no 'attention_layout' "
+                              f"'history-once'; it was written before "
+                              f"history-once encoding")
+    # a library checkpoint records no task and loads on its geometry alone
+    library = tmp_path / "library.ckpt"
+    save_checkpoint(library, model.params, model.config.to_dict())
+    assert load_model(library, "forecast")[1] == model.config.to_dict()
