@@ -489,6 +489,22 @@ def attention_kv(h: Tensor, weights, heads) -> Tensor:
     return _kv_tensor(h, weights, rows, xhat, inv, k, _split_heads(v, heads))
 
 
+def _after_prefix(prefix, own, draws):
+    """`own` [B x G x heads x T x dh] behind the P prefix rows of `prefix`
+    [B/draws x G x heads x P x dh] along the second-last axis, in one fresh
+    buffer: each prefix row goes before `draws` consecutive rows of `own`,
+    repeated as it is written, not copied first. The buffer keeps a row's
+    heads together in memory, as `_split_heads` views do, so both writes
+    copy whole rows instead of gathering dh values at a time."""
+    B, G, n, T, dh = own.shape
+    P = prefix.shape[-2]
+    out = np.swapaxes(np.empty((B // draws, draws, G, P + T, n, dh)), 3, 4)
+    out[..., :P, :] = prefix[:, None]
+    out = out.reshape(B, G, n, P + T, dh)
+    out[..., P:, :] = own
+    return out
+
+
 def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
                     with_kv=False):
     """One pre-norm residual self-attention sublayer as one tape node.
@@ -514,7 +530,9 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
       two projections' products once;
     - `prefix`, such keys and values of P earlier frames, goes before the
       block's own: every query attends over P + L keys, which `bias`
-      covers, and the prefix receives its gradient.
+      covers, and the prefix receives its gradient. A prefix may have B/M
+      rows for M draws that share it: its row b serves rows b*M to
+      b*M + M - 1 of `h`, and its gradient is the sum over those draws.
 
     The forward is the arithmetic of the chain of primitive ops
     (`layer_norm`, `swapaxes`, `matmul`, `add`, `concat`, `softmax`,
@@ -542,9 +560,13 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
         kv = _kv_tensor(h, weights, rows, xhat, inv, k, v)
         k, v = kv.data
     P = 0 if prefix is None else prefix.shape[-2]
+    draws = B // prefix.shape[1] if P else 1
     if P:
-        k = np.concatenate([prefix.data[0], k], axis=-2)
-        v = np.concatenate([prefix.data[1], v], axis=-2)
+        if draws * prefix.shape[1] != B:
+            raise ValueError(f"a prefix of {prefix.shape[1]} rows cannot "
+                             f"serve {B} rows")
+        k = _after_prefix(prefix.data[0], k, draws)
+        v = _after_prefix(prefix.data[1], v, draws)
     if not taped:
         xhat = inv = None
     att = q @ np.swapaxes(k, -1, -2)
@@ -576,7 +598,10 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
         dk = np.swapaxes(ds, -1, -2) @ q
         # the prefix's keys and values, and with `with_kv` the block's own,
         # take their adjoints to their nodes
-        grads = [np.stack([dk[..., :P, :], dv[..., :P, :]])] if P else []
+        grads = []
+        if P:  # a prefix row's adjoint sums the `draws` rows it served
+            dkv = np.stack([dk[..., :P, :], dv[..., :P, :]])
+            grads.append(dkv.reshape(2, -1, draws, *dkv.shape[2:]).sum(2))
         dwq = _weight_grad(rows, dq)
         if with_kv:
             grads.append(np.stack([dk[..., P:, :], dv[..., P:, :]]))

@@ -19,7 +19,9 @@ carry no step embedding and, along time, attend to history keys only, so
 their rows depend on the history alone. `Backbone.encode_history` caches
 each layer's temporal keys and values of those rows; the W future rows
 (`Backbone.encode_future`) carry the step and attend over the cached keys
-and their own. A sampler encodes the history once per window.
+and their own. A sampler encodes the history once per window; training
+encodes it once for the several (step, noise) draws of a window, which the
+batch holds as consecutive rows (`TokenBatch.draws`).
 
 `build_token_grid` builds the forecaster's grids; the event model's come
 from `events.event_grid`. Forecast grids also carry each entity's anchor,
@@ -133,10 +135,15 @@ class TokenBatch:
     [B x entities x 1 x 1 x L]) are built once here: 0 on visible keys,
     MASK_SCORE on hidden ones, or None when no key is hidden.
 
-    A sampler sets `history_rows` to the batch's history cache
-    (`Backbone.encode_history`), then writes each reverse step's state into
-    the target slots of `coords` in place and calls the network on the batch
-    again; the batch lives for one `sample_windows_batch` call.
+    `draws` says how many consecutive grids share one history.
+    `diffusion.diffusion_loss` sets it: it holds each window's grids, one
+    per (step, noise) draw, as a run of `draws` rows with equal history
+    rows, and the forecaster encodes the history of the first row of each
+    run only. A sampler's batch keeps `draws` 1. It sets `history_rows` to
+    the batch's history cache (`Backbone.encode_history`), then writes each
+    reverse step's state into the target slots of `coords` in place and
+    calls the network on the batch again; the batch lives for one
+    `sample_windows_batch` call.
     """
 
     coords: np.ndarray
@@ -146,6 +153,7 @@ class TokenBatch:
     anchor: np.ndarray | None
     spatial_bias: np.ndarray | None = field(init=False)
     temporal_bias: np.ndarray | None = field(init=False)
+    draws: int = field(init=False, default=1)
     history_rows: list | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -368,12 +376,19 @@ class Backbone:
         """The forecaster's history cache: per layer, the temporal keys and
         values (`ad.attention_kv`) of the frames before the batch's one
         history length H, embedded without a step and attending along time
-        to history keys only, so that they depend on the history alone."""
+        to history keys only, so that they depend on the history alone.
+        Only the first row of each run of `batch.draws` rows is encoded,
+        so the cache has B / draws rows."""
         (H,) = batch.history_lens
-        spatial, temporal = batch.spatial_bias, batch.temporal_bias
-        spatial = None if spatial is None else spatial[:, :H]
-        temporal = None if temporal is None else temporal[..., :H]
-        h = self.embed(batch, frames=slice(0, H)).h
+        B, draws = len(batch.coords), batch.draws
+        if B % draws:
+            raise ValueError(f"{B} grids do not split into runs of {draws} draws")
+        rows = slice(None, None, draws)
+        anchor = None if batch.anchor is None else batch.anchor[rows]
+        history = TokenBatch(batch.coords[rows, :H], batch.visibility[rows, :H],
+                             batch.noise_target[rows, :H], (H,), anchor)
+        spatial, temporal = history.spatial_bias, history.temporal_bias
+        h = self.embed(history).h
         cache = []
         for m in range(self.config.layers):
             h = self._attend(h, f"layer{m}.spatial", spatial)
@@ -389,8 +404,8 @@ class Backbone:
                       diffusion_step) -> ad.Tensor:
         """The latent of the frames from H on, [B x (L - H) x entities x d]:
         embedded with the step, attending along entities within their frame
-        and along time over the cached `history` keys (`encode_history`)
-        followed by their own."""
+        and along time over the cached `history` keys (`encode_history`,
+        one row per run of `batch.draws` rows) followed by their own."""
         (H,) = batch.history_lens
         spatial = batch.spatial_bias
         spatial = None if spatial is None else spatial[:, H:]
@@ -439,7 +454,8 @@ class TrajectoryModel:
         The batch has one history length H (a batch that mixes lengths is
         rejected), and only frames from H on hold targets. The history cache
         is `batch.history_rows` when a sampler has set it, or else encoded
-        here (`Backbone.encode_history`); the future rows run over it
+        here (`Backbone.encode_history`, once per run of `batch.draws` rows
+        that share a history); the future rows run over it
         (`Backbone.encode_future`), then the head. The output's history rows
         are zeros that nothing reads.
 

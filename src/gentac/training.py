@@ -5,11 +5,14 @@ gradient-norm clipping, the Adam(W) step, a tape-free validation pass per
 epoch, best-epoch retention and patience-based early stopping. A task
 supplies `step_loss(epoch, i, r)`, one training batch's loss, and
 `validate()`, the logged metric with a higher-is-better selection key. The
-forecaster validates on the diffusion MSE of held-out windows with frozen
-noise draws, so the number is comparable across epochs, and trains on
-joint windows (every tracked entity's future a target); the event
-classifier validates on top-1 type accuracy, loss breaking ties. Both decay
-weights by `weight_decay`, which the desk event config sets to zero.
+forecaster trains on joint windows (every tracked entity's future a
+target), each scored at `diffusion.DRAWS_PER_WINDOW` (step, noise) draws on
+one history encoding, so a step of `batch_size` loss terms reads
+⌈batch_size / DRAWS_PER_WINDOW⌉ windows. It validates on the same loss over
+held-out windows with frozen draws, so the number is comparable across
+epochs. The event classifier validates on top-1 type accuracy, loss
+breaking ties. Both decay weights by `weight_decay`, which the desk event
+config sets to zero.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .backbone import (ModelConfig, TrajectoryModel, assign_parameters,
                        load_checkpoint, save_checkpoint)
 from .data import (PitchSpec, flip_augment, normalize, window,
                    with_players_per_team)
-from .diffusion import diffusion_loss, make_schedule
+from .diffusion import DRAWS_PER_WINDOW, diffusion_loss, make_schedule
 from .events import TAXONOMY, EventModel, event_grid, hierarchical_loss_batch
 from .rng import Rng
 
@@ -59,7 +62,8 @@ class TrainConfig:
     # forecast-task geometry (frames) and diffusion schedule
     history_frames: int = 100
     window_frames: int = 5
-    max_history_frames: int | None = None  # train the rollout lengths too
+    # train the rollout lengths too, up to this; None: history_frames only
+    max_history_frames: int | None = None
     diffusion_steps: int = 100
     beta_start: float = 1e-4
     beta_end: float = 0.02
@@ -76,6 +80,10 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.early_stop_patience < 0:
             raise ValueError("patience must be non-negative")
+        if self.max_history_frames is not None and \
+                self.max_history_frames < self.history_frames:
+            raise ValueError(f"max_history_frames {self.max_history_frames} "
+                             f"is below history_frames {self.history_frames}")
 
     def model_config(self):
         return ModelConfig.from_dict(self.__dict__)
@@ -267,9 +275,11 @@ def _forecast_segments(clips, config):
     return [_normalized(clip, config) for clip in clips]
 
 
-def _forecast_batch(segments, config: TrainConfig, rng: Rng, n_items: int):
-    """Joint windows (target_side None) of one shared history length, as
-    one `predict_noise` batch needs."""
+def _forecast_batch(segments, config: TrainConfig, rng: Rng):
+    """⌈batch_size / DRAWS_PER_WINDOW⌉ joint windows (target_side None) of
+    one shared history length, as one `predict_noise` batch needs; with
+    `diffusion_loss`'s draws they give at least batch_size loss terms."""
+    n_items = math.ceil(config.batch_size / DRAWS_PER_WINDOW)
     w = config.window_frames
     h_max = config.max_history_frames or config.history_frames
     n_choices = max(1, (h_max - config.history_frames) // w + 1)
@@ -288,7 +298,8 @@ def _forecast_batch(segments, config: TrainConfig, rng: Rng, n_items: int):
 
 
 def _forecast_valid_loss(model, segments, config, schedule, rng: Rng) -> float:
-    """Diffusion MSE on centered held-out windows with frozen noise draws."""
+    """Diffusion MSE on centered held-out windows with frozen noise draws,
+    `diffusion_loss`'s DRAWS_PER_WINDOW per window."""
     hl, w = config.history_frames, config.window_frames
     items = []
     for seg in segments:
@@ -311,7 +322,7 @@ def _fit_forecast(model, split: TrainSplit, config: TrainConfig, rng: Rng):
     valid_segs = _forecast_segments(split.valid, config)
 
     def step_loss(epoch, i, r):
-        batch = _forecast_batch(train_segs, config, r, config.batch_size)
+        batch = _forecast_batch(train_segs, config, r)
         return diffusion_loss(model, batch, schedule, r.child("noise"))
 
     def validate():

@@ -132,6 +132,21 @@ def block_masked_full_rows(model, grids, step):
     return ad.concat([np.zeros((B, H, E, 2)), out], axis=1)
 
 
+class OwnHistoryPerRow:
+    """`model` with every row of a batch encoding its own copy of the
+    history: `predict_noise` on a fresh batch of the same grids with `draws`
+    1. `diffusion_loss` on it makes the same draws as on `model` and is the
+    reference for the history encoding those draws share."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_noise(self, batch, step):
+        own = replace(batch)
+        own.draws = 1
+        return self.model.predict_noise(own, step)
+
+
 def reference_sample_windows_batch(histories, futures, model, schedule, rngs,
                                    target_side=None):
     """`diffusion.sample_windows_batch` as a step loop that rebuilds the

@@ -483,6 +483,73 @@ def test_attention_gradient_vs_finite_differences():
         check_grads(f, params)
 
 
+def _shared_prefix_inputs(seed, draws=2, keys=7, groups=3, prefix=3):
+    """`_block_inputs` along time with h of 2·draws rows, each row of the
+    2-row prefix serving `draws` consecutive ones, and that prefix repeated
+    explicitly into a 2·draws-row Parameter."""
+    h, weights, _, heads, pre = _block_inputs(keys, groups, True, seed,
+                                              prefix=prefix)
+    rng = np.random.default_rng(seed + 1)
+    h = ad.Parameter(rng.normal(size=(2 * draws, *h.shape[1:])), "h")
+    visible = rng.uniform(size=(2 * draws, groups, keys)) > 0.3
+    visible[..., 0] = True
+    bias = np.where(visible, 0.0, MASK_SCORE)[:, :, None, None, :]
+    repeated = ad.Parameter(np.repeat(pre.data, draws, axis=1), "repeated")
+    return h, weights, bias, heads, pre, repeated
+
+
+def test_a_prefix_shared_by_draws_is_the_repeated_prefix():
+    draws = 2
+    h, weights, bias, heads, pre, repeated = _shared_prefix_inputs(15, draws)
+    g = np.random.default_rng(4).normal(size=h.shape)
+
+    def run(prefix):
+        for p in (h, *weights, prefix):
+            p.zero_grad()
+        out, kv = ad.attention_block(h, weights, bias, heads, True, prefix, True)
+        g_kv = np.linspace(-1.0, 1.0, kv.data.size).reshape(kv.shape)
+        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g)))
+                    + ad.sum_(ad.mul(kv, ad.Tensor(g_kv))))
+        with ad.no_grad():
+            untaped = ad.attention_block(h, weights, bias, heads, True, prefix)
+        assert untaped.data.tobytes() == out.data.tobytes()
+        return ([out.data.tobytes(), kv.data.tobytes()],
+                [p.grad.tobytes() for p in (h, *weights)], prefix.grad.copy())
+
+    shared, repeat = run(pre), run(repeated)
+    assert shared[:2] == repeat[:2]
+    summed = repeat[2].reshape(2, -1, draws, *repeat[2].shape[2:]).sum(2)
+    assert shared[2].tobytes() == summed.tobytes()
+
+
+def test_a_shared_prefix_gradient_vs_finite_differences():
+    h, weights, bias, heads, pre, _ = _shared_prefix_inputs(16, keys=5,
+                                                            groups=2, prefix=2)
+    g = np.linspace(0.5, 1.5, h.data.size).reshape(h.shape)
+    params = [h, *weights, pre]
+
+    def f():
+        out = ad.attention_block(h, weights, bias, heads, True, pre)
+        return ad.sum_(ad.mul(out, ad.Tensor(g)))
+
+    for p in params:
+        p.zero_grad()
+    ad.backward(f())
+    # against each parameter's largest entry: central differences carry an
+    # absolute error near 1e-9 here, which swamps entries near zero
+    fd = fd_gradient(lambda: float(f().data), params)
+    for p in params:
+        assert np.abs(p.grad - fd[p.name]).max() <= 1e-6 * np.abs(p.grad).max(), \
+            p.name
+
+
+def test_a_prefix_must_serve_a_whole_number_of_rows():
+    h, weights, bias, heads, pre, _ = _shared_prefix_inputs(17)
+    with pytest.raises(ValueError, match="a prefix of 2 rows cannot serve 3 rows"):
+        ad.attention_block(ad.Tensor(h.data[:3]), weights, bias[:3], heads,
+                           True, pre)
+
+
 def test_attention_kv_is_the_blocks_keys_and_values():
     h, weights, bias, heads, _ = _block_inputs(7, 3, True, seed=13)
     g = np.random.default_rng(3).normal(size=(2, 2, 3, heads, 7, 3))

@@ -9,13 +9,13 @@ import pytest
 from gentac import autodiff as ad
 from gentac.backbone import ANCHOR_SCALE, ModelConfig, TrajectoryModel
 from gentac.data import Segment
-from gentac.diffusion import (DiffusionSchedule, RolloutConfig,
-                              condition_tagging, diffusion_loss, denoise_step,
-                              forward_noise, make_schedule, rollout,
-                              sample_windows_batch)
+from gentac.diffusion import (DRAWS_PER_WINDOW, DiffusionSchedule,
+                              RolloutConfig, condition_tagging,
+                              diffusion_loss, denoise_step, forward_noise,
+                              make_schedule, rollout, sample_windows_batch)
 from gentac.fixtures import constant_velocity_clips, event_class_clips
 from gentac.rng import Rng
-from helpers import (league_clips, oracle_sampler_mse,
+from helpers import (OwnHistoryPerRow, league_clips, oracle_sampler_mse,
                      reference_sample_windows_batch)
 
 # value computed by an independent pure-python running-product loop over the
@@ -192,6 +192,46 @@ def test_loss_excludes_conditioning_coordinates():
 
     l_garbage = diffusion_loss(HistoryGarbage(), batch, schedule, Rng(8, ("m",)))
     assert float(l_zero.data) == pytest.approx(float(l_garbage.data), abs=1e-12)
+
+
+def test_loss_checks_for_targets_before_the_network_runs():
+    # it used to run the whole forward first: the stub counted its calls
+    batch = _loss_batch(n_items=2)
+    for history, future, _ in batch:
+        history.visibility[:] = False
+        future.visibility[:] = False
+    stub = _StubModel(0.0)
+    with pytest.raises(ValueError, match="no noise-target coordinates"):
+        diffusion_loss(stub, batch, make_schedule(10), Rng(2, ("empty",)))
+    assert stub.calls == 0
+
+
+def test_draws_share_one_history_encoding_at_per_row_precision():
+    # the reference runs the same draws with every row encoding its own copy
+    # of the history; only the order of floating-point sums differs
+    cfg = ModelConfig(d=8, layers=2, heads=2, n_players=2, l_max=16)
+    model = TrajectoryModel(cfg, Rng(5))
+    for name, p in model.params.items():   # a zero head passes no gradient
+        p.data = p.data + 0.3 * Rng(6, ("perturb", name)).normal(p.data.shape)
+    batch = _loss_batch(rng_seed=3, n_items=3, H=6, w=3)
+    batch[1][0].visibility[:2, 1] = False    # a hidden history key
+    schedule = make_schedule(50)
+
+    def loss_and_grads(net):
+        for p in model.params.values():
+            p.zero_grad()
+        loss = diffusion_loss(net, batch, schedule, Rng(7, ("shared",)))
+        ad.backward(loss)
+        return float(loss.data), {n: p.grad.copy() for n, p in model.params.items()}
+
+    calls = model.calls
+    shared, grads = loss_and_grads(model)
+    assert model.calls - calls == DRAWS_PER_WINDOW * len(batch)
+    ref, ref_grads = loss_and_grads(OwnHistoryPerRow(model))
+    assert abs(shared - ref) <= 1e-13 * abs(ref)
+    for name, g in ref_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-13 * np.abs(g).max(), name
+    assert all(np.abs(g).max() > 0 for g in ref_grads.values())
 
 
 def test_untrained_model_loss_near_one_and_decreases():

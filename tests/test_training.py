@@ -9,7 +9,9 @@ import pytest
 from gentac import autodiff as ad
 from gentac import training
 from gentac.backbone import ModelConfig, load_checkpoint, save_checkpoint
+from gentac.diffusion import DRAWS_PER_WINDOW, diffusion_loss
 from gentac.fixtures import constant_velocity_clips, event_class_clips
+from gentac.rng import Rng
 from gentac.training import (AdamState, TrainConfig, TrainSplit, finetune,
                              clip_gradients, desk_event_config,
                              desk_forecast_config, load_model, lr_at,
@@ -125,6 +127,50 @@ def tiny_event_config(**over):
                 batch_size=4, seed=3)
     base.update(over)
     return desk_event_config(**base)
+
+
+def test_max_history_frames_below_history_frames_fails_in_one_line():
+    # it used to be accepted, and training then drew 25-frame histories only
+    with pytest.raises(ValueError, match="^max_history_frames 10 is below "
+                                         "history_frames 25$"):
+        TrainConfig(task="forecast", history_frames=25, max_history_frames=10)
+    for longest in (None, 25, 45):
+        TrainConfig(task="forecast", history_frames=25,
+                    max_history_frames=longest)
+
+
+class _RecordingModel:
+    """Stands in for the forecaster: records each batch it is handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def predict_noise(self, batch, step):
+        self.batches.append(batch)
+        return ad.Tensor(np.zeros(batch.coords.shape))
+
+
+@pytest.mark.parametrize("batch_size", range(1, 10))
+def test_a_step_reads_windows_for_its_loss_terms_in_draws(batch_size):
+    config = tiny_forecast_config(batch_size=batch_size)
+    segments = training._forecast_segments(
+        constant_velocity_clips(4, seed=2, duration_s=1.0), config)
+    windows = training._forecast_batch(segments, config, Rng(1, ("step",)))
+    assert len(windows) == math.ceil(batch_size / DRAWS_PER_WINDOW)
+    model = _RecordingModel()
+    diffusion_loss(model, windows, config.schedule(), Rng(2, ("noise",)))
+    (batch,) = model.batches
+    M = DRAWS_PER_WINDOW
+    assert batch.draws == M and len(batch.coords) == M * len(windows)
+    H = config.history_frames
+    for i, (history, _, _) in enumerate(windows):
+        run = batch.coords[i * M:(i + 1) * M]
+        assert all(np.array_equal(row[:H], history.coords) for row in run)
+        assert not np.array_equal(run[0, H:], run[1, H:])   # own noise
+    # the forecaster encodes each window's history once
+    forecaster = training.MODELS["forecast"](config.model_config(), Rng(3))
+    cache = forecaster.backbone.encode_history(batch)
+    assert [kv.shape[1] for kv in cache] == [len(windows)] * config.layers
 
 
 def test_split_keeps_clips_whole():
