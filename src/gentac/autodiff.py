@@ -21,7 +21,8 @@ one flattened GEMM. Its inner values are not checked for finiteness on
 their own; its output is. Along time it can also hand its keys and values
 on as a second tape node, and take such keys and values of earlier frames
 as a prefix (`attention_kv` computes them alone): the forecaster encodes a
-history once and runs later rows over it.
+history once and runs later rows over it. Calls that run over one prefix
+again and again can write it once into a `kv_buffer` and pass that.
 
 Inference mode: inside `with no_grad():` the same ops run the same
 arithmetic but keep no tape (no parents, no backward closure) and skip the
@@ -489,20 +490,19 @@ def attention_kv(h: Tensor, weights, heads) -> Tensor:
     return _kv_tensor(h, weights, rows, xhat, inv, k, _split_heads(v, heads))
 
 
-def _after_prefix(prefix, own, draws):
-    """`own` [B x G x heads x T x dh] behind the P prefix rows of `prefix`
-    [B/draws x G x heads x P x dh] along the second-last axis, in one fresh
-    buffer: each prefix row goes before `draws` consecutive rows of `own`,
-    repeated as it is written, not copied first. The buffer keeps a row's
-    heads together in memory, as `_split_heads` views do, so both writes
-    copy whole rows instead of gathering dh values at a time."""
-    B, G, n, T, dh = own.shape
-    P = prefix.shape[-2]
-    out = np.swapaxes(np.empty((B // draws, draws, G, P + T, n, dh)), 3, 4)
-    out[..., :P, :] = prefix[:, None]
-    out = out.reshape(B, G, n, P + T, dh)
-    out[..., P:, :] = own
-    return out
+def kv_buffer(prefix: Tensor, draws, rows) -> np.ndarray:
+    """A fresh [2 x B x G x heads x (P + rows) x dh] key/value buffer whose
+    first P rows along the second-last axis hold the keys and values
+    `prefix` [2 x B/draws x G x heads x P x dh], each prefix row repeated
+    before `draws` consecutive rows as it is written, not copied first; the
+    `rows` behind them are left for a block's own (`attention_block`). The
+    buffer keeps a row's heads together in memory, as `_split_heads` views
+    do, so both writes copy whole rows instead of gathering dh values at a
+    time."""
+    _, Bp, G, n, P, dh = prefix.shape
+    out = np.swapaxes(np.empty((2, Bp, draws, G, P + rows, n, dh)), 4, 5)
+    out[..., :P, :] = prefix.data[:, :, None]
+    return out.reshape(2, Bp * draws, G, n, P + rows, dh)
 
 
 def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
@@ -533,6 +533,10 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
       covers, and the prefix receives its gradient. A prefix may have B/M
       rows for M draws that share it: its row b serves rows b*M to
       b*M + M - 1 of `h`, and its gradient is the sum over those draws.
+      Without a tape, `prefix` may instead be a `kv_buffer` that already
+      holds it: the block writes its own keys and values behind the prefix
+      rows and reads the buffer, so calls that reuse one buffer copy the
+      prefix once.
 
     The forward is the arithmetic of the chain of primitive ops
     (`layer_norm`, `swapaxes`, `matmul`, `add`, `concat`, `softmax`,
@@ -562,11 +566,16 @@ def attention_block(h: Tensor, weights, bias, heads, along_time, prefix=None,
     P = 0 if prefix is None else prefix.shape[-2]
     draws = B // prefix.shape[1] if P else 1
     if P:
-        if draws * prefix.shape[1] != B:
-            raise ValueError(f"a prefix of {prefix.shape[1]} rows cannot "
-                             f"serve {B} rows")
-        k = _after_prefix(prefix.data[0], k, draws)
-        v = _after_prefix(prefix.data[1], v, draws)
+        buffer = prefix
+        if isinstance(prefix, Tensor):
+            if draws * prefix.shape[1] != B:
+                raise ValueError(f"a prefix of {prefix.shape[1]} rows cannot "
+                                 f"serve {B} rows")
+            buffer = kv_buffer(prefix, draws, T)
+        P = buffer.shape[-2] - T
+        buffer[0, ..., P:, :] = k
+        buffer[1, ..., P:, :] = v
+        k, v = buffer
     if not taped:
         xhat = inv = None
     att = q @ np.swapaxes(k, -1, -2)

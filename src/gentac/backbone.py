@@ -19,9 +19,11 @@ carry no step embedding and, along time, attend to history keys only, so
 their rows depend on the history alone. `Backbone.encode_history` caches
 each layer's temporal keys and values of those rows; the W future rows
 (`Backbone.encode_future`) carry the step and attend over the cached keys
-and their own. A sampler encodes the history once per window; training
-encodes it once for the several (step, noise) draws of a window, which the
-batch holds as consecutive rows (`TokenBatch.draws`).
+and their own. Training encodes the history once for the several (step,
+noise) draws of a window, which the batch holds as consecutive rows
+(`TokenBatch.draws`). A sampler plans a window once (`plan_steps`): the
+history's keys and values go into per-layer buffers with room for the
+future rows, and the future rows' step-invariant embedding terms are kept.
 
 `build_token_grid` builds the forecaster's grids; the event model's come
 from `events.event_grid`. Forecast grids also carry each entity's anchor,
@@ -135,14 +137,17 @@ class TokenBatch:
     [B x entities x 1 x 1 x L]) are built once here: 0 on visible keys,
     MASK_SCORE on hidden ones, or None when no key is hidden.
 
-    `draws` says how many consecutive grids share one history.
-    `diffusion.diffusion_loss` sets it: it holds each window's grids, one
-    per (step, noise) draw, as a run of `draws` rows with equal history
-    rows, and the forecaster encodes the history of the first row of each
-    run only. A sampler's batch keeps `draws` 1. It sets `history_rows` to
-    the batch's history cache (`Backbone.encode_history`), then writes each
-    reverse step's state into the target slots of `coords` in place and
-    calls the network on the batch again; the batch lives for one
+    `draws` says how many consecutive grids share one history, and the
+    forecaster encodes the history of the first row of each run of `draws`
+    rows only. `diffusion.diffusion_loss` holds each window's grids, one
+    per (step, noise) draw, as such runs. `diffusion.sample_windows_batch`
+    sets `draws` to K when its K chains' history rows are equal bit for
+    bit, as in a rollout's first window, and keeps 1 otherwise. It then
+    has `Backbone.plan_steps` set `history_rows`, per layer a key/value
+    buffer holding the history's keys and values, and `addends`, the
+    future rows' slice with their embedding terms; writes each reverse
+    step's state into the target slots of `coords` in place; and calls the
+    network on the batch again. The batch lives for one
     `sample_windows_batch` call.
     """
 
@@ -155,6 +160,7 @@ class TokenBatch:
     temporal_bias: np.ndarray | None = field(init=False)
     draws: int = field(init=False, default=1)
     history_rows: list | None = field(init=False, default=None)
+    addends: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.spatial_bias = _key_mask_bias(self.visibility)
@@ -308,11 +314,11 @@ class Backbone:
         embedding of `diffusion_step` (shared, or one per batch element) when
         given. Anchored (forecast) batches project every non-target token as
         its scaled displacement from its entity's anchor, the space the
-        target slots already hold, and, when this backbone owns
-        `embed.anchor_w` (the trajectory model's does), add the anchor's own
-        projection to each of its entity's tokens."""
+        target slots already hold. The terms after the projection are
+        `_embed_addends(batch, frames)`, added in that order; the batch's
+        `addends` when they were built for these frames."""
         cfg = self.config
-        B, L, E = batch.coords.shape[:3]
+        B, L = batch.coords.shape[:2]
         if L > cfg.l_max:
             raise ValueError(f"grid length {L} exceeds temporal table {cfg.l_max}")
         p = self.params
@@ -323,16 +329,11 @@ class Backbone:
             coords = np.where(target[..., None], coords,
                               to_displacement(coords, anchors[:, None]))
         h = ad.matmul(ad.Tensor(coords), p["embed.proj_w"]) + p["embed.proj_b"]
-        temporal = ad.take(p["embed.temporal"], (None, frames, None))
-        group = ad.matmul(ad.Tensor(self._group_select), p["embed.group"])
-        h = h + temporal + group + p["embed.entity"]
-        if anchors is not None and "embed.anchor_w" in p:
-            anchor = ad.matmul(ad.Tensor(anchors), p["embed.anchor_w"])
-            h = h + ad.reshape(anchor, (B, 1, E, cfg.d))
-        if target.any():
-            marker = ad.mul(p["embed.target_marker"],
-                            ad.Tensor(target[..., None].astype(np.float64)))
-            h = h + marker
+        built, addends = batch.addends or (None, None)
+        if built != frames:
+            addends = self._embed_addends(batch, frames)
+        for addend in addends:
+            h = h + addend
         if diffusion_step is not None:
             if np.ndim(diffusion_step) == 0:
                 emb = sinusoidal_embedding(int(diffusion_step), cfg.d)
@@ -344,6 +345,27 @@ class Backbone:
                                 for s in steps])[:, None, None, :]
             h = h + ad.Tensor(emb)
         return LatentGrid(h, batch)
+
+    def _embed_addends(self, batch: TokenBatch, frames) -> list:
+        """The terms `embed` adds to the projection of the batch's `frames`
+        (a slice), none of which reads a coordinate: the temporal rows, the
+        group rows, the entity rows; for an anchored batch, when this
+        backbone owns `embed.anchor_w` (the trajectory model's does), each
+        anchor's projection added to its entity's tokens; and the target
+        marker on target slots, when the frames hold any."""
+        p = self.params
+        B, _, E = batch.coords.shape[:3]
+        out = [ad.take(p["embed.temporal"], (None, frames, None)),
+               ad.matmul(ad.Tensor(self._group_select), p["embed.group"]),
+               p["embed.entity"]]
+        if batch.anchor is not None and "embed.anchor_w" in p:
+            anchor = ad.matmul(ad.Tensor(batch.anchor), p["embed.anchor_w"])
+            out.append(ad.reshape(anchor, (B, 1, E, self.config.d)))
+        target = batch.noise_target[:, frames]
+        if target.any():
+            out.append(ad.mul(p["embed.target_marker"],
+                              ad.Tensor(target[..., None].astype(np.float64))))
+        return out
 
     def _weights(self, sublayer):
         return tuple(self.params[f"{sublayer}.{w}"] for w in
@@ -400,12 +422,27 @@ class Backbone:
             cache.append(kv)
         return cache
 
+    def plan_steps(self, batch: TokenBatch):
+        """Build once what every reverse step on `batch` reads and no step
+        changes, for forwards under `ad.no_grad()` with fixed parameters:
+        `batch.history_rows` becomes, per layer, an `ad.kv_buffer` holding
+        the history's keys and values (`encode_history`) ahead of room for
+        the W future rows, and `batch.addends` the future rows'
+        `_embed_addends`."""
+        (H,) = batch.history_lens
+        L = batch.coords.shape[1]
+        batch.history_rows = [ad.kv_buffer(kv, batch.draws, L - H)
+                              for kv in self.encode_history(batch)]
+        frames = slice(H, L, 1)           # as `embed` normalizes them
+        batch.addends = (frames, self._embed_addends(batch, frames))
+
     def encode_future(self, batch: TokenBatch, history: list,
                       diffusion_step) -> ad.Tensor:
         """The latent of the frames from H on, [B x (L - H) x entities x d]:
         embedded with the step, attending along entities within their frame
-        and along time over the cached `history` keys (`encode_history`,
-        one row per run of `batch.draws` rows) followed by their own."""
+        and along time over the cached `history` keys followed by their
+        own. `history` is `encode_history`'s cache, one row per run of
+        `batch.draws` rows, or `plan_steps`'s buffers that already hold it."""
         (H,) = batch.history_lens
         spatial = batch.spatial_bias
         spatial = None if spatial is None else spatial[:, H:]
@@ -453,9 +490,9 @@ class TrajectoryModel:
 
         The batch has one history length H (a batch that mixes lengths is
         rejected), and only frames from H on hold targets. The history cache
-        is `batch.history_rows` when a sampler has set it, or else encoded
-        here (`Backbone.encode_history`, once per run of `batch.draws` rows
-        that share a history); the future rows run over it
+        is `batch.history_rows` when a sampler has set it (`plan_steps`), or
+        else encoded here (`Backbone.encode_history`, once per run of
+        `batch.draws` rows that share a history); the future rows run over it
         (`Backbone.encode_future`), then the head. The output's history rows
         are zeros that nothing reads.
 

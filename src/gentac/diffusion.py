@@ -12,9 +12,13 @@ horizons are chains of such windows, each conditioned on everything
 generated so far. Every coordinate not flagged as a noise target is held
 bit-identical through all reverse steps.
 
-A window's K chains share one `backbone.TokenBatch`, its clip bounds and
-its history encoding, all built once; each reverse step updates the target
-slots in place and runs the network on the W future rows only.
+A window's K chains share one `backbone.TokenBatch` and a plan built once
+per window: the clip bounds, the history's per-layer keys and values in
+buffers with room for the future rows, and the future rows' embedding
+terms. In a rollout's first window the K chains hold the same history, and
+it is encoded once for all of them; later windows hold each chain's own
+generated frames. Each reverse step runs the network on the W future rows
+only and makes one update over all chains in place.
 """
 
 from __future__ import annotations
@@ -275,53 +279,72 @@ def sample_windows_batch(histories, futures, model, schedule, rngs,
     `target_side`, the other side's and the ball's futures) are frozen at
     every step, and the outputs stay in normalized coordinates.
 
-    The chains' grids are stacked into one `TokenBatch` whose history is
-    encoded once (`Backbone.encode_history`, not a network evaluation).
-    Returns (one future Segment per chain, number of target coordinates the
+    The chains' grids are stacked into one `TokenBatch`, and everything a
+    step reads that no step changes is built once (`Backbone.plan_steps`,
+    not a network evaluation): the history's keys and values, encoded once
+    for all chains when their history rows are equal bit for bit (the
+    batch's `draws` is then K), and the future rows' embedding terms. Each
+    step gathers every chain's target slots at once and makes one
+    `denoise_step`, whose noise for chain i comes from
+    `rngs[i].child("noise", s)`. Returns (one future Segment per chain,
+    each with arrays of its own, and the number of target coordinates the
     clip moved over all chains and steps). The network runs under
     `ad.no_grad()`: sampling never calls backward, so no tape is kept and
-    only the network output is checked for finiteness.
+    only the network output is checked for finiteness. `histories`,
+    `futures` and `rngs` must have one entry per chain.
     """
+    K = len(histories)
+    if not K == len(futures) == len(rngs):
+        raise ValueError(f"{K} histories, {len(futures)} futures and "
+                         f"{len(rngs)} rngs: need one of each per chain")
     E = histories[0].n_entities
     w = len(futures[0])
     batch = stack_grids([build_token_grid(h, f, target_side)
                          for h, f in zip(histories, futures)])
     (H,) = batch.history_lens
+    past = [a[:, :H].view(f"i{a.itemsize}")     # compared bit for bit
+            for a in (batch.coords, batch.visibility)]
+    if all((rows[1:] == rows[:1]).all() for rows in past):
+        batch.draws = K                    # one history encoding serves all
     state = batch.coords[:, H:]            # a view: writes land in the batch
-    masks = batch.noise_target[:, H:]
-    bounds = []
-    for i, rng in enumerate(rngs):
-        init = rng.child("init").normal((w, E, 2))
-        state[i][masks[i]] = init[masks[i]]
-        # each target coordinate's anchor, aligned with the masked state
-        anchor = np.broadcast_to(batch.anchor[i], (w, E, 2))[masks[i]]
-        bounds.append((anchor, to_displacement(-1.0, anchor),
-                       to_displacement(1.0, anchor)))
+    mask = batch.noise_target[:, H:]
+    init = np.stack([rng.child("init").normal((w, E, 2)) for rng in rngs])
+    state[mask] = init[mask]
+    # each target coordinate's anchor and clip bounds, aligned with state[mask]
+    anchor = np.broadcast_to(batch.anchor[:, None], state.shape)[mask]
+    lo, hi = to_displacement(-1.0, anchor), to_displacement(1.0, anchor)
+    counts = np.count_nonzero(mask, axis=(1, 2))
 
-    with ad.no_grad():
-        batch.history_rows = model.backbone.encode_history(batch)
     clamped = 0
-    for s in range(schedule.steps, 0, -1):
-        with ad.no_grad():
-            x0_pred = model.predict_noise(batch, step=s).data
-        ab = schedule.alpha_bar(s)
-        for i, (_, lo, hi) in enumerate(bounds):
-            mask = masks[i]
-            x_s = state[i][mask]
-            x0_raw = x0_pred[i, H:][mask]
+    with ad.no_grad():
+        model.backbone.plan_steps(batch)
+        for s in range(schedule.steps, 0, -1):
+            x0_raw = model.predict_noise(batch, step=s).data[:, H:][mask]
             x0_hat = np.clip(x0_raw, lo, hi)
             clamped += int(np.count_nonzero(x0_hat != x0_raw))
+            ab = schedule.alpha_bar(s)
+            x_s = state[mask]
             eps_hat = (x_s - math.sqrt(ab) * x0_hat) / math.sqrt(1.0 - ab)
-            step_rng = rngs[i].child("noise", s)
-            state[i][mask] = denoise_step(x_s, eps_hat, s, schedule, step_rng)
+            state[mask] = denoise_step(x_s, eps_hat, s, schedule,
+                                       _ChainNoise(rngs, s, counts))
 
-    outputs = []
-    for i, (anchor, _, _) in enumerate(bounds):
-        coords = state[i].copy()
-        coords[masks[i]] = from_displacement(coords[masks[i]], anchor)
-        outputs.append(replace(histories[i], coords=coords,
-                               visibility=batch.visibility[i, H:].copy()))
-    return outputs, clamped
+    state[mask] = from_displacement(state[mask], anchor)
+    return [replace(h, coords=state[i].copy(),
+                    visibility=batch.visibility[i, H:].copy())
+            for i, h in enumerate(histories)], clamped
+
+
+class _ChainNoise:
+    """The noise of reverse step `s` for all chains in one draw, as
+    `denoise_step` asks its stream for it: chain i's `counts[i]` rows come
+    from its own stream `rngs[i].child("noise", s)`, made only when drawn."""
+
+    def __init__(self, rngs, s, counts):
+        self.rngs, self.s, self.counts = rngs, s, counts
+
+    def normal(self, shape):
+        return np.concatenate([r.child("noise", self.s).normal((n, *shape[1:]))
+                               for r, n in zip(self.rngs, self.counts)])
 
 
 def rollout(history: Segment, config: RolloutConfig, model: TrajectoryModel,

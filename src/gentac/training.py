@@ -25,8 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .backbone import (ModelConfig, TrajectoryModel, assign_parameters,
                        load_checkpoint, save_checkpoint)
-from .data import (PitchSpec, flip_augment, normalize, window,
-                   with_players_per_team)
+from .data import PitchSpec, flip_augment, normalize, window
 from .diffusion import DRAWS_PER_WINDOW, diffusion_loss, make_schedule
 from .events import TAXONOMY, EventModel, event_grid, hierarchical_loss_batch
 from .rng import Rng
@@ -266,8 +265,10 @@ def _fit(model, config: TrainConfig, rng: Rng, n_train: int, step_loss, validate
 
 
 def _normalized(clip, config):
-    """`clip` narrowed to the model's team size, densified and normalised."""
-    return normalize(with_players_per_team(clip, config.n_players),
+    """`clip` narrowed to the model's team size, densified and normalised.
+    `clip_to_segment` checks that the rosters fit that size in the one walk
+    over the frames that finds them."""
+    return normalize(dc_replace(clip, players_per_team=config.n_players),
                      PitchSpec.for_sport(config.sport))
 
 

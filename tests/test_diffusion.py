@@ -344,9 +344,13 @@ def _live_model(seed):
     return model
 
 
-def _window_inputs(w, target_side, seed):
-    """K = 3 six-frame histories, their window futures and chain streams."""
-    histories = [make_segment(6, rng=Rng(seed, ("h", k))) for k in range(3)]
+def _window_inputs(w, target_side, seed, shared=False):
+    """K = 3 six-frame histories, their window futures and chain streams;
+    `shared`: one history for all three, as in a rollout's first window."""
+    if shared:
+        histories = [make_segment(6, rng=Rng(seed, "h"))] * 3
+    else:
+        histories = [make_segment(6, rng=Rng(seed, ("h", k))) for k in range(3)]
     if target_side is None:
         futures = [np.zeros((w, 5, 2))] * 3
     else:
@@ -362,12 +366,13 @@ def _same(run, other):
         for a, b in zip(run[0], other[0]))
 
 
-@pytest.mark.parametrize("target_side", [None, 0])
-@pytest.mark.parametrize("w", [1, 5])
-def test_window_batch_equals_the_fresh_grid_step_loop(w, target_side):
+@pytest.mark.parametrize("w, target_side, shared", [
+    pytest.param(w, side, shared, id=f"{w}-{side}" + "-shared" * shared)
+    for shared in (False, True) for w in (1, 5) for side in (None, 0)])
+def test_window_batch_equals_the_fresh_grid_step_loop(w, target_side, shared):
     model = _live_model(50)
     schedule = make_schedule(6)
-    runs = [_window_inputs(w, target_side, seed) for seed in (51, 52)]
+    runs = [_window_inputs(w, target_side, seed, shared) for seed in (51, 52)]
     histories, _, _ = runs[1]
     histories[1].visibility[2, 3] = False       # one hidden key: masks apply
     # two calls in a row: the second must not reuse anything of the first
@@ -392,6 +397,63 @@ def test_a_parameter_changed_between_calls_reaches_the_next_call():
     assert _same(after, sample_windows_batch(h, f, fresh, schedule, r))
     assert _same(after, reference_sample_windows_batch(h, f, fresh, schedule, r))
     assert not _same(after, before)
+
+
+def test_a_window_needs_one_history_future_and_stream_per_chain():
+    # a short list used to cut the chains silently to its length
+    h, f, r = _window_inputs(2, None, 55)
+    model = _live_model(56)
+    for futures, rngs, counts in ((f, r[:2], "3 futures and 2"),
+                                  (f[:2], r[:2], "2 futures and 2")):
+        with pytest.raises(ValueError, match=f"^3 histories, {counts} rngs: "
+                                             "need one of each per chain$"):
+            sample_windows_batch(h, futures, model, make_schedule(2), rngs)
+    assert model.calls == 0
+
+
+def test_equal_histories_are_encoded_once_per_window():
+    model = _live_model(57)
+    rows, encode_history = [], model.backbone.encode_history
+
+    def recording(batch):
+        cache = encode_history(batch)
+        rows.append([kv.shape[1] for kv in cache])
+        return cache
+
+    model.backbone.encode_history = recording
+    shared = _window_inputs(2, None, 58, shared=True)
+    hidden = [h.copy() for h in shared[0]]
+    hidden[2].visibility[1, 0] = False      # equal coordinates, one key hidden
+    for h, f, r in (shared, _window_inputs(2, None, 58), (hidden, *shared[1:])):
+        sample_windows_batch(h, f, model, make_schedule(3), r)
+    assert rows == [[n] * CFG.layers for n in (1, 3, 3)]
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_one_denoise_step_per_reverse_step_for_any_k(monkeypatch, K):
+    steps = []
+
+    def recording(x_s, eps_hat, s, schedule, rng):
+        steps.append(s)
+        return denoise_step(x_s, eps_hat, s, schedule, rng)
+
+    monkeypatch.setattr("gentac.diffusion.denoise_step", recording)
+    h, f, r = _window_inputs(2, 1, 59)
+    sample_windows_batch(h[:K], f[:K], _live_model(60), make_schedule(4), r[:K],
+                         target_side=1)
+    assert steps == [4, 3, 2, 1]
+
+
+def test_window_futures_do_not_share_memory():
+    h, f, r = _window_inputs(2, None, 61, shared=True)
+    futures, _ = sample_windows_batch(h, f, _live_model(62), make_schedule(2), r)
+    before = [fut.coords.copy() for fut in futures]
+    futures[0].coords[...] = 0.0
+    futures[0].visibility[...] = False
+    for fut, old in zip(futures[1:], before[1:]):
+        assert fut.coords.tobytes() == old.tobytes() and fut.visibility.all()
+    assert not any(np.shares_memory(fut.coords, x.coords)
+                   for fut in futures for x in h)
 
 
 def test_rollout_window_count_and_network_evals():

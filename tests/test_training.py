@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gentac import autodiff as ad
-from gentac import training
+from gentac import data, training
 from gentac.backbone import ModelConfig, load_checkpoint, save_checkpoint
 from gentac.diffusion import DRAWS_PER_WINDOW, diffusion_loss
 from gentac.fixtures import constant_velocity_clips, event_class_clips
@@ -171,6 +171,27 @@ def test_a_step_reads_windows_for_its_loss_terms_in_draws(batch_size):
     forecaster = training.MODELS["forecast"](config.model_config(), Rng(3))
     cache = forecaster.backbone.encode_history(batch)
     assert [kv.shape[1] for kv in cache] == [len(windows)] * config.layers
+
+
+def test_a_training_clip_walks_its_frames_for_its_rosters_once(monkeypatch):
+    # narrowing a clip to the model's team size used to walk its frames for
+    # the rosters and check their sizes, and densifying it did both again
+    walks = []
+
+    def recording(clip, walk=data._entity_ids):
+        walks.append(clip)
+        return walk(clip)
+
+    monkeypatch.setattr(data, "_entity_ids", recording)
+    config = tiny_forecast_config(n_players=4)
+    (clip,) = constant_velocity_clips(1, seed=2, duration_s=0.2)
+    seg = training._normalized(clip, config)
+    assert len(walks) == 1 and seg.players_per_team == 4 and seg.normalized
+    assert clip.players_per_team == 3                # the clip is unchanged
+    with pytest.raises(ValueError, match="^team0 roster of 3 exceeds 2 "
+                                         "players per team$"):
+        training._normalized(clip, tiny_forecast_config(n_players=2))
+    assert len(walks) == 2
 
 
 def test_split_keeps_clips_whole():
