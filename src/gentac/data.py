@@ -369,12 +369,13 @@ def segment_to_clip(seg: Segment, sport="soccer", metadata=None,
         coords = denormalize_xy(coords, PitchSpec.for_sport(sport))
     n = seg.players_per_team
     frames = []
-    for t in range(len(seg)):
-        team0 = {pid: (tuple(coords[t, i]) if seg.visibility[t, i] else None)
+    # nested lists of Python floats: one conversion, not one per position
+    for t, (xy, seen) in enumerate(zip(coords.tolist(), seg.visibility.tolist())):
+        team0 = {pid: (tuple(xy[i]) if seen[i] else None)
                  for i, pid in enumerate(seg.roster0)}
-        team1 = {pid: (tuple(coords[t, n + i]) if seg.visibility[t, n + i] else None)
+        team1 = {pid: (tuple(xy[n + i]) if seen[n + i] else None)
                  for i, pid in enumerate(seg.roster1)}
-        ball = tuple(coords[t, 2 * n]) if seg.visibility[t, 2 * n] else None
+        ball = tuple(xy[2 * n]) if seen[2 * n] else None
         frames.append(Frame(start_index + t, ball, team0, team1))
     return TrajectoryClip(frames, seg.fps, n, sport, metadata or {})
 
@@ -426,7 +427,8 @@ def resample(clip: TrajectoryClip, target_fps: float) -> TrajectoryClip:
     `(1-w)·a + w·b` of the bracketing source frames, and missing iff either
     of them is missing. Endpoints land exactly on the first and last source
     frames; nothing is extrapolated. The clip is densified once, so a clip
-    with unresolved duplicate detections must be refined first.
+    with unresolved duplicate detections must be refined first, and two
+    frames with one index are rejected.
     """
     if len(clip.frames) < 2:
         raise ValueError("resample needs at least 2 frames")
@@ -434,9 +436,12 @@ def resample(clip: TrajectoryClip, target_fps: float) -> TrajectoryClip:
         raise ValueError("target_fps must be positive")
 
     frames = sorted(clip.frames, key=lambda f: f.index)
-    seg = clip_to_segment(replace(clip, frames=frames))
     # work in source-frame units so ratio resampling stays exact
     pos = np.array([f.index - frames[0].index for f in frames], dtype=np.float64)
+    twice = np.flatnonzero(np.diff(pos) == 0)
+    if twice.size:
+        raise ValueError(f"resample: frame index {frames[twice[0]].index} occurs twice")
+    seg = clip_to_segment(replace(clip, frames=frames))
     ratio = clip.fps / target_fps
     n_out = int(math.floor(pos[-1] / ratio + 1e-9)) + 1
 
@@ -576,36 +581,42 @@ def _reconstruct_spans(coords, vis, pair_flags):
 def _ema_smooth(coords, vis, gamma):
     """Bidirectional EMA, forward and backward passes averaged.
 
-    Each observed run is extended by odd reflection before filtering so the
-    filter starts in steady state; straight-line motion is a fixed point,
-    which keeps clean tracking untouched.
+    Each observed run of two or more frames is extended by odd reflection
+    before filtering so the filter starts in steady state; straight-line
+    motion is a fixed point, which keeps clean tracking untouched. The clip
+    runs one recursion: every extended run is a column, its reversed copy
+    another, all starting at row 0 and zero-padded to the longest. A column
+    reads only its own earlier rows, so each run is filtered exactly as it
+    would be alone.
     """
     if gamma >= 1.0:
         return
     beta = 1.0 - gamma
     pad = min(64, max(1, int(math.ceil(math.log(1e-15) / math.log(beta)))))
-
-    def ema(x):
-        y = np.empty_like(x)
-        acc = x[0].copy()
-        y[0] = acc
-        for t in range(1, len(x)):
-            acc = gamma * x[t] + beta * acc
-            y[t] = acc
-        return y
-
-    for e in range(coords.shape[1]):
-        for start, stop in _runs(vis[:, e]):
-            run = coords[start:stop, e]
-            if len(run) < 2:
-                continue
-            p = min(pad, len(run) - 1)
-            left = 2 * run[0] - run[p:0:-1]
-            right = 2 * run[-1] - run[-2:-p - 2:-1]
-            ext = np.concatenate([left, run, right])
-            fwd = ema(ext)
-            bwd = ema(ext[::-1])[::-1]
-            coords[start:stop, e] = 0.5 * (fwd[p:p + len(run)] + bwd[p:p + len(run)])
+    runs = [(e, start, stop) for e in range(coords.shape[1])
+            for start, stop in _runs(vis[:, e]) if stop - start >= 2]
+    if not runs:
+        return
+    exts = []
+    for e, start, stop in runs:
+        run = coords[start:stop, e]
+        p = min(pad, len(run) - 1)
+        left = 2 * run[0] - run[p:0:-1]
+        right = 2 * run[-1] - run[-2:-p - 2:-1]
+        exts.append(np.concatenate([left, run, right]))
+    m = len(exts)
+    x = np.zeros((max(map(len, exts)), 2 * m, 2))
+    for c, ext in enumerate(exts):
+        x[:len(ext), c] = ext
+        x[:len(ext), m + c] = ext[::-1]
+    for t in range(1, len(x)):
+        x[t] = gamma * x[t] + beta * x[t - 1]
+    for c, ((e, start, stop), ext) in enumerate(zip(runs, exts)):
+        n = stop - start
+        p, L = (len(ext) - n) // 2, len(ext)
+        fwd = x[p:p + n, c]
+        bwd = x[L - p - n:L - p, m + c][::-1]
+        coords[start:stop, e] = 0.5 * (fwd + bwd)
 
 
 def refine(clip: TrajectoryClip, params: RefineParams = RefineParams()) -> TrajectoryClip:
@@ -618,7 +629,8 @@ def refine(clip: TrajectoryClip, params: RefineParams = RefineParams()) -> Traje
        entities move faster than `v_max` between its frames
     4. reconstruction of anomalous spans by interpolation from the nearest
        trusted frames
-    5. bidirectional exponential moving average smoothing (factor `ema_gamma`)
+    5. bidirectional exponential moving average smoothing (factor `ema_gamma`),
+       one recursion for all the clip's observed runs in both directions
 
     Refinement is total: it never raises on clip content.
     """

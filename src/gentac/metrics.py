@@ -17,15 +17,19 @@ Conventions: the attacking team plays toward +x. Every control metric runs
 on one cell lattice per pitch, `lattice(pitch)`: the nearest whole number of
 cells to one per metre along each axis, stretched to tile the pitch exactly
 (1 m x 1 m on a 105 x 68 m soccer pitch), cell centers at half-cell offsets.
-The EPV grid file is bilinearly resampled onto that lattice on load, and
-`EpvGrid.values` is read-only. The nearest-player control field is computed
-once per grid and player set and shared by OBET and the depth/width zone
-threats; TIE_EPS compares distances. The dominant region's arrival kernel
-works in place on a few [cells] work arrays per side.
+It is built once per pitch and shared, read-only, by every caller and every
+`EpvGrid` of that pitch. The EPV grid file is bilinearly resampled onto that
+lattice on load, and `EpvGrid.values` is read-only. The nearest-player
+control field is computed once per grid and player set, from each player's
+offsets per axis, and shared by OBET and the depth/width zone threats;
+TIE_EPS compares distances. The dominant region's arrival kernel works in
+place on a few [cells] work arrays per side. Player positions and velocities
+must be finite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -345,16 +349,20 @@ def structure_deviation(samples, truth, fps, n_players,
 # EPV grids and control
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def lattice(pitch: PitchSpec) -> np.ndarray:
     """Centers of the control cells, [ny x nx x 2] as (x, y) in meters. The
     nx = max(1, round(L / 1 m)) cells along x are L / nx wide, so their edges
     run from -L/2 to +L/2, and cell [iy, ix] is centered at
-    (-L/2 + (ix + 0.5) L / nx, -W/2 + (iy + 0.5) W / ny); likewise along y."""
+    (-L/2 + (ix + 0.5) L / nx, -W/2 + (iy + 0.5) W / ny); likewise along y.
+    Built once per pitch: equal pitches get the same read-only array."""
     centers = []
     for span in (pitch.length, pitch.width):
         n = max(1, round(span))
         centers.append(-span / 2 + (np.arange(n) + 0.5) * (span / n))
-    return np.stack(np.meshgrid(*centers), axis=-1)
+    cells = np.stack(np.meshgrid(*centers), axis=-1)
+    cells.flags.writeable = False
+    return cells
 
 
 @dataclass
@@ -426,15 +434,25 @@ def synthetic_epv(pitch: PitchSpec) -> EpvGrid:
 
 
 def _nearest_distance(cells, players):
-    """Distance from each cell center to its nearest player: a running minimum
-    of dx*dx + dy*dy, then one sqrt. Bit for bit norm(cells - p, axis=-1).min(),
-    since a length-2 norm is sqrt(dx*dx + dy*dy) and sqrt is monotone."""
-    cx, cy = cells[..., 0], cells[..., 1]
-    d2 = np.full(cx.shape, np.inf)
+    """Distance from each center of the lattice `cells` to its nearest player:
+    a running minimum of dx*dx + dy*dy, then one sqrt. A lattice's x repeats
+    along its rows and its y along its columns, so each player's squared
+    offsets are computed once per axis (nx + ny values) and added by
+    broadcast. Bit for bit norm(cells - p, axis=-1).min(), since a length-2
+    norm is sqrt(dx*dx + dy*dy) and sqrt is monotone."""
+    cx, cy = cells[0, :, 0], cells[:, 0, 1]
+    d2 = np.full(cells.shape[:2], np.inf)
     for px, py in np.asarray(players, dtype=np.float64):
         dx, dy = cx - px, cy - py
-        np.minimum(d2, dx * dx + dy * dy, out=d2)
+        np.minimum(d2, (dx * dx)[None, :] + (dy * dy)[:, None], out=d2)
     return np.sqrt(d2)
+
+
+def _check_finite(what, *arrays):
+    """One line naming the side when one of its values is NaN or infinite,
+    which would poison every cell's minimum and count as no control."""
+    if not all(np.isfinite(a).all() for a in arrays if a is not None):
+        raise ValueError(f"{what} must be finite")
 
 
 def _nearest_control(attackers, defenders, epv: EpvGrid):
@@ -446,6 +464,8 @@ def _nearest_control(attackers, defenders, epv: EpvGrid):
         raise ValueError("both teams must have players on the pitch")
     key = (atk.shape, atk.tobytes(), dfn.shape, dfn.tobytes())
     if epv._control is None or epv._control[0] != key:
+        _check_finite("attacker positions", atk)
+        _check_finite("defender positions", dfn)
         da, dd = (_nearest_distance(epv.cells, p) for p in (atk, dfn))
         out = np.zeros(epv.values.shape, dtype=int)
         out[da < dd - TIE_EPS] = 1
@@ -583,7 +603,7 @@ def _min_arrival(cells, players, velocities):
 
 
 def _side(players, velocities, name):
-    """A side's positions and velocities as [N x 2] float arrays."""
+    """A side's positions and velocities as finite [N x 2] float arrays."""
     p = np.asarray(players, dtype=np.float64)
     if p.size == 0:
         raise ValueError("need at least one player per side")
@@ -592,6 +612,7 @@ def _side(players, velocities, name):
         raise ValueError(f"{name} positions and velocities must be [N x 2] with one "
                          f"row per player, got {p.shape} and "
                          f"{None if v is None else v.shape}")
+    _check_finite(f"{name} positions and velocities", p, v)
     return p, v
 
 

@@ -337,6 +337,15 @@ def test_resample_rejects_single_frame():
         resample(clip, 10.0)
 
 
+def test_resample_rejects_duplicate_frame_indices():
+    # two frames at index 2 used to resample through the later one: the ball
+    # read 5.0 at frame 2, where the two frames give 2.0 and 5.0
+    frames = [Frame(0, (0.0, 0.0), {}, {}), Frame(2, (2.0, 0.0), {}, {}),
+              Frame(2, (5.0, 0.0), {}, {}), Frame(4, (4.0, 0.0), {}, {})]
+    with pytest.raises(ValueError, match="^resample: frame index 2 occurs twice$"):
+        resample(TrajectoryClip(frames, 25.0, 11), 12.5)
+
+
 def test_resample_endpoints_exact_never_extrapolates():
     clip = linear_clip(frames=7, fps=25.0)
     out = resample(clip, 7.0)
@@ -498,6 +507,113 @@ def test_refine_idempotent_on_smooth_repaired_clip():
     seg1, seg2 = clip_to_segment(once), clip_to_segment(twice)
     assert np.array_equal(seg1.visibility, seg2.visibility)
     assert np.abs(seg1.coords - seg2.coords).max() < 1e-9
+
+
+def oracle_ema_smooth(coords, vis, gamma):
+    """`data._ema_smooth` before it ran one recursion per clip: a Python
+    recursion per observed run and per direction."""
+    if gamma >= 1.0:
+        return
+    beta = 1.0 - gamma
+    pad = min(64, max(1, int(math.ceil(math.log(1e-15) / math.log(beta)))))
+
+    def ema(x):
+        y = np.empty_like(x)
+        acc = x[0].copy()
+        y[0] = acc
+        for t in range(1, len(x)):
+            acc = gamma * x[t] + beta * acc
+            y[t] = acc
+        return y
+
+    for e in range(coords.shape[1]):
+        for start, stop in data._runs(vis[:, e]):
+            run = coords[start:stop, e]
+            if len(run) < 2:
+                continue
+            p = min(pad, len(run) - 1)
+            left = 2 * run[0] - run[p:0:-1]
+            right = 2 * run[-1] - run[-2:-p - 2:-1]
+            ext = np.concatenate([left, run, right])
+            fwd = ema(ext)
+            bwd = ema(ext[::-1])[::-1]
+            coords[start:stop, e] = 0.5 * (fwd[p:p + len(run)] + bwd[p:p + len(run)])
+
+
+def ema_cases():
+    """(coords, vis): one hand-made clip of 90 frames with several runs of
+    different lengths per entity (gaps longer than any `max_gap`), runs of
+    1 and 2 frames and an entity never visible, then fuzzed masks."""
+    rng = Rng(35, ("ema",))
+    coords = np.round(rng.child("hand").normal((90, 6, 2)) * 20, 2)
+    vis = np.zeros((90, 6), dtype=bool)
+    vis[:, 0] = True
+    for start, stop in ((0, 20), (35, 37), (40, 41), (45, 90)):
+        vis[start:stop, 1] = True                   # entity 2 is never seen
+    vis[10:12, 3] = True
+    vis[[0, 5, 89], 4] = True
+    for start, stop in ((3, 70), (72, 74), (80, 88)):
+        vis[start:stop, 5] = True
+    yield coords, vis
+    for i in range(30):
+        r = rng.child("fuzz", i)
+        F, E = int(r.child("F").integers(1, 120)), int(r.child("E").integers(1, 8))
+        keep = r.child("keep").uniform(0.0, 1.0, (F, E)) < r.child("p").uniform(0.3, 1.0)
+        yield np.round(r.child("xy").normal((F, E, 2)) * 20, 2), keep
+
+
+@pytest.mark.parametrize("gamma", [0.85, 0.5, 1.0])
+def test_ema_smooth_matches_the_per_run_oracle_bit_for_bit(gamma):
+    for i, (coords, vis) in enumerate(ema_cases()):
+        got, want = coords.copy(), coords.copy()
+        data._ema_smooth(got, vis, gamma)
+        oracle_ema_smooth(want, vis, gamma)
+        assert got.tobytes() == want.tobytes(), f"case {i}"
+        assert np.array_equal(got[~vis], coords[~vis])
+        if i == 0:                                  # the filter did run
+            assert (got.tobytes() != coords.tobytes()) == (gamma < 1.0)
+
+
+def oracle_segment_to_clip(seg, sport="soccer", metadata=None, start_index=0):
+    """`data.segment_to_clip` before it built its frames from lists: one
+    tuple of numpy scalars per visible slot."""
+    coords = seg.coords
+    if seg.normalized:
+        coords = data.denormalize_xy(coords, PitchSpec.for_sport(sport))
+    n = seg.players_per_team
+    frames = []
+    for t in range(len(seg)):
+        team0 = {pid: (tuple(coords[t, i]) if seg.visibility[t, i] else None)
+                 for i, pid in enumerate(seg.roster0)}
+        team1 = {pid: (tuple(coords[t, n + i]) if seg.visibility[t, n + i] else None)
+                 for i, pid in enumerate(seg.roster1)}
+        ball = tuple(coords[t, 2 * n]) if seg.visibility[t, 2 * n] else None
+        frames.append(Frame(start_index + t, ball, team0, team1))
+    return TrajectoryClip(frames, seg.fps, n, sport, metadata or {})
+
+
+def test_segment_to_clip_matches_the_per_element_oracle():
+    rng = Rng(36, ("segment-to-clip",))
+    for i in range(200):
+        r = rng.child("case", i)
+        F, n = int(r.child("F").integers(1, 12)), int(r.child("n").integers(1, 5))
+        rosters = [tuple(f"{side}{k}" for k in range(int(r.child(side).integers(0, n + 1))))
+                   for side in "AB"]                # short rosters leave slots unused
+        normalized = bool(r.child("norm").uniform() < 0.5)
+        coords = r.child("xy").uniform(-1.0, 1.0, (F, 2 * n + 1, 2))
+        coords = coords if normalized else np.round(coords * 40, 2)
+        coords[r.child("zero").uniform(0.0, 1.0, coords.shape) < 0.1] = -0.0
+        vis = r.child("vis").uniform(0.0, 1.0, (F, 2 * n + 1)) < 0.8
+        seg = data.Segment(coords, vis, 25.0, n, *rosters, normalized=normalized)
+        got = data.segment_to_clip(seg, "basketball", {"tag": i}, start_index=7)
+        want = oracle_segment_to_clip(seg, "basketball", {"tag": i}, start_index=7)
+        assert serialize_clip(got) == serialize_clip(want), f"case {i}"
+        assert got == want
+        for f, g in zip(got.frames, want.frames):
+            for pos, ref in zip([f.ball, *f.team0.values(), *f.team1.values()],
+                                [g.ball, *g.team0.values(), *g.team1.values()]):
+                assert position_bytes(pos) == position_bytes(ref)
+                assert pos is None or {type(v) for v in pos} == {float}
 
 
 # ---------------------------------------------------------------------------

@@ -546,6 +546,18 @@ def test_soccer_lattice_is_the_whole_metre_grid_bit_for_bit():
     assert metrics.lattice(PitchSpec.for_sport("soccer")).tobytes() == expected.tobytes()
 
 
+def test_lattice_is_built_once_per_pitch_and_read_only():
+    soccer = metrics.lattice(PitchSpec.for_sport("soccer"))
+    assert metrics.lattice(PitchSpec(105, 68)) is soccer    # equal pitches
+    assert metrics.lattice(PitchSpec(105.0, 67.0)) is not soccer
+    with pytest.raises(ValueError, match="read-only"):
+        soccer[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        soccer.reshape(-1, 2)[0] = 1.0
+    assert synthetic_epv(PITCH).cells is soccer
+    assert EpvGrid(np.ones((68, 105)), PITCH).cells is soccer
+
+
 def uniform_epv():
     return EpvGrid(np.ones((68, 105)), PITCH)
 
@@ -974,6 +986,36 @@ def test_dominant_region_rejects_malformed_players_in_one_line(
     with pytest.raises(ValueError, match=message) as err:
         dominant_region(defenders, attackers, def_vel, atk_vel, PITCH)
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("defenders, attackers, def_vel, atk_vel, side", [
+    ([[0.0, 0.0], [np.nan, 3.0]], [[5.0, 5.0]], None, None, "defender"),
+    ([[0.0, 0.0]], [[5.0, np.inf]], None, None, "attacker"),
+    ([[0.0, 0.0]], [[5.0, 5.0]], [[np.inf, 0.0]], None, "defender"),
+    ([[0.0, 0.0]], [[5.0, 5.0]], None, [[0.0, np.nan]], "attacker"),
+], ids=["nan-defender", "inf-attacker", "inf-defender-velocity",
+        "nan-attacker-velocity"])
+def test_dominant_region_rejects_non_finite_players_in_one_line(
+        defenders, attackers, def_vel, atk_vel, side):
+    # one NaN defender used to give 0.0 m^2 and an infinite velocity 3500 m^2
+    with pytest.raises(ValueError,
+                       match=rf"^{side} positions and velocities must be finite$"):
+        dominant_region(defenders, attackers, def_vel, atk_vel, PITCH)
+
+
+@pytest.mark.parametrize("metric", [obet, depth_threat, width_threat])
+@pytest.mark.parametrize("side", ["attacker", "defender"])
+def test_control_metrics_reject_non_finite_players_in_one_line(metric, side):
+    # depth_threat used to give 0.0 with one NaN attacker
+    epv = synthetic_epv(PITCH)
+    att, dfn = np.array([[10.0, 5.0], [30.0, -8.0]]), np.array([[20.0, 0.0]])
+    metric(att, dfn, epv)                   # a finite field is cached first
+    bad = att.copy() if side == "attacker" else dfn.copy()
+    bad[0, 1] = np.nan
+    players = (bad, dfn) if side == "attacker" else (att, bad)
+    with pytest.raises(ValueError, match=rf"^{side} positions must be finite$"):
+        metric(*players, epv)
+    assert metric(att, dfn, epv) == metric(att, dfn, synthetic_epv(PITCH))
 
 
 def test_velocity_shifts_the_contested_boundary():
